@@ -14,13 +14,21 @@ samples on intervals), estimates minimal constants, derives the per-step
 Picard factor of each family, and decides whether the matching fixed-point
 principle applies for a given triangle function, with a per-hypothesis
 checklist.
+
+Everything that tells the families apart lives in one table, `_FAMILIES`.
+Finite and interval spaces share one pair kernel: both are reduced to flat
+vectors of the six distances above over the checked pairs, so verification
+and estimation run the same code on either kind of space.  Interval maps
+may be constant (an expression without x).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -30,31 +38,90 @@ from .space import (
     DEFAULT_SEED,
     PAIR_SAMPLES,
     FiniteSemimetricSpace,
-    IntervalSpace,
     Space,
     StructuralError,
     violates,
 )
 from .trifun import TriangleFunctionSpec
 
-TAGS = (
-    "partial",
-    "partial_dual",
-    "weak",
-    "weak_dual",
-    "bianchini",
-    "chatterjea_bianchini",
-)
+
+@dataclass(frozen=True)
+class _Family:
+    """What sets one contraction family apart from the others.
+
+    The right-hand side is alpha*d(x,y) + s*kernel when the family has two
+    constants and s*kernel when it has one, where s is its last constant and
+    the kernel is one pair component (see `_pair_components`) or the larger
+    of two.  The callables take the constants in report order.
+    """
+
+    constants: tuple[str, ...]
+    kernel: tuple[str, ...]
+    rate: Callable[..., float]  # per-step Picard factor (phi = max for chatterjea_bianchini)
+    gate: Callable[..., tuple[bool, str]]  # the "constants" hypothesis and its detail
+    principle: str
+    continuity: str  # "origin" | "full"
+    side_checks: Callable[..., tuple] = lambda kind, phi: ()
+    unique: Callable[..., bool] = lambda *constants: True  # granted once applicable
+    rate_needs_secondary_below_one: bool = False  # the rate divides by 1 - s
+    caveats: tuple[str, ...] = ()
+
+
+_FAMILIES = {
+    "partial": _Family(
+        ("alpha", "beta"), ("x_tx",),
+        rate=lambda a, b: a + b,
+        gate=lambda a, b: (a + b < 1.0, f"alpha + beta = {a + b:g}"),
+        principle="partial_contraction", continuity="origin",
+    ),
+    "partial_dual": _Family(
+        ("alpha", "beta"), ("y_ty",),
+        rate=lambda a, b: a / (1.0 - b),
+        gate=lambda a, b: (b < 1.0 and a + b < 1.0,
+                           f"alpha/(1-beta) = {a / (1.0 - b) if b < 1 else math.inf:g}"),
+        principle="partial_contraction_dual_variant", continuity="origin",
+        side_checks=lambda kind, phi: (_zero_slot_check(phi),),
+        rate_needs_secondary_below_one=True,
+    ),
+    "weak": _Family(
+        ("alpha", "delta"), ("x_ty",),
+        rate=lambda a, d: (a + d) / (1.0 - d),
+        gate=lambda a, d: (a + 2.0 * d < 1.0, f"alpha + 2*delta = {a + 2.0 * d:g}"),
+        principle="weak_contraction_primal_variant", continuity="full",
+        side_checks=lambda kind, phi: (_subadditive_check(phi),),
+        unique=lambda a, d: d == 0.0,
+        rate_needs_secondary_below_one=True,
+        caveats=("valid only when phi is bounded by u+v on the orbit pairs",),
+    ),
+    "weak_dual": _Family(
+        ("alpha", "delta"), ("y_tx",),
+        rate=lambda a, d: a,
+        gate=lambda a, d: (a < 1.0, f"alpha = {a:g}"),
+        principle="weak_contraction", continuity="origin",
+        unique=lambda a, d: d == 0.0,
+    ),
+    "bianchini": _Family(
+        ("beta",), ("x_tx", "y_ty"),
+        rate=lambda b: b,
+        gate=lambda b: (b < 1.0, f"beta = {b:g}"),
+        principle="bianchini_contraction", continuity="full",
+        side_checks=lambda kind, phi: (_zero_slot_check(phi),),
+    ),
+    "chatterjea_bianchini": _Family(
+        ("beta",), ("x_ty", "y_tx"),
+        rate=lambda b: b,
+        gate=lambda b: (True, f"beta = {b:g} (uniqueness needs beta < 1)"),
+        principle="chatterjea_bianchini_contraction", continuity="full",
+        side_checks=lambda kind, phi: _chatterjea_side_checks(kind, phi),
+        unique=lambda b: b < 1.0,
+        caveats=("relies on homogeneity of phi and on positive step distances",),
+    ),
+}
+
+TAGS = tuple(_FAMILIES)
 
 # tag -> names of the constants it uses, in report order
-TAG_CONSTANTS = {
-    "partial": ("alpha", "beta"),
-    "partial_dual": ("alpha", "beta"),
-    "weak": ("alpha", "delta"),
-    "weak_dual": ("alpha", "delta"),
-    "bianchini": ("beta",),
-    "chatterjea_bianchini": ("beta",),
-}
+TAG_CONSTANTS = {tag: family.constants for tag, family in _FAMILIES.items()}
 
 ESTIMATE_GRID = 101
 
@@ -75,7 +142,8 @@ class ContractionKind:
         for name in ("alpha", "beta", "delta"):
             value = getattr(self, name)
             if name in wanted:
-                if value is None or not math.isfinite(value) or value < 0.0:
+                if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                        or not math.isfinite(value) or value < 0.0):
                     raise ValueError(f"{self.tag} needs finite {name} >= 0")
             elif value is not None:
                 raise ValueError(f"{self.tag} does not take {name}")
@@ -116,7 +184,8 @@ class SelfMap:
             raise StructuralError("self-map JSON must be an object")
         if "images" in obj:
             images = obj["images"]
-            if not all(isinstance(i, int) and not isinstance(i, bool) for i in images):
+            if not isinstance(images, (list, tuple)) or not all(
+                    isinstance(i, int) and not isinstance(i, bool) for i in images):
                 raise StructuralError("self-map images must be integer indices")
             return cls(images=tuple(images))
         if "expr" in obj:
@@ -162,28 +231,72 @@ class SelfMap:
         return self._fn(x=x)  # type: ignore[attr-defined]
 
 
-def _component_arrays(space: FiniteSemimetricSpace, images: tuple[int, ...]):
-    """All-pairs component matrices for the six right-hand sides."""
-    D = space.dist
-    T = np.asarray(images, dtype=np.intp)
-    lhs = D[np.ix_(T, T)]           # d(Tx, Ty)
-    step = D[np.arange(space.size), T]  # d(x, Tx) as a vector
-    cross = D[:, T]                 # cross[i, j] = d(x_i, T x_j) = d(x, Ty)
-    return lhs, D, step, cross
+@dataclass(frozen=True)
+class PairWitness:
+    x: str | float
+    y: str | float
+    lhs: float
+    rhs: float
 
 
-def _rhs_matrix(kind: ContractionKind, D, step, cross):
-    if kind.tag == "partial":
-        return kind.alpha * D + kind.beta * step[:, None]
-    if kind.tag == "partial_dual":
-        return kind.alpha * D + kind.beta * step[None, :]
-    if kind.tag == "weak":
-        return kind.alpha * D + kind.delta * cross
-    if kind.tag == "weak_dual":
-        return kind.alpha * D + kind.delta * cross.T
-    if kind.tag == "bianchini":
-        return kind.beta * np.maximum(step[:, None], step[None, :])
-    return kind.beta * np.maximum(cross, cross.T)
+def _pair_components(space: Space, mapping: SelfMap, seed: int, samples: int):
+    """The ordered pairs a family inequality is checked over, and the six
+    distances every right-hand side is built from, as flat vectors:
+
+        lhs = d(Tx,Ty)   dxy = d(x,y)   x_tx = d(x,Tx)   y_ty = d(y,Ty)
+        x_ty = d(x,Ty)   y_tx = d(y,Tx)
+
+    Finite spaces give all N^2 ordered pairs in row-major order; intervals
+    give the 9 corner/midpoint pairs followed by `samples` seeded random
+    pairs.  Returns (scope, pair_witness, components), where
+    pair_witness(k, rhs) is the PairWitness of the pair at flat index k, with
+    labels on finite spaces and floats on intervals.
+    """
+    mapping.validate_for(space)
+    if isinstance(space, FiniteSemimetricSpace):
+        scope, n, labels = "all-pairs", space.size, space.labels
+        xs, ys = np.divmod(np.arange(n * n), n)
+
+        def d(a, b):
+            return space.dist[a, b]
+
+        def point(k):
+            return labels[k // n], labels[k % n]
+    else:
+        scope, d = "sampled", space.d
+        ends = np.array([space.lo, 0.5 * (space.lo + space.hi), space.hi])
+        grid = np.array(np.meshgrid(ends, ends, indexing="ij")).reshape(2, -1).T
+        rng = np.random.default_rng(seed)
+        random_part = space.lo + (space.hi - space.lo) * rng.random((samples, 2))
+        xs, ys = np.vstack([grid, random_part]).T
+
+        def point(k):
+            return float(xs[k]), float(ys[k])
+    txs, tys = mapping(xs), mapping(ys)
+    components = {
+        "lhs": d(txs, tys), "dxy": d(xs, ys),
+        "x_tx": d(xs, txs), "y_ty": d(ys, tys),
+        "x_ty": d(xs, tys), "y_tx": d(ys, txs),
+    }
+    for name, value in components.items():
+        value = np.asarray(value, dtype=np.float64)
+        # a constant map evaluates to a scalar: spread it over the pairs
+        components[name] = value if value.shape == xs.shape else np.broadcast_to(value, xs.shape)
+    lhs = components["lhs"]
+    return scope, lambda k, rhs: PairWitness(*point(k), float(lhs[k]), float(rhs)), components
+
+
+def _kernel(family: _Family, components: dict):
+    first, *rest = (components[name] for name in family.kernel)
+    return np.maximum(first, *rest) if rest else first
+
+
+def _rhs(kind: ContractionKind, components: dict):
+    """The family right-hand side over vector or scalar pair components."""
+    family = _FAMILIES[kind.tag]
+    *alpha, scale = (getattr(kind, name) for name in family.constants)
+    term = scale * _kernel(family, components)
+    return alpha[0] * components["dxy"] + term if alpha else term
 
 
 def defining_rhs(kind: ContractionKind, space: Space, mapping: SelfMap, x, y) -> float:
@@ -193,25 +306,10 @@ def defining_rhs(kind: ContractionKind, space: Space, mapping: SelfMap, x, y) ->
         y = space.index_of(y) if isinstance(y, str) else y
     tx, ty = mapping(x), mapping(y)
     d = space.d
-    if kind.tag == "partial":
-        return kind.alpha * d(x, y) + kind.beta * d(x, tx)
-    if kind.tag == "partial_dual":
-        return kind.alpha * d(x, y) + kind.beta * d(y, ty)
-    if kind.tag == "weak":
-        return kind.alpha * d(x, y) + kind.delta * d(x, ty)
-    if kind.tag == "weak_dual":
-        return kind.alpha * d(x, y) + kind.delta * d(y, tx)
-    if kind.tag == "bianchini":
-        return kind.beta * max(d(x, tx), d(y, ty))
-    return kind.beta * max(d(x, ty), d(y, tx))
-
-
-@dataclass(frozen=True)
-class PairWitness:
-    x: str | float
-    y: str | float
-    lhs: float
-    rhs: float
+    components = {"dxy": d(x, y), "x_tx": d(x, tx), "y_ty": d(y, ty),
+                  "x_ty": d(x, ty), "y_tx": d(y, tx)}
+    with np.errstate(over="ignore"):
+        return float(_rhs(kind, components))
 
 
 @dataclass(frozen=True)
@@ -242,55 +340,16 @@ def verify_contraction(
     samples: int = PAIR_SAMPLES,
 ) -> ContractionCertificate:
     """Check d(Tx,Ty) <= rhs over ordered pairs (exhaustive or sampled)."""
-    mapping.validate_for(space)
-    if isinstance(space, FiniteSemimetricSpace):
-        lhs, D, step, cross = _component_arrays(space, mapping.images)
-        rhs = _rhs_matrix(kind, D, step, cross)
-        margin_matrix = rhs - lhs
-        flat = int(np.argmin(margin_matrix))
-        i, j = divmod(flat, space.size)
-        witness = PairWitness(space.labels[i], space.labels[j],
-                              float(lhs[i, j]), float(rhs[i, j]))
+    scope, pair_witness, components = _pair_components(space, mapping, seed, samples)
+    lhs = components["lhs"]
+    with np.errstate(over="ignore"):
+        rhs = _rhs(kind, components)
         bad = violates(lhs, rhs)
-        violations = tuple(
-            PairWitness(space.labels[a], space.labels[b], float(lhs[a, b]), float(rhs[a, b]))
-            for a, b in np.argwhere(bad)
-        )
-        return ContractionCertificate(kind, "all-pairs", float(margin_matrix[i, j]),
-                                      witness, violations)
-
-    ends = np.array([space.lo, 0.5 * (space.lo + space.hi), space.hi])
-    grid = np.array(np.meshgrid(ends, ends, indexing="ij")).reshape(2, -1).T
-    rng = np.random.default_rng(seed)
-    random_part = space.lo + (space.hi - space.lo) * rng.random((samples, 2))
-    pairs = np.vstack([grid, random_part])
-    xs, ys = pairs[:, 0], pairs[:, 1]
-    txs = np.asarray(mapping(xs), dtype=np.float64)
-    tys = np.asarray(mapping(ys), dtype=np.float64)
-    d = space.d
-    lhs = np.asarray(d(txs, tys), dtype=np.float64)
-    if kind.tag == "partial":
-        rhs = kind.alpha * d(xs, ys) + kind.beta * d(xs, txs)
-    elif kind.tag == "partial_dual":
-        rhs = kind.alpha * d(xs, ys) + kind.beta * d(ys, tys)
-    elif kind.tag == "weak":
-        rhs = kind.alpha * d(xs, ys) + kind.delta * d(xs, tys)
-    elif kind.tag == "weak_dual":
-        rhs = kind.alpha * d(xs, ys) + kind.delta * d(ys, txs)
-    elif kind.tag == "bianchini":
-        rhs = kind.beta * np.maximum(d(xs, txs), d(ys, tys))
-    else:
-        rhs = kind.beta * np.maximum(d(xs, tys), d(ys, txs))
-    rhs = np.asarray(rhs, dtype=np.float64)
     margins = rhs - lhs
     k = int(np.argmin(margins))
-    witness = PairWitness(float(xs[k]), float(ys[k]), float(lhs[k]), float(rhs[k]))
-    bad = violates(lhs, rhs)
-    violations = tuple(
-        PairWitness(float(xs[a]), float(ys[a]), float(lhs[a]), float(rhs[a]))
-        for (a,) in np.argwhere(bad)
-    )
-    return ContractionCertificate(kind, "sampled", float(margins[k]), witness, violations)
+    violations = tuple(pair_witness(a, rhs[a]) for a in np.flatnonzero(bad).tolist())
+    return ContractionCertificate(kind, scope, float(margins[k]), pair_witness(k, rhs[k]),
+                                  violations)
 
 
 @dataclass(frozen=True)
@@ -320,51 +379,19 @@ class ConstantsEstimate:
     def best_rate(self) -> tuple[float, "ContractionKind | None"]:
         """Smallest per-step factor available on the estimate, with a kind
         realizing it (None when nothing lies below 1)."""
-        best = math.inf
-        best_kind = None
-        if self.tag in ("bianchini", "chatterjea_bianchini"):
-            if not self.unbounded and self.beta_star is not None:
-                best = self.beta_star
-                best_kind = ContractionKind(self.tag, beta=self.beta_star)
-            return best, best_kind
-        for point in self.frontier:
-            a, s = point.alpha_min, point.secondary
-            if self.tag == "partial":
-                rate = a + s
-                kind = ContractionKind(self.tag, alpha=a, beta=s)
-            elif self.tag == "partial_dual":
-                rate = a / (1.0 - s) if s < 1.0 else math.inf
-                kind = ContractionKind(self.tag, alpha=a, beta=s)
-            elif self.tag == "weak":
-                rate = (a + s) / (1.0 - s) if s < 1.0 else math.inf
-                kind = ContractionKind(self.tag, alpha=a, delta=s)
-            else:
-                rate = a
-                kind = ContractionKind(self.tag, alpha=a, delta=s)
+        family = _FAMILIES[self.tag]
+        if len(family.constants) == 1:
+            bounded = not self.unbounded and self.beta_star is not None
+            candidates = [(self.beta_star,)] if bounded else []
+        else:
+            candidates = [(point.alpha_min, point.secondary) for point in self.frontier]
+        best, best_kind = math.inf, None
+        for values in candidates:
+            rate = family.rate(*values)
             if rate < best:
-                best, best_kind = rate, kind
+                best = rate
+                best_kind = ContractionKind(self.tag, **dict(zip(family.constants, values)))
         return best, best_kind
-
-
-def _interval_pair_components(space: IntervalSpace, mapping: SelfMap, seed: int, samples: int):
-    ends = np.array([space.lo, 0.5 * (space.lo + space.hi), space.hi])
-    grid = np.array(np.meshgrid(ends, ends, indexing="ij")).reshape(2, -1).T
-    rng = np.random.default_rng(seed)
-    random_part = space.lo + (space.hi - space.lo) * rng.random((samples, 2))
-    pairs = np.vstack([grid, random_part])
-    xs, ys = pairs[:, 0], pairs[:, 1]
-    txs = np.asarray(mapping(xs), dtype=np.float64)
-    tys = np.asarray(mapping(ys), dtype=np.float64)
-    d = space.d
-    return {
-        "xs": xs, "ys": ys,
-        "lhs": np.asarray(d(txs, tys), dtype=np.float64),
-        "dxy": np.asarray(d(xs, ys), dtype=np.float64),
-        "x_tx": np.asarray(d(xs, txs), dtype=np.float64),
-        "y_ty": np.asarray(d(ys, tys), dtype=np.float64),
-        "x_ty": np.asarray(d(xs, tys), dtype=np.float64),
-        "y_tx": np.asarray(d(ys, txs), dtype=np.float64),
-    }
 
 
 def estimate_min_constants(
@@ -381,68 +408,29 @@ def estimate_min_constants(
     """
     if tag not in TAGS:
         raise ValueError(f"unknown contraction tag {tag!r}")
-    mapping.validate_for(space)
-    if isinstance(space, FiniteSemimetricSpace):
-        lhs, D, step, cross = _component_arrays(space, mapping.images)
-        scope = "all-pairs"
-        dxy = D
-        kernels = {
-            "bianchini": np.maximum(step[:, None], step[None, :]),
-            "chatterjea_bianchini": np.maximum(cross, cross.T),
-            "partial": step[:, None] + np.zeros_like(D),
-            "partial_dual": step[None, :] + np.zeros_like(D),
-            "weak": cross,
-            "weak_dual": cross.T,
-        }
-        labels = space.labels
-        def pair_witness(i, j, denom):
-            return PairWitness(labels[i], labels[j], float(lhs[i, j]), float(denom))
-    else:
-        comp = _interval_pair_components(space, mapping, seed, samples)
-        scope = "sampled"
-        lhs = comp["lhs"]
-        dxy = comp["dxy"]
-        kernels = {
-            "bianchini": np.maximum(comp["x_tx"], comp["y_ty"]),
-            "chatterjea_bianchini": np.maximum(comp["x_ty"], comp["y_tx"]),
-            "partial": comp["x_tx"],
-            "partial_dual": comp["y_ty"],
-            "weak": comp["x_ty"],
-            "weak_dual": comp["y_tx"],
-        }
-        xs, ys = comp["xs"], comp["ys"]
-        def pair_witness(i, j, denom):
-            return PairWitness(float(xs[i]), float(ys[i]), float(lhs.flat[i]), float(denom))
-
-    kernel = kernels[tag]
-    if tag in ("bianchini", "chatterjea_bianchini"):
+    family = _FAMILIES[tag]
+    scope, pair_witness, components = _pair_components(space, mapping, seed, samples)
+    lhs = components["lhs"]
+    kernel = _kernel(family, components)
+    if len(family.constants) == 1:
         positive = kernel > 0.0
         stuck = ~positive & (lhs > 0.0)
         if np.any(stuck):
-            idx = np.argwhere(stuck)[0]
-            if len(idx) == 2:
-                witness = pair_witness(int(idx[0]), int(idx[1]), 0.0)
-            else:
-                witness = pair_witness(int(idx[0]), int(idx[0]), 0.0)
-            return ConstantsEstimate(tag, scope, unbounded=True, witness=witness)
+            return ConstantsEstimate(tag, scope, unbounded=True,
+                                     witness=pair_witness(int(np.argmax(stuck)), 0.0))
         if not np.any(positive):
             return ConstantsEstimate(tag, scope, beta_star=0.0)
         ratios = np.where(positive, lhs / np.where(positive, kernel, 1.0), 0.0)
-        flat = int(np.argmax(ratios))
-        if ratios.ndim == 2:
-            i, j = divmod(flat, ratios.shape[1])
-            witness = pair_witness(i, j, float(kernel[i, j]))
-        else:
-            witness = pair_witness(flat, flat, float(kernel.flat[flat]))
-        return ConstantsEstimate(tag, scope, beta_star=float(ratios.flat[flat]),
-                                 witness=witness)
+        k = int(np.argmax(ratios))
+        return ConstantsEstimate(tag, scope, beta_star=float(ratios[k]),
+                                 witness=pair_witness(k, kernel[k]))
 
     grid = np.arange(ESTIMATE_GRID, dtype=np.float64) / ESTIMATE_GRID
-    residual = lhs[None, ...] - grid.reshape((-1,) + (1,) * lhs.ndim) * kernel[None, ...]
+    residual = lhs[None, :] - grid[:, None] * kernel[None, :]
+    dxy = components["dxy"]
     positive_d = dxy > 0.0
-    needed = np.where(positive_d[None, ...], residual / np.where(positive_d, dxy, 1.0), 0.0)
-    axes = tuple(range(1, needed.ndim))
-    alpha_min = np.clip(np.max(needed, axis=axes), 0.0, None)
+    needed = np.where(positive_d[None, :], residual / np.where(positive_d, dxy, 1.0), 0.0)
+    alpha_min = np.clip(np.max(needed, axis=1), 0.0, None)
     frontier = tuple(FrontierPoint(float(g), float(a)) for g, a in zip(grid, alpha_min))
     return ConstantsEstimate(tag, scope, frontier=frontier)
 
@@ -467,23 +455,9 @@ def step_contraction_factor(kind: ContractionKind, phi: TriangleFunctionSpec) ->
     generalized inverse of the unit profile at 1/beta; 0 when beta = 0.
     Factors at or above 1 are reported as not derivable.
     """
-    caveats: tuple[str, ...] = ()
-    if kind.tag == "partial":
-        value = kind.alpha + kind.beta
-    elif kind.tag == "partial_dual":
-        if kind.beta >= 1.0:
-            return StepFactorResult(None, False, "needs beta < 1")
-        value = kind.alpha / (1.0 - kind.beta)
-    elif kind.tag == "weak":
-        if kind.delta >= 1.0:
-            return StepFactorResult(None, False, "needs delta < 1")
-        value = (kind.alpha + kind.delta) / (1.0 - kind.delta)
-        caveats = ("valid only when phi is bounded by u+v on the orbit pairs",)
-    elif kind.tag == "weak_dual":
-        value = kind.alpha
-    elif kind.tag == "bianchini":
-        value = kind.beta
-    else:
+    family = _FAMILIES[kind.tag]
+    values = tuple(kind.constants().values())
+    if kind.tag == "chatterjea_bianchini":
         if kind.beta == 0.0:
             return StepFactorResult(0.0, True)
         threshold = trifun.unit_profile_inverse(phi, 1.0 / kind.beta)
@@ -493,10 +467,13 @@ def step_contraction_factor(kind: ContractionKind, phi: TriangleFunctionSpec) ->
                 f"unit profile inverse at 1/beta is {threshold:g}, needs > 1",
             )
         value = 0.0 if math.isinf(threshold) else 1.0 / threshold
-        caveats = ("relies on homogeneity of phi and on positive step distances",)
+    elif family.rate_needs_secondary_below_one and values[-1] >= 1.0:
+        return StepFactorResult(None, False, f"needs {family.constants[-1]} < 1")
+    else:
+        value = family.rate(*values)
     if not value < 1.0:
-        return StepFactorResult(None, False, f"factor {value:g} is not below 1", caveats)
-    return StepFactorResult(float(value), True, "", caveats)
+        return StepFactorResult(None, False, f"factor {value:g} is not below 1", family.caveats)
+    return StepFactorResult(float(value), True, "", family.caveats)
 
 
 @dataclass(frozen=True)
@@ -527,15 +504,6 @@ class ApplicabilityRecord:
         return [c.name for c in self.checklist if not c.passed]
 
 
-_PRINCIPLES = {
-    "partial": "partial_contraction",
-    "partial_dual": "partial_contraction_dual_variant",
-    "weak": "weak_contraction_primal_variant",
-    "weak_dual": "weak_contraction",
-    "bianchini": "bianchini_contraction",
-    "chatterjea_bianchini": "chatterjea_bianchini_contraction",
-}
-
 _ZERO_SLOT_GRID = np.concatenate([np.linspace(0.0, 0.999, 1000), [1.0 - 1e-9]])
 
 
@@ -547,19 +515,18 @@ def _homogeneity_check(phi: TriangleFunctionSpec) -> HypothesisCheck:
     return HypothesisCheck("homogeneity", report.passed, False, detail)
 
 
-def _origin_continuity_check(phi: TriangleFunctionSpec) -> HypothesisCheck:
+def _continuity_check(phi: TriangleFunctionSpec, where: str) -> HypothesisCheck:
+    """Continuity of phi at the origin or everywhere (`where` is "origin" or
+    "full")."""
+    name = f"{where}_continuity"
     if phi.kind != "custom":
-        return HypothesisCheck("origin_continuity", True, True, "closed form")
-    report = trifun.check_limit_deviation(phi)
-    return HypothesisCheck("origin_continuity", report.origin_continuous, False,
-                           f"tail value {report.origin_tail:g}")
-
-
-def _full_continuity_check(phi: TriangleFunctionSpec) -> HypothesisCheck:
-    if phi.kind != "custom":
-        return HypothesisCheck("full_continuity", True, True, "closed form")
+        return HypothesisCheck(name, True, True, "closed form")
+    if where == "origin":
+        report = trifun.check_limit_deviation(phi)
+        return HypothesisCheck(name, report.origin_continuous, False,
+                               f"tail value {report.origin_tail:g}")
     passed, detail = _sampled_full_continuity(phi)
-    return HypothesisCheck("full_continuity", passed, False, detail)
+    return HypothesisCheck(name, passed, False, detail)
 
 
 @lru_cache(maxsize=128)
@@ -662,6 +629,21 @@ def _chain_check(phi: TriangleFunctionSpec, rate: float | None) -> HypothesisChe
     return HypothesisCheck(name, ok, True, detail)
 
 
+def _chatterjea_side_checks(kind: ContractionKind, phi: TriangleFunctionSpec):
+    value = float(trifun._eval_raw(phi, 0.0, kind.beta))
+    checks = [HypothesisCheck("zero_slot_at_beta", value < 1.0, True,
+                              f"phi(0, beta) = {value:g}")]
+    if kind.beta > 0.0:
+        threshold = trifun.unit_profile_inverse(phi, 1.0 / kind.beta)
+        checks.append(HypothesisCheck("inverse_gap", threshold > 1.0,
+                                      phi.kind != "custom",
+                                      f"inverse at 1/beta is {threshold:g}"))
+    else:
+        checks.append(HypothesisCheck("inverse_gap", True, True, "beta = 0"))
+    checks.append(_distance_continuity_check(phi))
+    return tuple(checks)
+
+
 def applicability(kind: ContractionKind, phi: TriangleFunctionSpec) -> ApplicabilityRecord:
     """Decide whether the family's fixed-point principle applies to (kind, phi).
 
@@ -673,71 +655,24 @@ def applicability(kind: ContractionKind, phi: TriangleFunctionSpec) -> Applicabi
     the extra conditions their derivations need; they are reported as
     requirements of this route without any claim of necessity.
     """
-    checks: list[HypothesisCheck] = []
+    family = _FAMILIES[kind.tag]
+    values = tuple(kind.constants().values())
     factor = step_contraction_factor(kind, phi)
     rate = factor.value if factor.derivable else None
-
-    if kind.tag == "partial":
-        ok = kind.alpha + kind.beta < 1.0
-        checks.append(HypothesisCheck("constants", ok, True,
-                                      f"alpha + beta = {kind.alpha + kind.beta:g}"))
-    elif kind.tag == "partial_dual":
-        ok = kind.beta < 1.0 and kind.alpha + kind.beta < 1.0
-        checks.append(HypothesisCheck("constants", ok, True,
-                                      f"alpha/(1-beta) = "
-                                      f"{kind.alpha / (1.0 - kind.beta) if kind.beta < 1 else math.inf:g}"))
-    elif kind.tag == "weak":
-        ok = kind.alpha + 2.0 * kind.delta < 1.0
-        checks.append(HypothesisCheck("constants", ok, True,
-                                      f"alpha + 2*delta = {kind.alpha + 2.0 * kind.delta:g}"))
-    elif kind.tag == "weak_dual":
-        ok = kind.alpha < 1.0
-        checks.append(HypothesisCheck("constants", ok, True, f"alpha = {kind.alpha:g}"))
-    elif kind.tag == "bianchini":
-        ok = kind.beta < 1.0
-        checks.append(HypothesisCheck("constants", ok, True, f"beta = {kind.beta:g}"))
-    else:
-        checks.append(HypothesisCheck("constants", True, True,
-                                      f"beta = {kind.beta:g} (uniqueness needs beta < 1)"))
-
-    checks.append(_homogeneity_check(phi))
-    checks.append(_chain_check(phi, rate))
-
-    if kind.tag in ("partial", "partial_dual", "weak_dual"):
-        checks.append(_origin_continuity_check(phi))
-    else:
-        checks.append(_full_continuity_check(phi))
-
-    if kind.tag == "partial_dual" or kind.tag == "bianchini":
-        checks.append(_zero_slot_check(phi))
-    if kind.tag == "weak":
-        checks.append(_subadditive_check(phi))
-    if kind.tag == "chatterjea_bianchini":
-        value = float(trifun._eval_raw(phi, 0.0, kind.beta))
-        checks.append(HypothesisCheck("zero_slot_at_beta", value < 1.0, True,
-                                      f"phi(0, beta) = {value:g}"))
-        if kind.beta > 0.0:
-            threshold = trifun.unit_profile_inverse(phi, 1.0 / kind.beta)
-            checks.append(HypothesisCheck("inverse_gap", threshold > 1.0,
-                                          phi.kind != "custom",
-                                          f"inverse at 1/beta is {threshold:g}"))
-        else:
-            checks.append(HypothesisCheck("inverse_gap", True, True, "beta = 0"))
-        checks.append(_distance_continuity_check(phi))
-
+    ok, detail = family.gate(*values)
+    checks = [
+        HypothesisCheck("constants", ok, True, detail),
+        _homogeneity_check(phi),
+        _chain_check(phi, rate),
+        _continuity_check(phi, family.continuity),
+        *family.side_checks(kind, phi),
+    ]
     applicable = all(c.passed for c in checks)
-    if kind.tag in ("partial", "partial_dual", "bianchini"):
-        unique = applicable
-    elif kind.tag in ("weak", "weak_dual"):
-        unique = applicable and kind.delta == 0.0
-    else:
-        unique = applicable and kind.beta < 1.0
-    certified = all(c.certified for c in checks)
     return ApplicabilityRecord(
-        principle=_PRINCIPLES[kind.tag],
+        principle=family.principle,
         applicable=applicable,
-        unique=unique,
+        unique=applicable and family.unique(*values),
         rate=rate,
-        certified=certified,
+        certified=all(c.certified for c in checks),
         checklist=tuple(checks),
     )

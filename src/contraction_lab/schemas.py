@@ -1,10 +1,14 @@
 """JSON Schemas for the documents the command line reads and writes.
 
-These mirror the `to_json`/`from_json` pairs on the core types and exist so
-other tooling can validate payloads without importing the package.
+These mirror the `to_json`/`from_json` pairs on the core types, so that
+other tooling can validate payloads with a JSON Schema validator.  Importing
+this module runs the package `__init__` (numpy included); the contraction
+tags come from `contraction.TAGS`.
 """
 
 from __future__ import annotations
+
+from .contraction import TAGS
 
 _NUMBER = {"type": "number"}
 
@@ -91,16 +95,7 @@ KIND_SCHEMA = {
     "title": "Contraction kind",
     "type": "object",
     "properties": {
-        "tag": {
-            "enum": [
-                "partial",
-                "partial_dual",
-                "weak",
-                "weak_dual",
-                "bianchini",
-                "chatterjea_bianchini",
-            ]
-        },
+        "tag": {"enum": list(TAGS)},
         "alpha": {"type": "number", "minimum": 0},
         "beta": {"type": "number", "minimum": 0},
         "delta": {"type": "number", "minimum": 0},

@@ -308,6 +308,8 @@ def chain_bound_constant(phi: TriangleFunctionSpec, alpha: float) -> float:
     and K/(1-a*K) for bscaled when a*K < 1 (+inf otherwise).  For custom
     functions this is the observed supremum up to the depth cutoff when the
     chain has settled, +inf when it is still growing there; see chain_report.
+    A C(alpha) beyond the float64 range (power with small q) reads as +inf,
+    which means no usable bound, just as a divergent chain does.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
@@ -316,7 +318,10 @@ def chain_bound_constant(phi: TriangleFunctionSpec, alpha: float) -> float:
     if phi.kind == "max":
         return 1.0
     if phi.kind == "power":
-        return (1.0 - alpha**phi.q) ** (-1.0 / phi.q)
+        try:
+            return (1.0 - alpha**phi.q) ** (-1.0 / phi.q)
+        except OverflowError:
+            return math.inf
     if phi.kind == "bscaled":
         if alpha * phi.K < 1.0:
             return phi.K / (1.0 - alpha * phi.K)

@@ -4,6 +4,7 @@ import jsonschema
 import pytest
 
 from contraction_lab.cli import main, run_command
+from contraction_lab.contraction import TAGS
 from contraction_lab.schemas import (
     KIND_SCHEMA,
     MAP_SCHEMA,
@@ -113,6 +114,39 @@ class TestClassify:
         assert envelope["status"] == "violation"
         assert not envelope["payload"]["certificate"]["passed"]
         assert envelope["payload"]["certificate"]["witness"] is not None
+
+    def test_constant_interval_map(self, capsys, unit_file):
+        code, out, _ = run_main(capsys, [
+            "classify", "--space", unit_file, "--map", '{"expr":"0.3"}',
+            "--kind", PARTIAL_33, "--phi", ADDITIVE,
+        ])
+        assert code == 0
+        envelope = json.loads(out)
+        jsonschema.validate(envelope, RESULT_SCHEMA)
+        assert envelope["status"] == "ok"
+        assert envelope["payload"]["certificate"]["scope"] == "sampled"
+
+    def test_huge_constant_classifies_without_warning(self, capsys, line_file):
+        code, out, err = run_main(capsys, [
+            "classify", "--space", line_file, "--map", '{"images":[1,2,0]}',
+            "--kind", '{"tag":"weak","alpha":0.1,"delta":1e308}', "--phi", ADDITIVE,
+        ])
+        assert code == 1 and err == ""
+        assert json.loads(out)["status"] == "violation"
+
+    def test_tiny_power_chain_constant_is_not_applicable(self, capsys, line_file):
+        # C(0.6) for q = 0.001 lies beyond the float64 range
+        code, out, err = run_main(capsys, [
+            "classify", "--space", line_file, "--map", '{"images":[0,0,0]}',
+            "--kind", PARTIAL_33, "--phi", '{"kind":"power","q":0.001}',
+        ])
+        assert code == 1 and err == ""
+        envelope = json.loads(out)
+        assert envelope["status"] == "not-applicable"
+        assert envelope["payload"]["applicability"]["checklist"][2] == {
+            "name": "chain_bound_finite", "passed": False, "certified": True,
+            "detail": "C(0.6) = inf",
+        }
 
     def test_blocked_principle_is_not_applicable(self, capsys, stretched_file):
         code, out, _ = run_main(capsys, [
@@ -303,6 +337,20 @@ class TestErrorsAndUsage:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_malformed_kind_and_map_exit_two(self, capsys, line_file):
+        for map_json, kind_json in (
+            ('{"images":[0,0,0]}', '{"tag":"partial","alpha":"x","beta":0.3}'),
+            ('{"images":[0,0,0]}', '{"tag":"partial","alpha":true,"beta":0.3}'),
+            ('{"images":5}', PARTIAL_33),
+        ):
+            code, out, err = run_main(capsys, ["classify", "--space", line_file,
+                                               "--map", map_json, "--kind", kind_json,
+                                               "--phi", ADDITIVE])
+            assert code == 2 and out == "", kind_json
+            envelope = json.loads(err)
+            jsonschema.validate(envelope, RESULT_SCHEMA)
+            assert envelope["status"] == "error"
+
     def test_unknown_start_label_is_error(self, capsys, stretched_file):
         code, _, err = run_main(capsys, ["iterate", "--space", stretched_file,
                                          "--map", '{"images":[0,0,0]}', "--x0", "w"])
@@ -334,6 +382,7 @@ class TestSchemas:
             jsonschema.validate({"images": [0], "expr": "x"}, MAP_SCHEMA)
 
     def test_kind_schema(self):
+        assert KIND_SCHEMA["properties"]["tag"]["enum"] == list(TAGS)
         jsonschema.validate({"tag": "partial", "alpha": 0.3, "beta": 0.4}, KIND_SCHEMA)
         jsonschema.validate({"tag": "bianchini", "beta": 0.5}, KIND_SCHEMA)
         with pytest.raises(jsonschema.ValidationError):

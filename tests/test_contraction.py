@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import contraction_lab as cl
-from contraction_lab.contraction import ContractionKind, SelfMap
+from contraction_lab.contraction import ContractionKind, PairWitness, SelfMap
+from contraction_lab.space import INEQ_ABS_TOL, INEQ_REL_TOL
 
 from helpers import line_space, stretched_space, unit_interval
 
@@ -16,6 +18,14 @@ ALL_TAGS = (
     "bianchini",
     "chatterjea_bianchini",
 )
+
+
+def kind_for(tag, alpha, secondary):
+    """A kind of the family `tag`; single-constant families take `alpha` as beta."""
+    if tag in ("bianchini", "chatterjea_bianchini"):
+        return ContractionKind(tag, beta=alpha)
+    name = "beta" if tag.startswith("partial") else "delta"
+    return ContractionKind(tag, alpha=alpha, **{name: secondary})
 
 
 def two_point_space():
@@ -45,6 +55,10 @@ class TestContractionKind:
     def test_rejects_negative_constant(self):
         with pytest.raises(ValueError):
             ContractionKind("partial", alpha=-0.1, beta=0.2)
+        # not a number: a string, a JSON boolean, null or a list
+        for bad in ("x", True, False, None, [0.1]):
+            with pytest.raises(ValueError):
+                ContractionKind.from_json({"tag": "partial", "alpha": bad, "beta": 0.2})
 
     def test_rejects_unknown_tag(self):
         with pytest.raises(ValueError):
@@ -91,6 +105,9 @@ class TestSelfMap:
     def test_from_json_rejects_bool_images(self):
         with pytest.raises(ValueError):
             SelfMap.from_json({"images": [0, True]})
+        for bad in (5, "01", None, {"0": 1}):
+            with pytest.raises(cl.StructuralError):
+                SelfMap.from_json({"images": bad})
 
     def test_json_round_trip(self):
         table = SelfMap(images=(1, 0, 1))
@@ -181,6 +198,29 @@ class TestVerifyContraction:
         b = cl.verify_contraction(unit_interval(), SelfMap(expr="x/2"), kind)
         assert a == b
 
+    def test_constant_interval_map(self):
+        # the expression evaluates to a scalar, not one image per sample
+        const = SelfMap(expr="0.3")
+        for tag in ALL_TAGS:
+            cert = cl.verify_contraction(unit_interval(), const, kind_for(tag, 0.1, 0.0))
+            assert cert.passed, tag
+            assert cert.witness.lhs == 0.0
+        kind = ContractionKind("bianchini", beta=0.1)
+        cert = cl.verify_contraction(unit_interval(), const, kind, samples=50)
+        assert cert.witness.rhs == cl.defining_rhs(kind, unit_interval(), const,
+                                                   cert.witness.x, cert.witness.y)
+
+    def test_huge_constant_does_not_warn(self):
+        kind = ContractionKind("weak", alpha=0.1, delta=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # delta * d(x, Ty) = 2e308 overflows to inf at the pairs (a, b) and (0, 0)
+            for space, mapping, x, y in ((line_space(), SelfMap(images=(1, 2, 0)), "a", "b"),
+                                         (cl.IntervalSpace(0.0, 2.0), SelfMap(expr="2-x"), 0, 0)):
+                cert = cl.verify_contraction(space, mapping, kind)
+                assert math.isfinite(cert.margin)
+                assert math.isinf(cl.defining_rhs(kind, space, mapping, x, y))
+
 
 class TestEstimateMinConstants:
     def test_constant_map_needs_nothing(self):
@@ -213,6 +253,18 @@ class TestEstimateMinConstants:
     def test_rejects_unknown_tag(self):
         with pytest.raises(ValueError):
             cl.estimate_min_constants(stretched_space(), SelfMap(images=(0, 0, 0)), "banach")
+
+    def test_constant_interval_map(self):
+        const = SelfMap(expr="0.3")
+        for tag in ("bianchini", "chatterjea_bianchini"):
+            est = cl.estimate_min_constants(unit_interval(), const, tag)
+            assert est.scope == "sampled"
+            assert est.beta_star == 0.0 and not est.unbounded, tag
+        for tag in ("partial", "partial_dual", "weak", "weak_dual"):
+            est = cl.estimate_min_constants(unit_interval(), const, tag)
+            assert len(est.frontier) == cl.contraction.ESTIMATE_GRID
+            assert all(pt.alpha_min == 0.0 for pt in est.frontier), tag
+            assert est.best_rate()[0] == 0.0
 
 
 class TestStepContractionFactor:
@@ -415,3 +467,113 @@ class TestStepRateOnOrbits:
             ContractionKind("weak_dual", alpha=0.99, delta=100.0),
         )
         assert not cert.passed
+
+
+# The six right-hand sides written out from the module docstring, applied
+# pair by pair in plain Python: an oracle that shares no code with the
+# vectorised kernel.
+ORACLE_RHS = {
+    "partial": lambda k, d, x, y, tx, ty: k.alpha * d(x, y) + k.beta * d(x, tx),
+    "partial_dual": lambda k, d, x, y, tx, ty: k.alpha * d(x, y) + k.beta * d(y, ty),
+    "weak": lambda k, d, x, y, tx, ty: k.alpha * d(x, y) + k.delta * d(x, ty),
+    "weak_dual": lambda k, d, x, y, tx, ty: k.alpha * d(x, y) + k.delta * d(y, tx),
+    "bianchini": lambda k, d, x, y, tx, ty: k.beta * max(d(x, tx), d(y, ty)),
+    "chatterjea_bianchini": lambda k, d, x, y, tx, ty: k.beta * max(d(x, ty), d(y, tx)),
+}
+
+# the part of the right-hand side beta multiplies, for the beta-only families
+ORACLE_KERNEL = {
+    "bianchini": lambda d, x, y, tx, ty: max(d(x, tx), d(y, ty)),
+    "chatterjea_bianchini": lambda d, x, y, tx, ty: max(d(x, ty), d(y, tx)),
+}
+
+
+def oracle_certificate(kind, pairs, d, image, name):
+    """(margin, witness, violations) by a double loop over `pairs`, in order."""
+    margin, witness, violations = math.inf, None, []
+    for x, y in pairs:
+        lhs = d(image(x), image(y))
+        rhs = ORACLE_RHS[kind.tag](kind, d, x, y, image(x), image(y))
+        found = PairWitness(name(x), name(y), lhs, rhs)
+        if rhs - lhs < margin:
+            margin, witness = rhs - lhs, found
+        if lhs > rhs * (1.0 + INEQ_REL_TOL) + INEQ_ABS_TOL:
+            violations.append(found)
+    return margin, witness, tuple(violations)
+
+
+def oracle_beta_star(tag, pairs, d, image):
+    """Brute-force max of lhs/kernel; None when some pair is unbounded."""
+    best = 0.0
+    for x, y in pairs:
+        lhs = d(image(x), image(y))
+        kernel = ORACLE_KERNEL[tag](d, x, y, image(x), image(y))
+        if kernel > 0.0:
+            best = max(best, lhs / kernel)
+        elif lhs > 0.0:
+            return None
+    return best
+
+
+class TestOracleParity:
+    def test_verify_and_beta_star_match_double_loop(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(40):
+            n = int(rng.integers(2, 10))
+            dist = rng.random((n, n)) * 2.0
+            if rng.random() < 0.5:
+                dist = np.round(dist, 1)  # ties and zero distances
+            dist = dist + dist.T
+            np.fill_diagonal(dist, 0.0)
+            space = cl.FiniteSemimetricSpace(tuple(f"p{i}" for i in range(n)), dist)
+            mapping = SelfMap(images=tuple(int(i) for i in rng.integers(0, n, n)))
+            pairs = [(i, j) for i in range(n) for j in range(n)]
+
+            def d(i, j):
+                return float(dist[i, j])
+
+            for tag in ALL_TAGS:
+                alpha, secondary = (float(v) for v in rng.choice([0.0, 0.2, 0.5, 0.9, 1.3], 2))
+                kind = kind_for(tag, alpha, secondary)
+                cert = cl.verify_contraction(space, mapping, kind)
+                margin, witness, violations = oracle_certificate(
+                    kind, pairs, d, mapping, lambda i: space.labels[i])
+                assert cert.scope == "all-pairs"
+                assert (cert.margin, cert.witness, cert.violations) == (
+                    margin, witness, violations), tag
+                if tag in ORACLE_KERNEL:
+                    est = cl.estimate_min_constants(space, mapping, tag)
+                    expected = oracle_beta_star(tag, pairs, d, mapping)
+                    assert est.unbounded == (expected is None), tag
+                    if expected is not None:
+                        assert est.beta_star == expected, tag
+
+        # one interval: the 9 corner/midpoint pairs, then the seeded samples
+        space, mapping = cl.IntervalSpace(0.0, 2.0), SelfMap(expr="2-x/2")
+        seed, samples = 11, 300
+        ends = (0.0, 1.0, 2.0)
+        drawn = 2.0 * np.random.default_rng(seed).random((samples, 2))
+        pairs = [(x, y) for x in ends for y in ends] + [(float(x), float(y)) for x, y in drawn]
+
+        def d(x, y):
+            return abs(x - y)
+
+        def image(x):
+            return 2.0 - x / 2.0
+
+        for tag in ALL_TAGS:
+            for alpha, secondary in ((0.5, 0.0), (0.3, 0.4), (0.1, 0.05)):
+                kind = kind_for(tag, alpha, secondary)
+                cert = cl.verify_contraction(space, mapping, kind, seed=seed, samples=samples)
+                margin, witness, violations = oracle_certificate(kind, pairs, d, image, float)
+                assert cert.scope == "sampled"
+                assert cert.margin == pytest.approx(margin, rel=1e-12, abs=1e-15), tag
+                assert cert.witness == pytest.approx(witness, rel=1e-12, abs=1e-15), tag
+                assert [(v.x, v.y) for v in cert.violations] == [
+                    (v.x, v.y) for v in violations], tag
+            if tag in ORACLE_KERNEL:
+                est = cl.estimate_min_constants(space, mapping, tag, seed=seed, samples=samples)
+                expected = oracle_beta_star(tag, pairs, d, image)
+                assert est.unbounded == (expected is None), tag
+                if expected is not None:
+                    assert est.beta_star == pytest.approx(expected, rel=1e-12), tag

@@ -214,6 +214,13 @@ class TestChainConstant:
     def test_custom_unsettled_chain_is_inf(self):
         assert cl.chain_bound_constant(cl.custom("2*(u+v)"), 0.6) == math.inf
 
+    def test_power_beyond_float_range_is_inf(self):
+        # (1 - 0.3^0.001)^(-1000) overflows a float64
+        assert cl.chain_bound_constant(cl.power(1e-3), 0.3) == math.inf
+        report = cl.chain_report(cl.power(1e-3), 0.3)
+        assert report.c_alpha == math.inf and report.certified
+        assert cl.chain_bound_constant(cl.power(1e-3), 0.0) == 1.0
+
     def test_report_fields(self):
         report = cl.chain_report(cl.additive(), 0.5)
         assert len(report.values) == 64
