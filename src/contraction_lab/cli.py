@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -31,9 +32,9 @@ from .contraction import (
 from .search import SearchConfig, counterexample_search
 from .space import (
     FiniteSemimetricSpace,
-    check_generalized_triangle,
     minimal_b_constant,
     space_from_json,
+    triangle_report,
     validate_semimetric,
 )
 from .trifun import TriangleFunctionSpec
@@ -167,20 +168,20 @@ def _cmd_validate(args, parser):
     phi = TriangleFunctionSpec.from_json(_inline_json(args.phi, "--phi"))
     space_report = validate_semimetric(space)
     phi_report = trifun.check_axioms(phi)
-    violations = check_generalized_triangle(space, phi)
+    triangle = triangle_report(space, phi, listed=MAX_LISTED_VIOLATIONS)
     payload = {
         "space": _plain(space_report),
         "phi_axioms": _plain(phi_report),
         "triangle": {
-            "passed": not violations,
-            "violation_count": len(violations),
-            "violations": _plain(violations[:MAX_LISTED_VIOLATIONS]),
+            "passed": triangle.count == 0,
+            "violation_count": triangle.count,
+            "violations": _plain(triangle.violations),
         },
         "minimal_b": _plain(minimal_b_constant(space))
         if isinstance(space, FiniteSemimetricSpace)
         else None,
     }
-    ok = space_report.passed and phi_report.passed and not violations
+    ok = space_report.passed and phi_report.passed and triangle.count == 0
     return CommandResult("validate", "ok" if ok else "violation", payload), None
 
 
@@ -191,7 +192,7 @@ def _cmd_classify(args, parser):
     mapping.validate_for(space)
     phi = TriangleFunctionSpec.from_json(_inline_json(args.phi, "--phi"))
     kind = ContractionKind.from_json(_inline_json(args.kind, "--kind"))
-    certificate = verify_contraction(space, mapping, kind)
+    certificate = verify_contraction(space, mapping, kind, listed=MAX_LISTED_VIOLATIONS)
     record = applicability(kind, phi)
     factor = step_contraction_factor(kind, phi)
     payload = {
@@ -201,8 +202,8 @@ def _cmd_classify(args, parser):
             "passed": certificate.passed,
             "margin": _plain(certificate.margin),
             "witness": _plain(certificate.witness),
-            "violation_count": len(certificate.violations),
-            "violations": _plain(certificate.violations[:MAX_LISTED_VIOLATIONS]),
+            "violation_count": certificate.violation_count,
+            "violations": _plain(certificate.violations),
         },
         "applicability": _plain(record),
         "step_factor": _plain(factor),
@@ -296,8 +297,12 @@ _HANDLERS = {
 }
 
 
+# built on the first call, not at import, and reused: it never changes
+_shared_parser = functools.cache(build_parser)
+
+
 def _execute(argv) -> tuple[CommandResult, str | None]:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     if args.format == "csv" and args.command not in ("iterate", "bounds"):
         parser.error("--format csv is only available for iterate and bounds")

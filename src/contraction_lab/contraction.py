@@ -19,7 +19,9 @@ Everything that tells the families apart lives in one table, `_FAMILIES`.
 Finite and interval spaces share one pair kernel: both are reduced to flat
 vectors of the six distances above over the checked pairs, so verification
 and estimation run the same code on either kind of space.  Interval maps
-may be constant (an expression without x).
+may be constant (an expression without x).  Verification counts every
+violating pair exactly but builds a witness only for the first ones a caller
+lists (`verify_contraction`'s `listed`).
 """
 
 from __future__ import annotations
@@ -316,9 +318,11 @@ def defining_rhs(kind: ContractionKind, space: Space, mapping: SelfMap, x, y) ->
 class ContractionCertificate:
     """Outcome of checking the family inequality over pairs.
 
-    margin is min(rhs - lhs); the witness is the pair achieving it.  The
-    certificate passes when no pair violates the inequality beyond the
-    shared slack.
+    margin is min(rhs - lhs); the witness is the pair achieving it.
+    violation_count is the exact number of pairs that violate the inequality
+    beyond the shared slack, and violations lists the first of them in pair
+    order, as many as the caller asked for.  The certificate passes when no
+    pair violates.
     """
 
     kind: ContractionKind
@@ -326,10 +330,11 @@ class ContractionCertificate:
     margin: float
     witness: PairWitness
     violations: tuple[PairWitness, ...]
+    violation_count: int
 
     @property
     def passed(self) -> bool:
-        return len(self.violations) == 0
+        return self.violation_count == 0
 
 
 def verify_contraction(
@@ -338,18 +343,20 @@ def verify_contraction(
     kind: ContractionKind,
     seed: int = DEFAULT_SEED,
     samples: int = PAIR_SAMPLES,
+    listed: int | None = None,
 ) -> ContractionCertificate:
-    """Check d(Tx,Ty) <= rhs over ordered pairs (exhaustive or sampled)."""
+    """Check d(Tx,Ty) <= rhs over ordered pairs (exhaustive or sampled),
+    listing the first `listed` violating pairs (all of them when None)."""
     scope, pair_witness, components = _pair_components(space, mapping, seed, samples)
     lhs = components["lhs"]
     with np.errstate(over="ignore"):
         rhs = _rhs(kind, components)
-        bad = violates(lhs, rhs)
+        bad = np.flatnonzero(violates(lhs, rhs))
     margins = rhs - lhs
     k = int(np.argmin(margins))
-    violations = tuple(pair_witness(a, rhs[a]) for a in np.flatnonzero(bad).tolist())
+    violations = tuple(pair_witness(a, rhs[a]) for a in bad[:listed].tolist())
     return ContractionCertificate(kind, scope, float(margins[k]), pair_witness(k, rhs[k]),
-                                  violations)
+                                  violations, len(bad))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,12 @@ inequality is assumed.  Compatibility with a triangle function phi is the
 separate generalized condition d(x,y) <= phi(d(x,z), d(z,y)), checked over
 all ordered triples on finite spaces (degenerate z included) and over seeded
 samples plus corner/midpoint combinations on intervals.
+
+The two O(N^3) kernels on finite spaces, the triangle check and the minimal
+b-metric constant, stream the triples in blocks of at most BLOCK_ELEMENTS,
+in (x, y, z) row-major order, so their memory grows as O(N^2).  The triangle
+check keeps the exact violation count and builds only the first violations
+a caller asks for (`triangle_report`'s `listed`).
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ PAIR_SAMPLES = 10_000
 # A violation of lhs <= rhs is declared only beyond this slack.
 INEQ_REL_TOL = 1e-12
 INEQ_ABS_TOL = 1e-12
+
+# Triples per streamed block of the O(N^3) kernels; their temporaries stay
+# this size whatever the space size.
+BLOCK_ELEMENTS = 2**16
 
 TAIL_WINDOW = (1000, 10001)
 TAIL_TOL = 1e-6
@@ -80,6 +90,8 @@ class FiniteSemimetricSpace:
     def from_json(cls, obj: dict) -> "FiniteSemimetricSpace":
         if not isinstance(obj, dict) or "labels" not in obj or "dist" not in obj:
             raise StructuralError("finite space JSON needs 'labels' and 'dist'")
+        if not isinstance(obj["labels"], (list, tuple)):
+            raise StructuralError("finite space labels must be a list")
         try:
             matrix = np.asarray(obj["dist"], dtype=np.float64)
         except (TypeError, ValueError) as exc:
@@ -247,37 +259,46 @@ class TriangleViolation:
     rhs: float
 
 
-def check_generalized_triangle(
-    space: Space,
-    phi: TriangleFunctionSpec,
-    seed: int = DEFAULT_SEED,
-    samples: int = TRIPLE_SAMPLES,
-) -> list[TriangleViolation]:
-    """All found violations of the generalized triangle condition.
+@dataclass(frozen=True)
+class TriangleReport:
+    """Outcome of the generalized triangle check: the exact number of
+    violating triples and the first of them in checking order."""
 
-    Finite spaces are checked over every ordered triple, including the
-    degenerate ones with z = x or z = y.  Interval spaces are sampled:
-    corner/midpoint combinations first, then `samples` seeded triples.
-    """
+    count: int
+    violations: tuple[TriangleViolation, ...]
+
+
+def _triple_blocks(n: int):
+    """Row-major (x, y) slices of the ordered triples (x, y, z) of an n-point
+    space, each block taking every z and holding at most BLOCK_ELEMENTS
+    triples: whole x rows while an x row fits, else one x row split along y
+    (a single (x, y) row of n triples when even that does not fit)."""
+    if n * n <= BLOCK_ELEMENTS:
+        rows, cols = BLOCK_ELEMENTS // max(n * n, 1), n
+    else:
+        rows, cols = 1, max(1, BLOCK_ELEMENTS // n)
+    for x0 in range(0, n, rows):
+        for y0 in range(0, n, cols):
+            yield slice(x0, min(x0 + rows, n)), slice(y0, min(y0 + cols, n))
+
+
+def _triangle_blocks(space: Space, phi: TriangleFunctionSpec, seed: int, samples: int):
+    """Yield (bad, violation) per block of checked triples, in checking
+    order: bad is the block's violation mask and violation(idx) the
+    TriangleViolation at index tuple idx of the block."""
     if isinstance(space, FiniteSemimetricSpace):
-        D = space.dist
-        lhs = D[:, :, None]
-        u = D[:, None, :]  # d(x, z)
-        v = D.T[None, :, :]  # d(z, y)
-        with np.errstate(all="ignore"):
-            rhs = np.asarray(trifun._eval_raw(phi, u, v))
-        rhs = np.broadcast_to(rhs, (space.size,) * 3)
-        lhs = np.broadcast_to(lhs, (space.size,) * 3)
-        bad = violates(lhs, rhs)
-        out = []
-        for i, j, k in np.argwhere(bad):
-            out.append(
-                TriangleViolation(
-                    space.labels[i], space.labels[j], space.labels[k],
-                    float(lhs[i, j, k]), float(rhs[i, j, k]),
-                )
-            )
-        return out
+        D, labels, n = space.dist, space.labels, space.size
+        for xs, ys in _triple_blocks(n):
+            lhs = D[xs, ys, None]
+            rhs = trifun._eval_raw(phi, D[xs, None, :], D.T[None, ys, :])  # d(x,z), d(z,y)
+            rhs = np.broadcast_to(rhs, lhs.shape[:2] + (n,))
+
+            def violation(idx, x0=xs.start, y0=ys.start, rhs=rhs):
+                x, y, z = x0 + idx[0], y0 + idx[1], idx[2]
+                return TriangleViolation(labels[x], labels[y], labels[z],
+                                         float(D[x, y]), float(rhs[idx]))
+            yield violates(lhs, rhs), violation
+        return
 
     ends = np.array([space.lo, 0.5 * (space.lo + space.hi), space.hi])
     corners = np.array(np.meshgrid(ends, ends, ends, indexing="ij")).reshape(3, -1).T
@@ -285,18 +306,54 @@ def check_generalized_triangle(
     random_part = space.lo + (space.hi - space.lo) * rng.random((samples, 3))
     triples = np.vstack([corners, random_part])
     xs, ys, zs = triples[:, 0], triples[:, 1], triples[:, 2]
-    lhs = np.asarray(space.d(xs, ys), dtype=np.float64)
+    # a constant distance or phi evaluates to a scalar: spread it over the triples
+    lhs = np.broadcast_to(np.asarray(space.d(xs, ys), dtype=np.float64), xs.shape)
+    rhs = np.broadcast_to(np.asarray(trifun._eval_raw(phi, space.d(xs, zs), space.d(zs, ys)),
+                                     dtype=np.float64), xs.shape)
+
+    def violation(idx):
+        (k,) = idx
+        return TriangleViolation(float(xs[k]), float(ys[k]), float(zs[k]),
+                                 float(lhs[k]), float(rhs[k]))
+    yield violates(lhs, rhs) | ~np.isfinite(rhs), violation
+
+
+def triangle_report(
+    space: Space,
+    phi: TriangleFunctionSpec,
+    seed: int = DEFAULT_SEED,
+    samples: int = TRIPLE_SAMPLES,
+    listed: int | None = None,
+) -> TriangleReport:
+    """Count the violations of the generalized triangle condition and list
+    the first `listed` of them (all of them when `listed` is None).
+
+    Finite spaces are checked over every ordered triple, including the
+    degenerate ones with z = x or z = y, streamed in blocks of at most
+    BLOCK_ELEMENTS triples in (x, y, z) row-major order, so memory stays
+    O(N^2).  Interval spaces are sampled: corner/midpoint combinations
+    first, then `samples` seeded triples.
+    """
+    count, violations = 0, []
     with np.errstate(all="ignore"):
-        rhs = np.asarray(trifun._eval_raw(phi, space.d(xs, zs), space.d(zs, ys)), dtype=np.float64)
-    bad = violates(lhs, rhs) | ~np.isfinite(rhs)
-    out = []
-    for (k,) in np.argwhere(bad):
-        out.append(
-            TriangleViolation(
-                float(xs[k]), float(ys[k]), float(zs[k]), float(lhs[k]), float(rhs[k])
-            )
-        )
-    return out
+        for bad, violation in _triangle_blocks(space, phi, seed, samples):
+            hits = int(np.count_nonzero(bad))
+            count += hits
+            room = None if listed is None else listed - len(violations)
+            if hits and (room is None or room > 0):
+                violations.extend(violation(tuple(idx)) for idx in np.argwhere(bad)[:room])
+    return TriangleReport(count, tuple(violations))
+
+
+def check_generalized_triangle(
+    space: Space,
+    phi: TriangleFunctionSpec,
+    seed: int = DEFAULT_SEED,
+    samples: int = TRIPLE_SAMPLES,
+) -> list[TriangleViolation]:
+    """All violations of the generalized triangle condition, in checking
+    order (see `triangle_report`)."""
+    return list(triangle_report(space, phi, seed, samples).violations)
 
 
 def minimal_b_constant(space: FiniteSemimetricSpace) -> float:
@@ -305,17 +362,32 @@ def minimal_b_constant(space: FiniteSemimetricSpace) -> float:
 
     Degenerate chains through z = x or z = y participate, so the result is
     at least 1 on any space with two or more points, with equality exactly
-    when the space is metric.
+    when the space is metric.  The triples are streamed in the blocks of
+    `triangle_report`, with a running maximum.  Per pair the largest ratio
+    sits at the smallest positive denominator, and rounded division keeps
+    that order, so dividing once by that denominator is exact.  Triples
+    with x = y or a denominator <= 0 count as ratio 0, which pairs with
+    d(x,y) <= 0 never exceed.
     """
     if space.size < 2:
         raise ValueError("need at least two points")
     D = space.dist
-    lhs = np.broadcast_to(D[:, :, None], (space.size,) * 3)
-    denom = D[:, None, :] + D.T[None, :, :]
-    distinct = ~np.eye(space.size, dtype=bool)[:, :, None]
-    usable = distinct & (denom > 0.0)
-    ratios = np.where(usable, lhs / np.where(denom > 0.0, denom, 1.0), 0.0)
-    return float(np.max(ratios))
+    Dt = np.ascontiguousarray(D.T)  # sums are exact in any layout; contiguous ones are faster
+    best = 0.0
+    with np.errstate(all="ignore"):
+        for xs, ys in _triple_blocks(space.size):
+            denom = D[xs, None, :] + Dt[None, ys, :]
+            closest = np.min(denom, axis=2)
+            distinct = (np.arange(xs.start, xs.stop)[:, None]
+                        != np.arange(ys.start, ys.stop)[None, :])
+            redo = distinct & (closest <= 0.0)
+            if np.any(redo):  # some denominator <= 0: take the least positive one
+                rows = denom[redo]
+                closest[redo] = np.min(np.where(rows > 0.0, rows, np.inf), axis=1)
+            lhs = D[xs, ys]
+            ratios = np.where(distinct & (lhs > 0.0), lhs / closest, 0.0)
+            best = max(best, float(np.max(ratios)))
+    return best
 
 
 # --- continuity harness -----------------------------------------------------
@@ -417,9 +489,9 @@ def continuity_harness(
             f"(pair {w.x_name}/{w.y_name}, deviation {w.max_deviation:g})",
             (),
         )
-    triangle = check_generalized_triangle(space, phi, seed=seed)
-    if triangle:
-        v = triangle[0]
+    triangle = triangle_report(space, phi, seed=seed, listed=1)
+    if triangle.count:
+        v = triangle.violations[0]
         return HarnessReport(
             True,
             "space fails the generalized triangle condition at sampled triples "

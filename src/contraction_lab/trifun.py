@@ -24,6 +24,7 @@ Psi(t) = Phi(t, 1).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,6 +64,11 @@ class TriangleFunctionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown triangle function kind {self.kind!r}")
+        for name in ("K", "q"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Real)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.kind == "bscaled":
             if self.K is None or not math.isfinite(self.K) or self.K < 1.0:
                 raise ValueError("bscaled requires a finite scale K >= 1")
@@ -206,7 +212,11 @@ def check_axioms(
     axis = np.linspace(0.0, u_max, points)
     uu, vv = np.meshgrid(axis, axis, indexing="ij")
     with np.errstate(all="ignore"):
-        values = np.asarray(_eval_raw(phi, uu, vv), dtype=np.float64)
+        # a constant custom phi evaluates to a scalar: spread it over the grid
+        values = np.broadcast_to(np.asarray(_eval_raw(phi, uu, vv), dtype=np.float64), uu.shape)
+        # differences of infinite values are nan, which flags nothing
+        gap = np.abs(values - values.T)
+        slot_diffs = (np.diff(values, axis=0), np.diff(values, axis=1))
     checks: list[CheckItem] = []
 
     origin = float(values[0, 0])
@@ -227,7 +237,6 @@ def check_axioms(
     else:
         checks.append(CheckItem("nonnegative", True))
 
-    gap = np.abs(values - values.T)
     tol = REL_TOL * np.maximum(1.0, np.abs(values))
     asym = gap > tol
     if np.any(asym):
@@ -238,8 +247,8 @@ def check_axioms(
         checks.append(CheckItem("symmetry", True))
 
     for name, diffs, argpair in (
-        ("monotone_first_slot", np.diff(values, axis=0), 0),
-        ("monotone_second_slot", np.diff(values, axis=1), 1),
+        ("monotone_first_slot", slot_diffs[0], 0),
+        ("monotone_second_slot", slot_diffs[1], 1),
     ):
         slack = REL_TOL * np.maximum(1.0, np.abs(values[:-1, :] if argpair == 0 else values[:, :-1]))
         drop = diffs < -(slack + ABS_TOL)

@@ -13,6 +13,7 @@ import numpy as np
 
 import contraction_lab as cl
 from contraction_lab.search import random_metric, random_self_map, random_ultrametric
+from contraction_lab.space import INEQ_ABS_TOL, INEQ_REL_TOL
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -81,6 +82,20 @@ def minimal_b_oracle(dist: np.ndarray) -> float:
                 if denom > 0.0:
                     best = max(best, dist[i, j] / denom)
     return best
+
+
+def triangle_oracle(triples, d, phi) -> list[tuple]:
+    """Every violation (x, y, z, lhs, rhs) of d(x,y) <= phi(d(x,z), d(z,y)),
+    by a plain loop over `triples` in order, with the package's documented
+    slack: lhs > rhs*(1 + 1e-12) + 1e-12.  `d` and `phi` are plain Python
+    functions."""
+    found = []
+    for x, y, z in triples:
+        lhs = d(x, y)
+        rhs = phi(d(x, z), d(z, y))
+        if lhs > rhs * (1.0 + INEQ_REL_TOL) + INEQ_ABS_TOL:
+            found.append((x, y, z, lhs, rhs))
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
+import itertools
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
-from contraction_lab.cli import main, run_command
+from contraction_lab.cli import MAX_LISTED_VIOLATIONS, main, run_command
 from contraction_lab.contraction import TAGS
 from contraction_lab.schemas import (
     KIND_SCHEMA,
@@ -12,6 +14,8 @@ from contraction_lab.schemas import (
     RESULT_SCHEMA,
     SPACE_SCHEMA,
 )
+
+from helpers import triangle_oracle
 
 ADDITIVE = '{"kind":"additive"}'
 MAX = '{"kind":"max"}'
@@ -76,6 +80,22 @@ class TestValidate:
             "x": "y", "y": "z", "z": "x", "lhs": 3.0, "rhs": 2.0,
         }
         assert envelope["payload"]["minimal_b"] == 1.5
+
+    def test_count_is_exact_and_first_violations_are_listed(self, capsys, tmp_path):
+        n = 12
+        dist = np.triu(np.random.default_rng(5).random((n, n)), 1)
+        dist = (dist + dist.T).tolist()
+        path = tmp_path / "semi12.json"
+        path.write_text(json.dumps({"labels": [f"p{i}" for i in range(n)], "dist": dist}))
+        code, out, _ = run_main(capsys, ["validate", "--space", str(path), "--phi", ADDITIVE])
+        found = triangle_oracle(itertools.product(range(n), repeat=3),
+                                lambda i, j: dist[i][j], lambda u, v: u + v)
+        triangle = json.loads(out)["payload"]["triangle"]
+        assert code == 1 and len(found) > MAX_LISTED_VIOLATIONS
+        assert triangle["violation_count"] == len(found)
+        assert [(v["x"], v["y"], v["z"], v["lhs"], v["rhs"]) for v in triangle["violations"]] == [
+            (f"p{x}", f"p{y}", f"p{z}", lhs, rhs)
+            for x, y, z, lhs, rhs in found[:MAX_LISTED_VIOLATIONS]]
 
     def test_same_space_passes_under_wider_phi(self, capsys, stretched_file):
         code, out, _ = run_main(capsys, ["validate", "--space", stretched_file,
@@ -337,16 +357,22 @@ class TestErrorsAndUsage:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_malformed_kind_and_map_exit_two(self, capsys, line_file):
-        for map_json, kind_json in (
-            ('{"images":[0,0,0]}', '{"tag":"partial","alpha":"x","beta":0.3}'),
-            ('{"images":[0,0,0]}', '{"tag":"partial","alpha":true,"beta":0.3}'),
-            ('{"images":5}', PARTIAL_33),
+    def test_malformed_kind_and_map_exit_two(self, capsys, line_file, tmp_path):
+        labels_not_list = tmp_path / "labels.json"
+        labels_not_list.write_text('{"labels": 5, "dist": [[0]]}')
+        three = '{"images":[0,0,0]}'
+        for map_json, kind_json, phi_json, space_file in (
+            (three, '{"tag":"partial","alpha":"x","beta":0.3}', ADDITIVE, line_file),
+            (three, '{"tag":"partial","alpha":true,"beta":0.3}', ADDITIVE, line_file),
+            ('{"images":5}', PARTIAL_33, ADDITIVE, line_file),
+            (three, PARTIAL_33, '{"kind":"bscaled","K":"2"}', line_file),
+            (three, PARTIAL_33, '{"kind":"power","q":true}', line_file),
+            ('{"images":[0]}', PARTIAL_33, ADDITIVE, str(labels_not_list)),
         ):
-            code, out, err = run_main(capsys, ["classify", "--space", line_file,
+            code, out, err = run_main(capsys, ["classify", "--space", space_file,
                                                "--map", map_json, "--kind", kind_json,
-                                               "--phi", ADDITIVE])
-            assert code == 2 and out == "", kind_json
+                                               "--phi", phi_json])
+            assert code == 2 and out == "", (kind_json, phi_json, space_file)
             envelope = json.loads(err)
             jsonschema.validate(envelope, RESULT_SCHEMA)
             assert envelope["status"] == "error"
@@ -404,3 +430,15 @@ class TestRunCommand:
         assert result.command == "iterate"
         assert result.status == "ok"
         assert result.payload["stop_reason"] == "converged"
+
+    def test_parser_is_built_once(self, unit_file, monkeypatch):
+        import contraction_lab.cli as cli
+
+        argv = ["iterate", "--space", unit_file, "--map", '{"expr":"x/2"}', "--x0", "1.0"]
+        run_command(argv)
+
+        def rebuilt():
+            raise AssertionError("the parser was built again")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        assert run_command(argv).status == "ok"

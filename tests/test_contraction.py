@@ -541,6 +541,12 @@ class TestOracleParity:
                 assert cert.scope == "all-pairs"
                 assert (cert.margin, cert.witness, cert.violations) == (
                     margin, witness, violations), tag
+                assert cert.violation_count == len(violations), tag
+                for listed in (0, 1, 5):
+                    short = cl.verify_contraction(space, mapping, kind, listed=listed)
+                    assert short.violations == violations[:listed], (tag, listed)
+                    assert short.violation_count == len(violations), (tag, listed)
+                    assert short.passed == (not violations), (tag, listed)
                 if tag in ORACLE_KERNEL:
                     est = cl.estimate_min_constants(space, mapping, tag)
                     expected = oracle_beta_star(tag, pairs, d, mapping)

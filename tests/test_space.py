@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contraction_lab as cl
+from contraction_lab import space as space_module
+from contraction_lab.search import random_semimetric
 from contraction_lab.space import SqueezeEntry, PairEntry
 
-from helpers import line_space, minimal_b_oracle, stretched_space, unit_interval
+from helpers import (
+    line_space,
+    minimal_b_oracle,
+    stretched_space,
+    triangle_oracle,
+    unit_interval,
+)
 
 
 class TestFiniteConstruction:
@@ -153,10 +163,102 @@ class TestGeneralizedTriangle:
         assert (first.x, first.y, first.z) == (0.0, 1.0, 0.5)
         assert (first.lhs, first.rhs) == (1.0, 0.5)
 
+    def test_interval_under_constant_phi(self):
+        violations = cl.check_generalized_triangle(unit_interval(), cl.custom("0.5"))
+        first = violations[0]
+        assert (first.x, first.y, first.z, first.lhs, first.rhs) == (0.0, 1.0, 0.0, 1.0, 0.5)
+
     def test_interval_squared_distance_under_power_half(self):
         space = cl.IntervalSpace(0.0, 1.0, "(x-y)^2")
         assert cl.check_generalized_triangle(space, cl.power(0.5)) == []
         assert cl.check_generalized_triangle(space, cl.additive())
+
+
+# (spec, the same function in plain Python) pairs for the oracle
+ORACLE_PHIS = {
+    "additive": (cl.additive(), lambda u, v: u + v),
+    "max": (cl.maximum(), max),
+    "bscaled": (cl.bscaled(1.5), lambda u, v: 1.5 * (u + v)),
+    "power": (cl.power(0.5), lambda u, v: (u**0.5 + v**0.5) ** 2.0),
+    "custom": (cl.custom("max(u, v) + 0.25*min(u, v)"), lambda u, v: max(u, v) + 0.25 * min(u, v)),
+}
+
+
+def assert_report_matches(space, phi, found, name, **options):
+    """triangle_report against the oracle's violations, for every listed
+    value: the exact count, and the first violations in order (rhs within
+    a few ulps, since numpy and math may round powers differently)."""
+    for listed in (0, 1, 5, None):
+        report = cl.triangle_report(space, phi, listed=listed, **options)
+        assert report.count == len(found), (phi, listed)
+        wanted = found if listed is None else found[:listed]
+        assert [(v.x, v.y, v.z, v.lhs) for v in report.violations] == [
+            (name(x), name(y), name(z), lhs) for x, y, z, lhs, _ in wanted], (phi, listed)
+        assert np.allclose([v.rhs for v in report.violations],
+                           [rhs for *_, rhs in wanted], rtol=1e-14, atol=0.0), (phi, listed)
+
+
+def finite_oracle(space, fn):
+    rows = space.dist.tolist()
+    return triangle_oracle(itertools.product(range(space.size), repeat=3),
+                           lambda i, j: rows[i][j], fn)
+
+
+class TestStreamedTriangle:
+    """The streamed kernels against plain loops, over several blocks."""
+
+    def test_multi_block_spaces_match_triple_loop(self):
+        rng = np.random.default_rng(20261018)
+        # 100 points: blocks of 6 x rows, the last one of 4; 60 points: 18 rows, then 6
+        cases = [(100, ("additive",)), (60, tuple(ORACLE_PHIS))]
+        for n, names in cases:
+            space = random_semimetric(rng, n)
+            assert len(list(space_module._triple_blocks(n))) > 1
+            for name in names:
+                phi, fn = ORACLE_PHIS[name]
+                assert_report_matches(space, phi, finite_oracle(space, fn),
+                                      lambda i: space.labels[i])
+
+    @pytest.mark.parametrize("block", [60, 400])
+    def test_small_blocks_match_triple_loop(self, monkeypatch, block):
+        # 13 points: 60 splits every x row along y, 400 takes two x rows at a time
+        monkeypatch.setattr(space_module, "BLOCK_ELEMENTS", block)
+        space = random_semimetric(np.random.default_rng(block), 13)
+        for phi, fn in ORACLE_PHIS.values():
+            assert_report_matches(space, phi, finite_oracle(space, fn),
+                                  lambda i: space.labels[i])
+        assert cl.minimal_b_constant(space) == minimal_b_oracle(space.dist)
+
+    def test_interval_matches_loop_over_samples(self):
+        space = cl.IntervalSpace(0.0, 2.0)
+        seed, samples = 9, 300
+        ends = (0.0, 1.0, 2.0)
+        drawn = 2.0 * np.random.default_rng(seed).random((samples, 3))
+        triples = list(itertools.product(ends, repeat=3)) + [tuple(map(float, t)) for t in drawn]
+        for phi, fn in ORACLE_PHIS.values():
+            found = triangle_oracle(triples, lambda x, y: abs(x - y), fn)
+            assert_report_matches(space, phi, found, float, seed=seed, samples=samples)
+
+    def test_check_generalized_triangle_lists_everything(self):
+        space = random_semimetric(np.random.default_rng(4), 50)
+        report = cl.triangle_report(space, cl.additive())
+        assert cl.check_generalized_triangle(space, cl.additive()) == list(report.violations)
+        assert len(report.violations) == report.count > 0
+
+    def test_memory_stays_quadratic(self):
+        n = 300
+        space = random_semimetric(np.random.default_rng(300), n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = cl.triangle_report(space, cl.additive(), listed=5)
+            best = cl.minimal_b_constant(space)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.count > 0 and len(report.violations) == 5 and best > 1.0
+        # one N^3 float64 temporary alone would be 216 MB
+        assert peak < 16 * n * n * 8, f"peak {peak / (n * n * 8):.1f} N^2 float64"
 
 
 class TestMinimalB:
@@ -175,6 +277,10 @@ class TestMinimalB:
             assert cl.minimal_b_constant(space) == pytest.approx(
                 minimal_b_oracle(space.dist), rel=1e-12
             )
+
+    def test_multi_block_space_matches_oracle_exactly(self):
+        space = random_semimetric(np.random.default_rng(7), 100)
+        assert cl.minimal_b_constant(space) == minimal_b_oracle(space.dist)
 
     def test_tightness(self):
         rng = np.random.default_rng(42)

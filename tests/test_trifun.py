@@ -62,6 +62,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             TriangleFunctionSpec.from_json({"kind": "additive", "K": 2.0})
 
+    def test_rejects_non_number_parameters(self):
+        for doc in ({"kind": "bscaled", "K": "2"}, {"kind": "bscaled", "K": True},
+                    {"kind": "power", "q": "0.5"}, {"kind": "power", "q": False}):
+            with pytest.raises(ValueError):
+                TriangleFunctionSpec.from_json(doc)
+
 
 class TestEvaluate:
     def test_named_family_values(self):
@@ -123,6 +129,15 @@ class TestAxioms:
         (item,) = [c for c in report.checks if c.name == "symmetry"]
         u, v, left, right = item.witness
         assert left != pytest.approx(right)
+
+    def test_overflowing_power_fails_without_warnings(self):
+        # every value off the origin is inf; inf - inf must not warn
+        assert cl.check_axioms(cl.power(1e-300)).failed_names() == ["nonnegative"]
+
+    def test_constant_custom_is_spread_over_the_grid(self):
+        report = cl.check_axioms(cl.custom("0.5"))
+        assert report.failed_names() == ["zero_at_origin"]
+        assert report.checks[0].witness == (0.0, 0.0, 0.5)
 
     def test_non_monotone_fails_both_slots(self):
         report = cl.check_axioms(cl.custom("abs(u-v)"))
