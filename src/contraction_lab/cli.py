@@ -156,14 +156,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(parser, args, names):
+def _require(args, names):
     missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
     if missing:
-        parser.error(f"{args.command} requires {', '.join(missing)}")
+        raise ValueError(f"{args.command} requires {', '.join(missing)}")
 
 
-def _cmd_validate(args, parser):
-    _require(parser, args, ("space", "phi"))
+def _orbit(args, space, mapping, x0):
+    return solver.picard_iterate(
+        space, mapping, x0,
+        max_iter=args.max_iter if args.max_iter is not None else solver.MAX_ITER_DEFAULT,
+        tol=args.tol if args.tol is not None else solver.STEP_TOL_DEFAULT,
+    )
+
+
+def _cmd_validate(args):
+    _require(args, ("space", "phi"))
     space = _load_space(args.space)
     phi = TriangleFunctionSpec.from_json(_inline_json(args.phi, "--phi"))
     space_report = validate_semimetric(space)
@@ -185,8 +193,8 @@ def _cmd_validate(args, parser):
     return CommandResult("validate", "ok" if ok else "violation", payload), None
 
 
-def _cmd_classify(args, parser):
-    _require(parser, args, ("space", "map", "phi", "kind"))
+def _cmd_classify(args):
+    _require(args, ("space", "map", "phi", "kind"))
     space = _load_space(args.space)
     mapping = _load_map(args.map)
     mapping.validate_for(space)
@@ -217,25 +225,19 @@ def _cmd_classify(args, parser):
     return CommandResult("classify", status, payload), None
 
 
-def _cmd_iterate(args, parser):
-    _require(parser, args, ("space", "map", "x0"))
+def _cmd_iterate(args):
+    _require(args, ("space", "map", "x0"))
     space = _load_space(args.space)
     mapping = _load_map(args.map)
     x0 = _parse_x0(space, args.x0)
-    trace = solver.picard_iterate(
-        space,
-        mapping,
-        x0,
-        max_iter=args.max_iter if args.max_iter is not None else solver.MAX_ITER_DEFAULT,
-        tol=args.tol if args.tol is not None else solver.STEP_TOL_DEFAULT,
-    )
+    trace = _orbit(args, space, mapping, x0)
     status = "ok" if trace.stop_reason == "converged" else "violation"
     csv_text = trace.to_csv() if args.format == "csv" else None
     return CommandResult("iterate", status, _plain(trace.to_json())), csv_text
 
 
-def _cmd_bounds(args, parser):
-    _require(parser, args, ("space", "map", "phi", "kind", "x0"))
+def _cmd_bounds(args):
+    _require(args, ("space", "map", "phi", "kind", "x0"))
     space = _load_space(args.space)
     mapping = _load_map(args.map)
     phi = TriangleFunctionSpec.from_json(_inline_json(args.phi, "--phi"))
@@ -245,13 +247,7 @@ def _cmd_bounds(args, parser):
     if not factor.derivable:
         payload = {"reason": factor.reason, "step_factor": _plain(factor)}
         return CommandResult("bounds", "not-applicable", payload), None
-    trace = solver.picard_iterate(
-        space,
-        mapping,
-        x0,
-        max_iter=args.max_iter if args.max_iter is not None else solver.MAX_ITER_DEFAULT,
-        tol=args.tol if args.tol is not None else solver.STEP_TOL_DEFAULT,
-    )
+    trace = _orbit(args, space, mapping, x0)
     if isinstance(space, FiniteSemimetricSpace):
         fixed = solver.brute_force_fixed_points(space, mapping)
         if len(fixed) != 1:
@@ -279,8 +275,8 @@ def _cmd_bounds(args, parser):
     return CommandResult("bounds", status, payload), csv_text
 
 
-def _cmd_search(args, parser):
-    _require(parser, args, ("phi", "kind", "budget"))
+def _cmd_search(args):
+    _require(args, ("phi", "kind", "budget"))
     phi = TriangleFunctionSpec.from_json(_inline_json(args.phi, "--phi"))
     kind = ContractionKind.from_json(_inline_json(args.kind, "--kind"))
     config = SearchConfig(phi=phi, kind=kind, budget=args.budget, seed=_resolve_seed(args))
@@ -302,12 +298,11 @@ _shared_parser = functools.cache(build_parser)
 
 
 def _execute(argv) -> tuple[CommandResult, str | None]:
-    parser = _shared_parser()
-    args = parser.parse_args(argv)
-    if args.format == "csv" and args.command not in ("iterate", "bounds"):
-        parser.error("--format csv is only available for iterate and bounds")
+    args = _shared_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args, parser)
+        if args.format == "csv" and args.command not in ("iterate", "bounds"):
+            raise ValueError("--format csv is only available for iterate and bounds")
+        return _HANDLERS[args.command](args)
     except (ValueError, RuntimeError, OSError) as exc:
         payload = {"error": f"{type(exc).__name__}: {exc}"}
         return CommandResult(args.command, "error", payload), None

@@ -21,7 +21,9 @@ vectors of the six distances above over the checked pairs, so verification
 and estimation run the same code on either kind of space.  Interval maps
 may be constant (an expression without x).  Verification counts every
 violating pair exactly but builds a witness only for the first ones a caller
-lists (`verify_contraction`'s `listed`).
+lists (`verify_contraction`'s `listed`).  The checklist's hypotheses on phi
+come from `trifun.check_hypothesis`, one lookup each: what sets the
+triangle-function families apart lives in trifun's own table.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -62,8 +63,9 @@ class _Family:
     rate: Callable[..., float]  # per-step Picard factor (phi = max for chatterjea_bianchini)
     gate: Callable[..., tuple[bool, str]]  # the "constants" hypothesis and its detail
     principle: str
-    continuity: str  # "origin" | "full"
-    side_checks: Callable[..., tuple] = lambda kind, phi: ()
+    # hypotheses on phi after the chain bound, checked at the kind's beta: the
+    # continuity the principle needs, then the family's side conditions
+    phi_checks: tuple[str, ...]
     unique: Callable[..., bool] = lambda *constants: True  # granted once applicable
     rate_needs_secondary_below_one: bool = False  # the rate divides by 1 - s
     caveats: tuple[str, ...] = ()
@@ -74,23 +76,23 @@ _FAMILIES = {
         ("alpha", "beta"), ("x_tx",),
         rate=lambda a, b: a + b,
         gate=lambda a, b: (a + b < 1.0, f"alpha + beta = {a + b:g}"),
-        principle="partial_contraction", continuity="origin",
+        principle="partial_contraction", phi_checks=("origin_continuity",),
     ),
     "partial_dual": _Family(
         ("alpha", "beta"), ("y_ty",),
         rate=lambda a, b: a / (1.0 - b),
         gate=lambda a, b: (b < 1.0 and a + b < 1.0,
                            f"alpha/(1-beta) = {a / (1.0 - b) if b < 1 else math.inf:g}"),
-        principle="partial_contraction_dual_variant", continuity="origin",
-        side_checks=lambda kind, phi: (_zero_slot_check(phi),),
+        principle="partial_contraction_dual_variant",
+        phi_checks=("origin_continuity", "zero_slot_bound"),
         rate_needs_secondary_below_one=True,
     ),
     "weak": _Family(
         ("alpha", "delta"), ("x_ty",),
         rate=lambda a, d: (a + d) / (1.0 - d),
         gate=lambda a, d: (a + 2.0 * d < 1.0, f"alpha + 2*delta = {a + 2.0 * d:g}"),
-        principle="weak_contraction_primal_variant", continuity="full",
-        side_checks=lambda kind, phi: (_subadditive_check(phi),),
+        principle="weak_contraction_primal_variant",
+        phi_checks=("full_continuity", "bounded_by_sum"),
         unique=lambda a, d: d == 0.0,
         rate_needs_secondary_below_one=True,
         caveats=("valid only when phi is bounded by u+v on the orbit pairs",),
@@ -99,22 +101,22 @@ _FAMILIES = {
         ("alpha", "delta"), ("y_tx",),
         rate=lambda a, d: a,
         gate=lambda a, d: (a < 1.0, f"alpha = {a:g}"),
-        principle="weak_contraction", continuity="origin",
+        principle="weak_contraction", phi_checks=("origin_continuity",),
         unique=lambda a, d: d == 0.0,
     ),
     "bianchini": _Family(
         ("beta",), ("x_tx", "y_ty"),
         rate=lambda b: b,
         gate=lambda b: (b < 1.0, f"beta = {b:g}"),
-        principle="bianchini_contraction", continuity="full",
-        side_checks=lambda kind, phi: (_zero_slot_check(phi),),
+        principle="bianchini_contraction", phi_checks=("full_continuity", "zero_slot_bound"),
     ),
     "chatterjea_bianchini": _Family(
         ("beta",), ("x_ty", "y_tx"),
         rate=lambda b: b,
         gate=lambda b: (True, f"beta = {b:g} (uniqueness needs beta < 1)"),
-        principle="chatterjea_bianchini_contraction", continuity="full",
-        side_checks=lambda kind, phi: _chatterjea_side_checks(kind, phi),
+        principle="chatterjea_bianchini_contraction",
+        phi_checks=("full_continuity", "zero_slot_at_beta", "inverse_gap",
+                    "distance_continuity"),
         unique=lambda b: b < 1.0,
         caveats=("relies on homogeneity of phi and on positive step distances",),
     ),
@@ -216,7 +218,8 @@ class SelfMap:
             np.array([space.lo, 0.5 * (space.lo + space.hi), space.hi]),
             space.lo + (space.hi - space.lo) * np.random.default_rng(DEFAULT_SEED).random(1000),
         ])
-        images = np.asarray(self(xs), dtype=np.float64)
+        # a constant map evaluates to a scalar: spread it over the samples
+        images = np.broadcast_to(np.asarray(self(xs), dtype=np.float64), xs.shape)
         if not np.all(np.isfinite(images)) or not space.contains(images):
             k = int(np.argwhere(~np.isfinite(images) | (images < space.lo - 1e-12)
                                 | (images > space.hi + 1e-12))[0][0])
@@ -511,146 +514,6 @@ class ApplicabilityRecord:
         return [c.name for c in self.checklist if not c.passed]
 
 
-_ZERO_SLOT_GRID = np.concatenate([np.linspace(0.0, 0.999, 1000), [1.0 - 1e-9]])
-
-
-def _homogeneity_check(phi: TriangleFunctionSpec) -> HypothesisCheck:
-    if phi.kind != "custom":
-        return HypothesisCheck("homogeneity", True, True, "closed form")
-    report = trifun.check_homogeneity(phi)
-    detail = "sampled" if report.passed else f"fails at {report.witness[:3]}"
-    return HypothesisCheck("homogeneity", report.passed, False, detail)
-
-
-def _continuity_check(phi: TriangleFunctionSpec, where: str) -> HypothesisCheck:
-    """Continuity of phi at the origin or everywhere (`where` is "origin" or
-    "full")."""
-    name = f"{where}_continuity"
-    if phi.kind != "custom":
-        return HypothesisCheck(name, True, True, "closed form")
-    if where == "origin":
-        report = trifun.check_limit_deviation(phi)
-        return HypothesisCheck(name, report.origin_continuous, False,
-                               f"tail value {report.origin_tail:g}")
-    passed, detail = _sampled_full_continuity(phi)
-    return HypothesisCheck(name, passed, False, detail)
-
-
-@lru_cache(maxsize=128)
-def _sampled_full_continuity(phi: TriangleFunctionSpec) -> tuple[bool, str]:
-    """Probe for jumps: tiny symmetric perturbations at sampled points."""
-    h = 1e-9
-    rng = np.random.default_rng(DEFAULT_SEED)
-    base = np.concatenate([np.linspace(0.0, 4.0, 30), rng.uniform(0.0, 4.0, 70)])
-    uu, vv = np.meshgrid(base, base, indexing="ij")
-    with np.errstate(all="ignore"):
-        lo = np.asarray(trifun._eval_raw(phi, np.maximum(uu - h, 0.0),
-                                         np.maximum(vv - h, 0.0)), dtype=np.float64)
-        hi = np.asarray(trifun._eval_raw(phi, uu + h, vv + h), dtype=np.float64)
-        osc = np.abs(hi - lo)
-        jump = osc > 1e-6 * np.maximum(1.0, np.abs(hi))
-    if np.any(jump):
-        i, j = np.argwhere(jump)[0]
-        return False, f"oscillation {osc[i, j]:g} near (u={base[i]:g}, v={base[j]:g})"
-    return True, "sampled"
-
-
-def _zero_slot_check(phi: TriangleFunctionSpec) -> HypothesisCheck:
-    """phi(0, v) < 1 for all 0 <= v < 1."""
-    name = "zero_slot_bound"
-    if phi.kind in ("additive", "max", "power"):
-        return HypothesisCheck(name, True, True, "phi(0, v) = v")
-    if phi.kind == "bscaled":
-        ok = phi.K <= 1.0
-        return HypothesisCheck(name, ok, True, f"sup over v < 1 is K = {phi.K:g}")
-    with np.errstate(all="ignore"):
-        values = np.asarray(trifun._eval_raw(phi, 0.0, _ZERO_SLOT_GRID), dtype=np.float64)
-    bad = ~(values < 1.0)
-    if np.any(bad):
-        k = int(np.argwhere(bad)[0][0])
-        return HypothesisCheck(name, False, False,
-                               f"phi(0, {_ZERO_SLOT_GRID[k]:g}) = {values[k]:g}")
-    return HypothesisCheck(name, True, False, "sampled")
-
-
-def _subadditive_check(phi: TriangleFunctionSpec) -> HypothesisCheck:
-    """phi(a, b) <= a + b."""
-    name = "bounded_by_sum"
-    if phi.kind == "additive":
-        return HypothesisCheck(name, True, True, "equality")
-    if phi.kind == "max":
-        return HypothesisCheck(name, True, True, "max <= sum")
-    if phi.kind == "bscaled":
-        ok = phi.K <= 1.0
-        return HypothesisCheck(name, ok, True, f"K = {phi.K:g}")
-    if phi.kind == "power":
-        ok = phi.q >= 1.0
-        return HypothesisCheck(name, ok, True, f"q = {phi.q:g}")
-    rng = np.random.default_rng(DEFAULT_SEED)
-    a = np.concatenate([np.linspace(0.0, 5.0, 40), rng.uniform(0.0, 5.0, 200)])
-    b = np.concatenate([np.linspace(5.0, 0.0, 40), rng.uniform(0.0, 5.0, 200)])
-    with np.errstate(all="ignore"):
-        values = np.asarray(trifun._eval_raw(phi, a, b), dtype=np.float64)
-    bad = violates(values, a + b)
-    if np.any(bad):
-        k = int(np.argwhere(bad)[0][0])
-        return HypothesisCheck(name, False, False,
-                               f"phi({a[k]:g}, {b[k]:g}) = {values[k]:g} > {a[k] + b[k]:g}")
-    return HypothesisCheck(name, True, False, "sampled")
-
-
-def _distance_continuity_check(phi: TriangleFunctionSpec) -> HypothesisCheck:
-    """Distance continuity via the vanishing-deviation route.
-
-    Closed-form verdicts for the named families (additive, max and power
-    satisfy the route for every parameter; bscaled does only at K = 1);
-    custom functions run the battery.
-    """
-    name = "distance_continuity"
-    if phi.kind in ("additive", "max", "power"):
-        return HypothesisCheck(name, True, True, "vanishing-deviation route")
-    if phi.kind == "bscaled":
-        ok = phi.K <= 1.0
-        detail = "K = 1 reduces to additive" if ok else \
-            f"route unavailable at K = {phi.K:g}: deviation tends to (K-1)*y"
-        return HypothesisCheck(name, ok, True, detail)
-    ok = trifun.limit_deviation_passes(phi)
-    return HypothesisCheck(name, ok, False, "battery " + ("passed" if ok else "failed"))
-
-
-def _chain_check(phi: TriangleFunctionSpec, rate: float | None) -> HypothesisCheck:
-    name = "chain_bound_finite"
-    if rate is None:
-        return HypothesisCheck(name, False, True, "no per-step factor available")
-    if phi.kind == "custom":
-        report = trifun.chain_report(phi, rate)
-        ok = math.isfinite(report.c_alpha) and report.converged
-        return HypothesisCheck(name, ok, False,
-                               f"observed C({rate:g}) = {report.c_alpha:g}, "
-                               + ("converged" if report.converged else "not converged"))
-    c = trifun.chain_bound_constant(phi, rate)
-    ok = math.isfinite(c)
-    detail = f"C({rate:g}) = {c:g}"
-    if phi.kind == "bscaled":
-        detail += f", rate*K = {rate * phi.K:g}"
-    return HypothesisCheck(name, ok, True, detail)
-
-
-def _chatterjea_side_checks(kind: ContractionKind, phi: TriangleFunctionSpec):
-    value = float(trifun._eval_raw(phi, 0.0, kind.beta))
-    checks = [HypothesisCheck("zero_slot_at_beta", value < 1.0, True,
-                              f"phi(0, beta) = {value:g}")]
-    if kind.beta > 0.0:
-        threshold = trifun.unit_profile_inverse(phi, 1.0 / kind.beta)
-        checks.append(HypothesisCheck("inverse_gap", threshold > 1.0,
-                                      phi.kind != "custom",
-                                      f"inverse at 1/beta is {threshold:g}"))
-    else:
-        checks.append(HypothesisCheck("inverse_gap", True, True, "beta = 0"))
-    checks.append(_distance_continuity_check(phi))
-    return tuple(checks)
-
-
 def applicability(kind: ContractionKind, phi: TriangleFunctionSpec) -> ApplicabilityRecord:
     """Decide whether the family's fixed-point principle applies to (kind, phi).
 
@@ -667,12 +530,11 @@ def applicability(kind: ContractionKind, phi: TriangleFunctionSpec) -> Applicabi
     factor = step_contraction_factor(kind, phi)
     rate = factor.value if factor.derivable else None
     ok, detail = family.gate(*values)
+    on_phi = (("homogeneity", None), ("chain_bound_finite", rate),
+              *((name, kind.beta) for name in family.phi_checks))
     checks = [
         HypothesisCheck("constants", ok, True, detail),
-        _homogeneity_check(phi),
-        _chain_check(phi, rate),
-        _continuity_check(phi, family.continuity),
-        *family.side_checks(kind, phi),
+        *(HypothesisCheck(name, *trifun.check_hypothesis(phi, name, at)) for name, at in on_phi),
     ]
     applicable = all(c.passed for c in checks)
     return ApplicabilityRecord(

@@ -17,6 +17,7 @@ a caller asks for (`triangle_report`'s `listed`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -24,15 +25,11 @@ import numpy as np
 
 from . import trifun
 from .expressions import Expression, parse_expression
-from .trifun import TriangleFunctionSpec, CheckItem
+from .trifun import INEQ_ABS_TOL, INEQ_REL_TOL, CheckItem, TriangleFunctionSpec, violates
 
 DEFAULT_SEED = 0
 TRIPLE_SAMPLES = 10_000
 PAIR_SAMPLES = 10_000
-
-# A violation of lhs <= rhs is declared only beyond this slack.
-INEQ_REL_TOL = 1e-12
-INEQ_ABS_TOL = 1e-12
 
 # Triples per streamed block of the O(N^3) kernels; their temporaries stay
 # this size whatever the space size.
@@ -44,11 +41,6 @@ TAIL_TOL = 1e-6
 
 class StructuralError(ValueError):
     """Malformed space, matrix or expression payload."""
-
-
-def violates(lhs, rhs):
-    """Elementwise test of lhs > rhs beyond the shared inequality slack."""
-    return np.asarray(lhs) > np.asarray(rhs) * (1.0 + INEQ_REL_TOL) + INEQ_ABS_TOL
 
 
 @dataclass(frozen=True)
@@ -132,7 +124,13 @@ class IntervalSpace:
     def from_json(cls, obj: dict) -> "IntervalSpace":
         if not isinstance(obj, dict) or "lo" not in obj or "hi" not in obj:
             raise StructuralError("interval space JSON needs 'lo' and 'hi'")
-        return cls(float(obj["lo"]), float(obj["hi"]), str(obj.get("dist", "abs(x-y)")))
+        for name in ("lo", "hi"):
+            if isinstance(obj[name], bool) or not isinstance(obj[name], numbers.Real):
+                raise StructuralError(f"interval {name} must be a number, got {obj[name]!r}")
+        dist = obj.get("dist", "abs(x-y)")
+        if not isinstance(dist, str):
+            raise StructuralError(f"interval dist must be an expression string, got {dist!r}")
+        return cls(float(obj["lo"]), float(obj["hi"]), dist)
 
 
 Space = Union[FiniteSemimetricSpace, IntervalSpace]
@@ -164,88 +162,51 @@ def validate_semimetric(space: Space, seed: int = DEFAULT_SEED) -> SpaceReport:
     return _validate_interval(space, seed)
 
 
+def _check(name: str, failed, witness, detail: str = "") -> CheckItem:
+    """The check `name`, failing at the first set entry of the mask `failed`
+    with the witness witness(*index) of that entry."""
+    if not np.any(failed):
+        return CheckItem(name, True)
+    return CheckItem(name, False, witness(*np.argwhere(failed)[0]), detail)
+
+
 def _validate_finite(space: FiniteSemimetricSpace) -> SpaceReport:
-    D = space.dist
-    checks: list[CheckItem] = []
-
-    negative = D < -INEQ_ABS_TOL
-    if np.any(negative):
-        i, j = np.argwhere(negative)[0]
-        checks.append(CheckItem("nonnegative", False,
-                                (space.labels[i], space.labels[j], float(D[i, j]))))
-    else:
-        checks.append(CheckItem("nonnegative", True))
-
-    asym = np.abs(D - D.T) > INEQ_REL_TOL * np.maximum(1.0, np.abs(D)) + INEQ_ABS_TOL
-    if np.any(asym):
-        i, j = np.argwhere(asym)[0]
-        checks.append(CheckItem("symmetry", False,
-                                (space.labels[i], space.labels[j], float(D[i, j]), float(D[j, i]))))
-    else:
-        checks.append(CheckItem("symmetry", True))
-
-    diag = np.abs(np.diag(D)) > INEQ_ABS_TOL
-    if np.any(diag):
-        i = int(np.argwhere(diag)[0][0])
-        checks.append(CheckItem("identity_zero_self", False,
-                                (space.labels[i], float(D[i, i]))))
-    else:
-        checks.append(CheckItem("identity_zero_self", True))
-
+    D, labels = space.dist, space.labels
     off = D + np.eye(space.size)  # lift the diagonal out of the way
-    collapsed = off <= INEQ_ABS_TOL
-    if np.any(collapsed):
-        i, j = np.argwhere(collapsed)[0]
-        checks.append(CheckItem("identity_distinct_positive", False,
-                                (space.labels[i], space.labels[j], float(D[i, j])),
-                                "distinct points at zero distance"))
-    else:
-        checks.append(CheckItem("identity_distinct_positive", True))
-
-    return SpaceReport(all(c.passed for c in checks), "exhaustive", tuple(checks))
+    checks = (
+        _check("nonnegative", D < -INEQ_ABS_TOL,
+               lambda i, j: (labels[i], labels[j], float(D[i, j]))),
+        _check("symmetry",
+               np.abs(D - D.T) > INEQ_REL_TOL * np.maximum(1.0, np.abs(D)) + INEQ_ABS_TOL,
+               lambda i, j: (labels[i], labels[j], float(D[i, j]), float(D[j, i]))),
+        _check("identity_zero_self", np.abs(np.diag(D)) > INEQ_ABS_TOL,
+               lambda i: (labels[i], float(D[i, i]))),
+        _check("identity_distinct_positive", off <= INEQ_ABS_TOL,
+               lambda i, j: (labels[i], labels[j], float(D[i, j])),
+               "distinct points at zero distance"),
+    )
+    return SpaceReport(all(c.passed for c in checks), "exhaustive", checks)
 
 
 def _validate_interval(space: IntervalSpace, seed: int) -> SpaceReport:
     ends = np.array([space.lo, 0.5 * (space.lo + space.hi), space.hi])
     xs = np.concatenate([ends, _interval_samples(space, PAIR_SAMPLES, seed)])
     ys = np.concatenate([ends[::-1], _interval_samples(space, PAIR_SAMPLES, seed + 1)])
-    dxy = np.asarray(space.d(xs, ys), dtype=np.float64)
-    dyx = np.asarray(space.d(ys, xs), dtype=np.float64)
-    dxx = np.asarray(space.d(xs, xs), dtype=np.float64)
-    checks: list[CheckItem] = []
-
-    bad = ~np.isfinite(dxy) | (dxy < -INEQ_ABS_TOL)
-    if np.any(bad):
-        k = int(np.argwhere(bad)[0][0])
-        checks.append(CheckItem("nonnegative", False, (float(xs[k]), float(ys[k]), float(dxy[k]))))
-    else:
-        checks.append(CheckItem("nonnegative", True))
-
-    asym = np.abs(dxy - dyx) > INEQ_REL_TOL * np.maximum(1.0, np.abs(dxy)) + INEQ_ABS_TOL
-    if np.any(asym):
-        k = int(np.argwhere(asym)[0][0])
-        checks.append(CheckItem("symmetry", False,
-                                (float(xs[k]), float(ys[k]), float(dxy[k]), float(dyx[k]))))
-    else:
-        checks.append(CheckItem("symmetry", True))
-
-    self_bad = np.abs(dxx) > INEQ_ABS_TOL
-    if np.any(self_bad):
-        k = int(np.argwhere(self_bad)[0][0])
-        checks.append(CheckItem("identity_zero_self", False, (float(xs[k]), float(dxx[k]))))
-    else:
-        checks.append(CheckItem("identity_zero_self", True))
-
-    distinct = np.abs(xs - ys) > 1e-9
-    degenerate = distinct & (dxy <= INEQ_ABS_TOL)
-    if np.any(degenerate):
-        k = int(np.argwhere(degenerate)[0][0])
-        checks.append(CheckItem("identity_distinct_positive", False,
-                                (float(xs[k]), float(ys[k]), float(dxy[k]))))
-    else:
-        checks.append(CheckItem("identity_distinct_positive", True))
-
-    return SpaceReport(all(c.passed for c in checks), "sampled", tuple(checks))
+    # a constant distance evaluates to a scalar: spread it over the samples
+    dxy, dyx, dxx = (np.broadcast_to(np.asarray(space.d(a, b), dtype=np.float64), xs.shape)
+                     for a, b in ((xs, ys), (ys, xs), (xs, xs)))
+    checks = (
+        _check("nonnegative", ~np.isfinite(dxy) | (dxy < -INEQ_ABS_TOL),
+               lambda k: (float(xs[k]), float(ys[k]), float(dxy[k]))),
+        _check("symmetry",
+               np.abs(dxy - dyx) > INEQ_REL_TOL * np.maximum(1.0, np.abs(dxy)) + INEQ_ABS_TOL,
+               lambda k: (float(xs[k]), float(ys[k]), float(dxy[k]), float(dyx[k]))),
+        _check("identity_zero_self", np.abs(dxx) > INEQ_ABS_TOL,
+               lambda k: (float(xs[k]), float(dxx[k]))),
+        _check("identity_distinct_positive", (np.abs(xs - ys) > 1e-9) & (dxy <= INEQ_ABS_TOL),
+               lambda k: (float(xs[k]), float(ys[k]), float(dxy[k]))),
+    )
+    return SpaceReport(all(c.passed for c in checks), "sampled", checks)
 
 
 @dataclass(frozen=True)
@@ -343,17 +304,6 @@ def triangle_report(
             if hits and (room is None or room > 0):
                 violations.extend(violation(tuple(idx)) for idx in np.argwhere(bad)[:room])
     return TriangleReport(count, tuple(violations))
-
-
-def check_generalized_triangle(
-    space: Space,
-    phi: TriangleFunctionSpec,
-    seed: int = DEFAULT_SEED,
-    samples: int = TRIPLE_SAMPLES,
-) -> list[TriangleViolation]:
-    """All violations of the generalized triangle condition, in checking
-    order (see `triangle_report`)."""
-    return list(triangle_report(space, phi, seed, samples).violations)
 
 
 def minimal_b_constant(space: FiniteSemimetricSpace) -> float:

@@ -19,23 +19,33 @@ together with its limiting constant C(a), the vanishing-deviation condition
 |Phi(x_n, y_n) - y_n| -> 0 for x_n -> 0 (the route by which distance
 continuity is established), and the generalized inverse of the unit profile
 Psi(t) = Phi(t, 1).
+
+Everything that tells the families apart lives in one table, `_KINDS`: the
+parameter and its validity rule, the formula, the closed forms of C(a) and
+of the unit-profile inverse, and the closed-form verdicts on the hypotheses
+the applicability checklist asks about phi (`check_hypothesis`).  A missing
+closed form means the fact is probed instead and the result is not
+certified: custom functions have none.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from .expressions import Expression, parse_expression
 
-KINDS = ("additive", "max", "bscaled", "power", "custom")
-
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
+
+# A violation of lhs <= rhs is declared only beyond this slack.
+INEQ_REL_TOL = 1e-12
+INEQ_ABS_TOL = 1e-12
 
 CHAIN_DEPTH_LIMIT = 64
 CHAIN_CONVERGENCE_TOL = 1e-12
@@ -46,10 +56,105 @@ BRACKET_CAP = 1e18
 
 _BATTERY_WINDOW = (1000, 10001)
 _BATTERY_SEED = 20260201
+_PROBE_SEED = 0
 
 
 class EvaluationError(ValueError):
     """A custom expression produced a negative or non-finite value."""
+
+
+def violates(lhs, rhs):
+    """Elementwise test of lhs > rhs beyond the shared inequality slack."""
+    return np.asarray(lhs) > np.asarray(rhs) * (1.0 + INEQ_REL_TOL) + INEQ_ABS_TOL
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What sets one triangle-function family apart; the callables take the
+    spec first."""
+
+    formula: Callable[..., object]  # (phi, u, v) under the caller's numpy error state
+    param: str | None = None  # the one field the kind takes
+    valid: Callable[[object], bool] | None = None  # the parameter's validity rule
+    requirement: str = ""  # the error when `valid` fails
+    quiet: bool = False  # evaluation ignores numpy errors (power overflows for small q)
+    checked: bool = False  # evaluate() rejects negative or non-finite values
+    c_alpha: Callable[..., float] | None = None  # (phi, alpha) -> C(alpha)
+    inverse: Callable[..., float] | None = None  # (phi, tau) -> inf{t : Phi(t, 1) >= tau}
+    verdicts: dict = field(default_factory=dict)  # hypothesis -> phi -> (passed, detail)
+    chain_detail: Callable[..., str] = lambda phi, rate: ""  # suffix of the chain check
+
+
+def _holds(detail: str):
+    return lambda phi: (True, detail)
+
+
+def _power_c_alpha(phi, alpha: float) -> float:
+    try:
+        return (1.0 - alpha**phi.q) ** (-1.0 / phi.q)
+    except OverflowError:  # beyond the float64 range: no usable bound
+        return math.inf
+
+
+# every named family is homogeneous and continuous
+_CLOSED_FORM = {name: _holds("closed form")
+                for name in ("homogeneity", "origin_continuity", "full_continuity")}
+# and all but bscaled have phi(0, v) = v and a deviation phi(x_n, y) - y -> 0
+_VANISHING = {"zero_slot_bound": _holds("phi(0, v) = v"),
+              "distance_continuity": _holds("vanishing-deviation route")}
+
+_KINDS = {
+    "additive": _Kind(
+        lambda phi, u, v: np.add(u, v, dtype=np.float64),
+        c_alpha=lambda phi, a: 1.0 / (1.0 - a),
+        inverse=lambda phi, tau: max(tau - 1.0, 0.0),
+        verdicts={**_CLOSED_FORM, **_VANISHING, "bounded_by_sum": _holds("equality")},
+    ),
+    "max": _Kind(
+        lambda phi, u, v: np.maximum(np.asarray(u, dtype=np.float64), v),
+        c_alpha=lambda phi, a: 1.0,
+        inverse=lambda phi, tau: tau if tau > 1.0 else 0.0,
+        verdicts={**_CLOSED_FORM, **_VANISHING, "bounded_by_sum": _holds("max <= sum")},
+    ),
+    "bscaled": _Kind(
+        lambda phi, u, v: phi.K * np.add(u, v, dtype=np.float64),
+        param="K",
+        valid=lambda K: K is not None and math.isfinite(K) and K >= 1.0,
+        requirement="bscaled requires a finite scale K >= 1",
+        c_alpha=lambda phi, a: phi.K / (1.0 - a * phi.K) if a * phi.K < 1.0 else math.inf,
+        inverse=lambda phi, tau: max(tau / phi.K - 1.0, 0.0),
+        verdicts={
+            **_CLOSED_FORM,
+            "zero_slot_bound": lambda phi: (phi.K <= 1.0, f"sup over v < 1 is K = {phi.K:g}"),
+            "bounded_by_sum": lambda phi: (phi.K <= 1.0, f"K = {phi.K:g}"),
+            "distance_continuity": lambda phi: (
+                (True, "K = 1 reduces to additive") if phi.K <= 1.0 else
+                (False, f"route unavailable at K = {phi.K:g}: deviation tends to (K-1)*y")),
+        },
+        chain_detail=lambda phi, rate: f", rate*K = {rate * phi.K:g}",
+    ),
+    "power": _Kind(
+        lambda phi, u, v: np.power(np.power(u, phi.q) + np.power(v, phi.q), 1.0 / phi.q),
+        param="q",
+        valid=lambda q: q is not None and math.isfinite(q) and q > 0.0,
+        requirement="power requires a finite exponent q > 0",
+        quiet=True,
+        c_alpha=_power_c_alpha,
+        inverse=lambda phi, tau: 0.0 if tau <= 1.0 else (tau**phi.q - 1.0) ** (1.0 / phi.q),
+        verdicts={**_CLOSED_FORM, **_VANISHING,
+                  "bounded_by_sum": lambda phi: (phi.q >= 1.0, f"q = {phi.q:g}")},
+    ),
+    "custom": _Kind(
+        lambda phi, u, v: _parsed_phi(phi.expr)(u=u, v=v),
+        param="expr",
+        # parsing raises on bad syntax or bad variables
+        valid=lambda expr: isinstance(expr, str) and expr != "" and _parsed_phi(expr) is not None,
+        requirement="custom requires an expression in u, v",
+        checked=True,
+    ),
+}
+
+KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
@@ -69,31 +174,20 @@ class TriangleFunctionSpec:
             if value is not None and (isinstance(value, bool)
                                       or not isinstance(value, numbers.Real)):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-        if self.kind == "bscaled":
-            if self.K is None or not math.isfinite(self.K) or self.K < 1.0:
-                raise ValueError("bscaled requires a finite scale K >= 1")
-        elif self.K is not None:
-            raise ValueError(f"kind {self.kind!r} does not take K")
-        if self.kind == "power":
-            if self.q is None or not math.isfinite(self.q) or self.q <= 0.0:
-                raise ValueError("power requires a finite exponent q > 0")
-        elif self.q is not None:
-            raise ValueError(f"kind {self.kind!r} does not take q")
-        if self.kind == "custom":
-            if not self.expr:
-                raise ValueError("custom requires an expression in u, v")
-            _parsed_phi(self.expr)  # raises on bad syntax or bad variables
-        elif self.expr is not None:
-            raise ValueError(f"kind {self.kind!r} does not take an expression")
+        row = _KINDS[self.kind]
+        for name, label in (("K", "K"), ("q", "q"), ("expr", "an expression")):
+            value = getattr(self, name)
+            if name == row.param:
+                if not row.valid(value):
+                    raise ValueError(row.requirement)
+            elif value is not None:
+                raise ValueError(f"kind {self.kind!r} does not take {label}")
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind}
-        if self.K is not None:
-            out["K"] = self.K
-        if self.q is not None:
-            out["q"] = self.q
-        if self.expr is not None:
-            out["expr"] = self.expr
+        param = _KINDS[self.kind].param
+        if param is not None:
+            out[param] = getattr(self, param)
         return out
 
     @classmethod
@@ -133,24 +227,16 @@ def _parsed_phi(expr: str) -> Expression:
 
 def _eval_raw(phi: TriangleFunctionSpec, u, v):
     """Evaluate without the non-negativity guard; arrays broadcast."""
-    if phi.kind == "power":
+    row = _KINDS[phi.kind]
+    if row.quiet:
         with np.errstate(all="ignore"):
-            return _eval_formula(phi, u, v)
-    return _eval_formula(phi, u, v)
+            return row.formula(phi, u, v)
+    return row.formula(phi, u, v)
 
 
 def _eval_formula(phi: TriangleFunctionSpec, u, v):
     """The family's formula under the caller's numpy error state."""
-    if phi.kind == "additive":
-        return np.add(u, v, dtype=np.float64)
-    if phi.kind == "max":
-        return np.maximum(np.asarray(u, dtype=np.float64), v)
-    if phi.kind == "bscaled":
-        return phi.K * np.add(u, v, dtype=np.float64)
-    if phi.kind == "power":
-        q = phi.q
-        return np.power(np.power(u, q) + np.power(v, q), 1.0 / q)
-    return _parsed_phi(phi.expr)(u=u, v=v)
+    return _KINDS[phi.kind].formula(phi, u, v)
 
 
 def evaluate(phi: TriangleFunctionSpec, u, v):
@@ -160,7 +246,7 @@ def evaluate(phi: TriangleFunctionSpec, u, v):
     EvaluationError naming the offending inputs.
     """
     result = _eval_raw(phi, u, v)
-    if phi.kind == "custom":
+    if _KINDS[phi.kind].checked:
         arr = np.asarray(result, dtype=np.float64)
         bad = ~np.isfinite(arr) | (arr < 0.0)
         if np.any(bad):
@@ -322,19 +408,9 @@ def chain_bound_constant(phi: TriangleFunctionSpec, alpha: float) -> float:
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
-    if phi.kind == "additive":
-        return 1.0 / (1.0 - alpha)
-    if phi.kind == "max":
-        return 1.0
-    if phi.kind == "power":
-        try:
-            return (1.0 - alpha**phi.q) ** (-1.0 / phi.q)
-        except OverflowError:
-            return math.inf
-    if phi.kind == "bscaled":
-        if alpha * phi.K < 1.0:
-            return phi.K / (1.0 - alpha * phi.K)
-        return math.inf
+    closed_form = _KINDS[phi.kind].c_alpha
+    if closed_form is not None:
+        return closed_form(phi, alpha)
     report = chain_report(phi, alpha)
     return report.c_alpha if report.converged else math.inf
 
@@ -384,17 +460,12 @@ def chain_report(
         raise ValueError("alpha must lie in [0, 1)")
     values = _chain_sweep(phi, alpha, p_max)
     converged = len(values) >= 2 and abs(values[-1] - values[-2]) < CHAIN_CONVERGENCE_TOL
-    if phi.kind == "custom":
+    if _KINDS[phi.kind].c_alpha is None:
         finite = [v for v in values if math.isfinite(v)]
         c = max(finite) if len(finite) == len(values) else math.inf
         return ChainBoundReport(alpha, values, c, converged, certified=False)
     c = chain_bound_constant(phi, alpha)
     return ChainBoundReport(alpha, values, c, converged, certified=True)
-
-
-def _battery_index() -> np.ndarray:
-    lo, hi = _BATTERY_WINDOW
-    return np.arange(lo, hi, dtype=np.float64)
 
 
 def _x_battery(n: np.ndarray, rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
@@ -465,7 +536,7 @@ def check_limit_deviation(
         raise ValueError("trials must be non-negative")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    n = _battery_index()
+    n = np.arange(*_BATTERY_WINDOW, dtype=np.float64)
     rng = np.random.default_rng(_BATTERY_SEED)
     xs = _x_battery(n, rng)
     ys = _y_battery(n, rng)
@@ -488,7 +559,8 @@ def check_limit_deviation(
         t = np.power(2.0, -np.arange(0, 48, dtype=np.float64))
         origin_tail = 0.0
         for a, b in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.37)):
-            ray = np.asarray(_eval_raw(phi, t * a, t * b), dtype=np.float64)
+            ray = np.broadcast_to(np.asarray(_eval_raw(phi, t * a, t * b), dtype=np.float64),
+                                  t.shape)
             origin_tail = max(origin_tail, float(np.abs(ray[-1])))
 
     return LimitDeviationReport(
@@ -508,6 +580,73 @@ def limit_deviation_passes(phi: TriangleFunctionSpec) -> bool:
     return check_limit_deviation(phi).passed
 
 
+# Probes of the applicability hypotheses, each giving (passed, certified,
+# detail).  The sampled ones stand in for a closed-form verdict the family
+# lacks and ignore `at`; they spread a constant phi's scalar over the samples.
+
+_ZERO_SLOT_GRID = np.concatenate([np.linspace(0.0, 0.999, 1000), [1.0 - 1e-9]])
+
+
+def _sampled_homogeneity(phi: TriangleFunctionSpec, at):
+    report = check_homogeneity(phi)
+    return report.passed, False, "sampled" if report.passed else f"fails at {report.witness[:3]}"
+
+
+def _sampled_origin_continuity(phi: TriangleFunctionSpec, at):
+    report = check_limit_deviation(phi)
+    return report.origin_continuous, False, f"tail value {report.origin_tail:g}"
+
+
+@lru_cache(maxsize=128)
+def _sampled_full_continuity(phi: TriangleFunctionSpec):
+    """Probe for jumps: tiny symmetric perturbations at sampled points."""
+    h = 1e-9
+    rng = np.random.default_rng(_PROBE_SEED)
+    base = np.concatenate([np.linspace(0.0, 4.0, 30), rng.uniform(0.0, 4.0, 70)])
+    uu, vv = np.meshgrid(base, base, indexing="ij")
+    with np.errstate(all="ignore"):
+        lo = np.asarray(_eval_raw(phi, np.maximum(uu - h, 0.0), np.maximum(vv - h, 0.0)),
+                        dtype=np.float64)
+        hi = np.asarray(_eval_raw(phi, uu + h, vv + h), dtype=np.float64)
+        osc = np.abs(hi - lo)
+        jump = osc > 1e-6 * np.maximum(1.0, np.abs(hi))
+    if np.any(jump):
+        i, j = np.argwhere(jump)[0]
+        return False, False, f"oscillation {osc[i, j]:g} near (u={base[i]:g}, v={base[j]:g})"
+    return True, False, "sampled"
+
+
+def _sampled_zero_slot_bound(phi: TriangleFunctionSpec, at):
+    """phi(0, v) < 1 for all 0 <= v < 1, on a grid."""
+    with np.errstate(all="ignore"):
+        values = np.broadcast_to(np.asarray(_eval_raw(phi, 0.0, _ZERO_SLOT_GRID),
+                                            dtype=np.float64), _ZERO_SLOT_GRID.shape)
+    bad = ~(values < 1.0)
+    if np.any(bad):
+        k = int(np.argwhere(bad)[0][0])
+        return False, False, f"phi(0, {_ZERO_SLOT_GRID[k]:g}) = {values[k]:g}"
+    return True, False, "sampled"
+
+
+def _sampled_bounded_by_sum(phi: TriangleFunctionSpec, at):
+    """phi(a, b) <= a + b on seeded samples."""
+    rng = np.random.default_rng(_PROBE_SEED)
+    a = np.concatenate([np.linspace(0.0, 5.0, 40), rng.uniform(0.0, 5.0, 200)])
+    b = np.concatenate([np.linspace(5.0, 0.0, 40), rng.uniform(0.0, 5.0, 200)])
+    with np.errstate(all="ignore"):
+        values = np.broadcast_to(np.asarray(_eval_raw(phi, a, b), dtype=np.float64), a.shape)
+    bad = violates(values, a + b)
+    if np.any(bad):
+        k = int(np.argwhere(bad)[0][0])
+        return False, False, f"phi({a[k]:g}, {b[k]:g}) = {values[k]:g} > {a[k] + b[k]:g}"
+    return True, False, "sampled"
+
+
+def _sampled_distance_continuity(phi: TriangleFunctionSpec, at):
+    ok = limit_deviation_passes(phi)
+    return ok, False, "battery " + ("passed" if ok else "failed")
+
+
 def unit_profile_inverse(phi: TriangleFunctionSpec, tau: float) -> float:
     """Generalized inverse inf{t >= 0 : Phi(t, 1) >= tau}.
 
@@ -517,17 +656,9 @@ def unit_profile_inverse(phi: TriangleFunctionSpec, tau: float) -> float:
     """
     if not tau >= 0.0:
         raise ValueError("tau must be non-negative")
-    if phi.kind == "additive":
-        return max(tau - 1.0, 0.0)
-    if phi.kind == "max":
-        return tau if tau > 1.0 else 0.0
-    if phi.kind == "bscaled":
-        return max(tau / phi.K - 1.0, 0.0)
-    if phi.kind == "power":
-        if tau <= 1.0:
-            return 0.0
-        return (tau**phi.q - 1.0) ** (1.0 / phi.q)
-
+    closed_form = _KINDS[phi.kind].inverse
+    if closed_form is not None:
+        return closed_form(phi, tau)
     if unit_profile(phi, 0.0) >= tau:
         return 0.0
     lo, hi = 0.0, 1.0
@@ -542,3 +673,59 @@ def unit_profile_inverse(phi: TriangleFunctionSpec, tau: float) -> float:
         else:
             lo = mid
     return hi
+
+
+def _chain_bound_finite(phi: TriangleFunctionSpec, rate: float | None):
+    if rate is None:
+        return False, True, "no per-step factor available"
+    row = _KINDS[phi.kind]
+    if row.c_alpha is None:
+        report = chain_report(phi, rate)
+        ok = math.isfinite(report.c_alpha) and report.converged
+        return ok, False, (f"observed C({rate:g}) = {report.c_alpha:g}, "
+                           + ("converged" if report.converged else "not converged"))
+    c = chain_bound_constant(phi, rate)
+    return math.isfinite(c), True, f"C({rate:g}) = {c:g}" + row.chain_detail(phi, rate)
+
+
+def _zero_slot_at_beta(phi: TriangleFunctionSpec, beta: float):
+    value = float(_eval_raw(phi, 0.0, beta))
+    return value < 1.0, True, f"phi(0, beta) = {value:g}"
+
+
+def _inverse_gap(phi: TriangleFunctionSpec, beta: float):
+    if not beta > 0.0:
+        return True, True, "beta = 0"
+    threshold = unit_profile_inverse(phi, 1.0 / beta)
+    return (threshold > 1.0, _KINDS[phi.kind].inverse is not None,
+            f"inverse at 1/beta is {threshold:g}")
+
+
+_PROBES = {
+    "homogeneity": _sampled_homogeneity,
+    "origin_continuity": _sampled_origin_continuity,
+    "full_continuity": lambda phi, at: _sampled_full_continuity(phi),  # cached per phi
+    "zero_slot_bound": _sampled_zero_slot_bound,
+    "bounded_by_sum": _sampled_bounded_by_sum,
+    "distance_continuity": _sampled_distance_continuity,
+    "chain_bound_finite": _chain_bound_finite,
+    "zero_slot_at_beta": _zero_slot_at_beta,
+    "inverse_gap": _inverse_gap,
+}
+
+
+def check_hypothesis(
+    phi: TriangleFunctionSpec, name: str, at: float | None = None
+) -> tuple[bool, bool, str]:
+    """(passed, certified, detail) of the applicability hypothesis `name` on phi.
+
+    The family's closed-form verdict when it has one; otherwise a probe, which
+    is certified only where it reads a closed form (C(alpha), the inverse) or
+    evaluates phi exactly.  `at` is the per-step rate for chain_bound_finite
+    (None when there is none) and beta for zero_slot_at_beta and inverse_gap.
+    """
+    closed_form = _KINDS[phi.kind].verdicts.get(name)
+    if closed_form is not None:
+        passed, detail = closed_form(phi)
+        return passed, True, detail
+    return _PROBES[name](phi, at)

@@ -67,8 +67,8 @@ def test_c1_three_point_example():
 
     def body():
         return (
-            cl.check_generalized_triangle(space, cl.additive()),
-            cl.check_generalized_triangle(space, cl.power(0.5)),
+            cl.triangle_report(space, cl.additive()).violations,
+            cl.triangle_report(space, cl.power(0.5)).violations,
             cl.minimal_b_constant(space),
         )
 
@@ -77,7 +77,7 @@ def test_c1_three_point_example():
         len(additive_violations) > 0
         and additive_violations[0].lhs == 3.0
         and additive_violations[0].rhs == 2.0
-        and power_violations == []
+        and power_violations == ()
         and b == 1.5
         and elapsed < 1e-3
     )

@@ -5,6 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from contraction_lab import trifun
 from contraction_lab.cli import MAX_LISTED_VIOLATIONS, main, run_command
 from contraction_lab.contraction import TAGS
 from contraction_lab.schemas import (
@@ -102,6 +103,15 @@ class TestValidate:
                                          "--phi", '{"kind":"power","q":0.5}'])
         assert code == 0
         assert json.loads(out)["status"] == "ok"
+
+    def test_constant_interval_distance(self, capsys, tmp_path):
+        path = tmp_path / "constant.json"
+        path.write_text('{"lo": 0, "hi": 1, "dist": "0.5"}')
+        code, out, _ = run_main(capsys, ["validate", "--space", str(path), "--phi", ADDITIVE])
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["payload"]["space"]["checks"]}
+        assert [name for name, c in checks.items() if not c["passed"]] == ["identity_zero_self"]
+        assert checks["identity_zero_self"]["witness"] == [0.0, 0.5]
 
     def test_interval_space(self, capsys, unit_file):
         code, out, _ = run_main(capsys, ["validate", "--space", unit_file,
@@ -342,15 +352,17 @@ class TestErrorsAndUsage:
         assert json.loads(err)["status"] == "error"
 
     def test_missing_required_flags_exit_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["validate"])
-        assert exc.value.code == 2
+        code, out, err = run_main(capsys, ["validate"])
+        assert code == 2 and out == ""
+        envelope = json.loads(err)
+        jsonschema.validate(envelope, RESULT_SCHEMA)
+        assert envelope["payload"]["error"] == "ValueError: validate requires --space, --phi"
 
     def test_csv_rejected_outside_tabular_commands(self, capsys, unit_file):
-        with pytest.raises(SystemExit) as exc:
-            main(["validate", "--space", unit_file, "--phi", ADDITIVE,
-                  "--format", "csv"])
-        assert exc.value.code == 2
+        code, out, err = run_main(capsys, ["validate", "--space", unit_file, "--phi", ADDITIVE,
+                                           "--format", "csv"])
+        assert code == 2 and out == ""
+        assert "only available for iterate and bounds" in json.loads(err)["payload"]["error"]
 
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -360,6 +372,12 @@ class TestErrorsAndUsage:
     def test_malformed_kind_and_map_exit_two(self, capsys, line_file, tmp_path):
         labels_not_list = tmp_path / "labels.json"
         labels_not_list.write_text('{"labels": 5, "dist": [[0]]}')
+        bad_intervals = []
+        for index, doc in enumerate(('{"lo": 0, "hi": [1]}', '{"lo": true, "hi": 1}',
+                                     '{"lo": "0", "hi": 1}', '{"lo": 0, "hi": 1, "dist": 5}')):
+            path = tmp_path / f"interval{index}.json"
+            path.write_text(doc)
+            bad_intervals.append(('{"expr":"x/2"}', PARTIAL_33, ADDITIVE, str(path)))
         three = '{"images":[0,0,0]}'
         for map_json, kind_json, phi_json, space_file in (
             (three, '{"tag":"partial","alpha":"x","beta":0.3}', ADDITIVE, line_file),
@@ -368,6 +386,9 @@ class TestErrorsAndUsage:
             (three, PARTIAL_33, '{"kind":"bscaled","K":"2"}', line_file),
             (three, PARTIAL_33, '{"kind":"power","q":true}', line_file),
             ('{"images":[0]}', PARTIAL_33, ADDITIVE, str(labels_not_list)),
+            (three, PARTIAL_33, '{"kind":"custom","expr":["u"]}', line_file),
+            (three, PARTIAL_33, '{"kind":"custom","expr":5}', line_file),
+            *bad_intervals,
         ):
             code, out, err = run_main(capsys, ["classify", "--space", space_file,
                                                "--map", map_json, "--kind", kind_json,
@@ -376,6 +397,16 @@ class TestErrorsAndUsage:
             envelope = json.loads(err)
             jsonschema.validate(envelope, RESULT_SCHEMA)
             assert envelope["status"] == "error"
+
+    def test_constant_map_leaving_the_interval_is_error(self, capsys, unit_file):
+        escape = '{"expr":"5"}'
+        for argv in (["iterate", "--x0", "0.5"],
+                     ["classify", "--kind", PARTIAL_33, "--phi", ADDITIVE],
+                     ["bounds", "--kind", PARTIAL_33, "--phi", ADDITIVE, "--x0", "0.5"]):
+            code, out, err = run_main(capsys, argv + ["--space", unit_file, "--map", escape])
+            assert code == 2 and out == "", argv
+            error = json.loads(err)["payload"]["error"]
+            assert error.startswith("StructuralError: map leaves the interval"), error
 
     def test_unknown_start_label_is_error(self, capsys, stretched_file):
         code, _, err = run_main(capsys, ["iterate", "--space", stretched_file,
@@ -394,6 +425,15 @@ class TestSchemas:
             jsonschema.validate({"kind": "additive", "K": 2.0}, PHI_SCHEMA)
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate({"kind": "nope"}, PHI_SCHEMA)
+
+    def test_phi_schema_matches_the_kind_table(self):
+        entries = {entry["properties"]["kind"]["const"]: entry for entry in PHI_SCHEMA["oneOf"]}
+        assert tuple(entries) == trifun.KINDS
+        for kind, entry in entries.items():
+            param = trifun._KINDS[kind].param
+            named = ["kind"] + ([param] if param else [])
+            assert sorted(entry["properties"]) == sorted(named), kind
+            assert entry["required"] == named, kind
 
     def test_space_schema(self):
         jsonschema.validate({"labels": ["a"], "dist": [[0.0]]}, SPACE_SCHEMA)
@@ -430,6 +470,15 @@ class TestRunCommand:
         assert result.command == "iterate"
         assert result.status == "ok"
         assert result.payload["stop_reason"] == "converged"
+
+    def test_usage_errors_return_an_envelope(self, unit_file):
+        for argv in (["validate"], ["search", "--phi", ADDITIVE],
+                     ["validate", "--space", unit_file, "--phi", ADDITIVE, "--format", "csv"]):
+            result = run_command(argv)
+            assert result.status == "error", argv
+            jsonschema.validate(result.to_json(), RESULT_SCHEMA)
+        assert run_command(["search", "--phi", ADDITIVE]).payload["error"] == \
+            "ValueError: search requires --kind, --budget"
 
     def test_parser_is_built_once(self, unit_file, monkeypatch):
         import contraction_lab.cli as cli

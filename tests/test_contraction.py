@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -431,6 +432,44 @@ class TestApplicability:
         )
         assert not record.applicable
         assert record.failed() == ["chain_bound_finite"]
+
+    def test_constant_custom_phi_is_judged(self):
+        for expr in ("0.5", "2"):
+            for tag in ALL_TAGS:
+                record = cl.applicability(kind_for(tag, 0.3, 0.2), cl.custom(expr))
+                assert "homogeneity" in record.failed(), (expr, tag)
+        bianchini = cl.applicability(ContractionKind("bianchini", beta=0.3), cl.custom("2"))
+        zero_slot = {c.name: c for c in bianchini.checklist}["zero_slot_bound"]
+        assert (zero_slot.passed, zero_slot.detail) == (False, "phi(0, 0) = 2")
+        partial = cl.applicability(ContractionKind("partial", alpha=0.3, beta=0.2), cl.custom("0.5"))
+        origin = {c.name: c for c in partial.checklist}["origin_continuity"]
+        assert (origin.passed, origin.detail) == (False, "tail value 0.5")
+
+    def test_named_families_agree_with_their_custom_restatements(self):
+        # The closed-form verdicts of the table against the sampled probes on
+        # the same function.  chain_bound_finite and full_continuity are left
+        # out: their probes are conservative by design (an unsettled depth-64
+        # chain, the infinite slope of power q = 0.5 at 0).
+        restated = {
+            cl.additive(): "u+v", cl.maximum(): "max(u,v)", cl.bscaled(1.0): "1*(u+v)",
+            cl.bscaled(1.5): "1.5*(u+v)", cl.bscaled(2.0): "2*(u+v)",
+            cl.power(0.5): "(sqrt(u)+sqrt(v))^2", cl.power(1.0): "u^1+v^1",
+            cl.power(2.0): "sqrt(u^2+v^2)",
+        }
+        compared = ("homogeneity", "origin_continuity", "zero_slot_bound", "bounded_by_sum",
+                    "distance_continuity", "zero_slot_at_beta", "inverse_gap")
+        pairs = 0
+        for (named, expr), tag, beta in itertools.product(
+                restated.items(), ALL_TAGS, (0.3, 0.6, 0.9)):
+            kind = kind_for(tag, beta, beta)
+            closed = {c.name: c for c in cl.applicability(kind, named).checklist}
+            sampled = {c.name: c for c in cl.applicability(kind, cl.custom(expr)).checklist}
+            for name in compared:
+                if name in closed:
+                    assert closed[name].certified, (named, name)
+                    assert closed[name].passed == sampled[name].passed, (named, tag, beta, name)
+                    pairs += 1
+        assert pairs == 8 * 3 * 15
 
     def test_principle_names_are_descriptive(self):
         for tag in ALL_TAGS:

@@ -134,44 +134,44 @@ class TestValidateSemimetric:
 
 class TestGeneralizedTriangle:
     def test_additive_violation_on_stretched_space(self):
-        violations = cl.check_generalized_triangle(stretched_space(), cl.additive())
+        violations = cl.triangle_report(stretched_space(), cl.additive()).violations
         assert len(violations) == 2
         first = violations[0]
         assert (first.x, first.y, first.z) == ("y", "z", "x")
         assert (first.lhs, first.rhs) == (3.0, 2.0)
 
     def test_power_half_clears_stretched_space(self):
-        assert cl.check_generalized_triangle(stretched_space(), cl.power(0.5)) == []
+        assert cl.triangle_report(stretched_space(), cl.power(0.5)).count == 0
 
     def test_max_fails_stretched_space(self):
-        assert cl.check_generalized_triangle(stretched_space(), cl.maximum())
+        assert cl.triangle_report(stretched_space(), cl.maximum()).count
 
     def test_bscaled_boundary_exactly_tight(self):
         # K = 1.5 makes the worst triple exactly tight; no violation reported
-        assert cl.check_generalized_triangle(stretched_space(), cl.bscaled(1.5)) == []
-        assert cl.check_generalized_triangle(stretched_space(), cl.bscaled(1.4))
+        assert cl.triangle_report(stretched_space(), cl.bscaled(1.5)).count == 0
+        assert cl.triangle_report(stretched_space(), cl.bscaled(1.4)).count
 
     def test_plain_metric_clears_additive(self):
-        assert cl.check_generalized_triangle(line_space(), cl.additive()) == []
+        assert cl.triangle_report(line_space(), cl.additive()).count == 0
 
     def test_interval_abs_with_additive_clean(self):
-        assert cl.check_generalized_triangle(unit_interval(), cl.additive()) == []
+        assert cl.triangle_report(unit_interval(), cl.additive()).count == 0
 
     def test_interval_abs_with_max_caught_at_corners(self):
-        violations = cl.check_generalized_triangle(unit_interval(), cl.maximum())
+        violations = cl.triangle_report(unit_interval(), cl.maximum()).violations
         first = violations[0]
         assert (first.x, first.y, first.z) == (0.0, 1.0, 0.5)
         assert (first.lhs, first.rhs) == (1.0, 0.5)
 
     def test_interval_under_constant_phi(self):
-        violations = cl.check_generalized_triangle(unit_interval(), cl.custom("0.5"))
+        violations = cl.triangle_report(unit_interval(), cl.custom("0.5")).violations
         first = violations[0]
         assert (first.x, first.y, first.z, first.lhs, first.rhs) == (0.0, 1.0, 0.0, 1.0, 0.5)
 
     def test_interval_squared_distance_under_power_half(self):
         space = cl.IntervalSpace(0.0, 1.0, "(x-y)^2")
-        assert cl.check_generalized_triangle(space, cl.power(0.5)) == []
-        assert cl.check_generalized_triangle(space, cl.additive())
+        assert cl.triangle_report(space, cl.power(0.5)).count == 0
+        assert cl.triangle_report(space, cl.additive()).count
 
 
 # (spec, the same function in plain Python) pairs for the oracle
@@ -239,11 +239,12 @@ class TestStreamedTriangle:
             found = triangle_oracle(triples, lambda x, y: abs(x - y), fn)
             assert_report_matches(space, phi, found, float, seed=seed, samples=samples)
 
-    def test_check_generalized_triangle_lists_everything(self):
+    def test_unlisted_report_lists_everything(self):
         space = random_semimetric(np.random.default_rng(4), 50)
         report = cl.triangle_report(space, cl.additive())
-        assert cl.check_generalized_triangle(space, cl.additive()) == list(report.violations)
         assert len(report.violations) == report.count > 0
+        listed = cl.triangle_report(space, cl.additive(), listed=5)
+        assert report.violations[:5] == listed.violations
 
     def test_memory_stays_quadratic(self):
         n = 300
@@ -290,9 +291,9 @@ class TestMinimalB:
             space = random_semimetric(rng, int(rng.integers(3, 7)))
             k_star = cl.minimal_b_constant(space)
             exact = cl.custom(f"{k_star!r}*(u+v)")
-            assert cl.check_generalized_triangle(space, exact) == []
+            assert cl.triangle_report(space, exact).count == 0
             shrunk = cl.custom(f"{k_star * (1.0 - 1e-6)!r}*(u+v)")
-            assert cl.check_generalized_triangle(space, shrunk)
+            assert cl.triangle_report(space, shrunk).count
 
 
 class TestContinuityHarness:
