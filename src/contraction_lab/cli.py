@@ -4,7 +4,8 @@ Commands: validate, classify, iterate, bounds, search.  Inputs are JSON
 (space from a file, map inline or from a file, phi/kind inline); reports are
 JSON envelopes {command, status, payload} on stdout with deterministic key
 order, or CSV tables for iterate/bounds with --format csv.  Exit codes:
-0 ok, 1 violation or not-applicable, 2 operational error.
+0 ok, 1 violation or not-applicable, 2 operational error, usage errors
+included.
 
 Setting CONTRACTION_LAB_SEED in the environment overrides --seed.
 """
@@ -15,11 +16,8 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
-
-import numpy as np
 
 from . import solver, trifun
 from .contraction import (
@@ -37,7 +35,7 @@ from .space import (
     triangle_report,
     validate_semimetric,
 )
-from .trifun import TriangleFunctionSpec
+from .trifun import TriangleFunctionSpec, _json_float
 
 ENV_SEED = "CONTRACTION_LAB_SEED"
 EXIT_CODES = {"ok": 0, "violation": 1, "not-applicable": 1, "error": 2}
@@ -46,7 +44,7 @@ MAX_LISTED_VIOLATIONS = 5
 
 @dataclasses.dataclass(frozen=True)
 class CommandResult:
-    command: str
+    command: str | None  # None when argv names no command
     status: str  # "ok" | "violation" | "not-applicable" | "error"
     payload: dict
 
@@ -58,26 +56,18 @@ class CommandResult:
         }
 
 
-def _plain(value):
-    """Recursively convert reports to JSON-safe plain data."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, float) and not math.isfinite(value):
-        return "inf" if value == math.inf else "-inf" if value == -math.inf else "nan"
+def _parse_int(text: str) -> int:
+    """A JSON integer literal, refused when no float64 can hold it: every
+    number read is used as a float."""
+    value = int(text)
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"a {len(text.lstrip('-'))}-digit integer lies beyond the float64 range")
     return value
 
 
 def _inline_json(text: str, flag: str) -> dict:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{flag} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -87,7 +77,7 @@ def _inline_json(text: str, flag: str) -> dict:
 
 def _load_space(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
+        obj = json.load(handle, parse_int=_parse_int)
     if not isinstance(obj, dict):
         raise ValueError("space file must hold a JSON object")
     return space_from_json(obj)
@@ -98,7 +88,7 @@ def _load_map(text: str) -> SelfMap:
         obj = _inline_json(text, "--map")
     else:
         with open(text, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
+            obj = json.load(handle, parse_int=_parse_int)
         if not isinstance(obj, dict):
             raise ValueError("map file must hold a JSON object")
     return SelfMap.from_json(obj)
@@ -128,8 +118,16 @@ def _resolve_seed(args) -> int:
     return args.seed if args.seed is not None else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, such as an unknown subcommand or option, as
+    ValueError instead of printing them and exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="contraction-lab",
         description="Validate semimetric spaces, classify contractions, "
         "iterate maps, audit error bounds, and search for boundary instances.",
@@ -178,14 +176,10 @@ def _cmd_validate(args):
     phi_report = trifun.check_axioms(phi)
     triangle = triangle_report(space, phi, listed=MAX_LISTED_VIOLATIONS)
     payload = {
-        "space": _plain(space_report),
-        "phi_axioms": _plain(phi_report),
-        "triangle": {
-            "passed": triangle.count == 0,
-            "violation_count": triangle.count,
-            "violations": _plain(triangle.violations),
-        },
-        "minimal_b": _plain(minimal_b_constant(space))
+        "space": space_report.to_json(),
+        "phi_axioms": phi_report.to_json(),
+        "triangle": triangle.to_json(),
+        "minimal_b": _json_float(minimal_b_constant(space))
         if isinstance(space, FiniteSemimetricSpace)
         else None,
     }
@@ -204,17 +198,9 @@ def _cmd_classify(args):
     record = applicability(kind, phi)
     factor = step_contraction_factor(kind, phi)
     payload = {
-        "certificate": {
-            "kind": kind.to_json(),
-            "scope": certificate.scope,
-            "passed": certificate.passed,
-            "margin": _plain(certificate.margin),
-            "witness": _plain(certificate.witness),
-            "violation_count": certificate.violation_count,
-            "violations": _plain(certificate.violations),
-        },
-        "applicability": _plain(record),
-        "step_factor": _plain(factor),
+        "certificate": certificate.to_json(),
+        "applicability": record.to_json(),
+        "step_factor": factor.to_json(),
     }
     if not certificate.passed:
         status = "violation"
@@ -233,7 +219,7 @@ def _cmd_iterate(args):
     trace = _orbit(args, space, mapping, x0)
     status = "ok" if trace.stop_reason == "converged" else "violation"
     csv_text = trace.to_csv() if args.format == "csv" else None
-    return CommandResult("iterate", status, _plain(trace.to_json())), csv_text
+    return CommandResult("iterate", status, trace.to_json()), csv_text
 
 
 def _cmd_bounds(args):
@@ -245,7 +231,7 @@ def _cmd_bounds(args):
     x0 = _parse_x0(space, args.x0)
     factor = step_contraction_factor(kind, phi)
     if not factor.derivable:
-        payload = {"reason": factor.reason, "step_factor": _plain(factor)}
+        payload = {"reason": factor.reason, "step_factor": factor.to_json()}
         return CommandResult("bounds", "not-applicable", payload), None
     trace = _orbit(args, space, mapping, x0)
     if isinstance(space, FiniteSemimetricSpace):
@@ -268,7 +254,7 @@ def _cmd_bounds(args):
         report = solver.verify_bound(trace, phi, factor.value, target)
     except solver.BoundUnavailable as exc:
         return CommandResult("bounds", "not-applicable", {"reason": str(exc)}), None
-    payload = _plain(report.to_json())
+    payload = report.to_json()
     payload["stop_reason"] = trace.stop_reason
     status = "ok" if report.passed else "violation"
     csv_text = report.to_csv() if args.format == "csv" else None
@@ -281,7 +267,7 @@ def _cmd_search(args):
     kind = ContractionKind.from_json(_inline_json(args.kind, "--kind"))
     config = SearchConfig(phi=phi, kind=kind, budget=args.budget, seed=_resolve_seed(args))
     result = counterexample_search(config)
-    return CommandResult("search", "ok", _plain(result.to_json())), None
+    return CommandResult("search", "ok", result.to_json()), None
 
 
 _HANDLERS = {
@@ -298,14 +284,16 @@ _shared_parser = functools.cache(build_parser)
 
 
 def _execute(argv) -> tuple[CommandResult, str | None]:
-    args = _shared_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _HANDLERS else None
     try:
+        args = _shared_parser().parse_args(argv)
         if args.format == "csv" and args.command not in ("iterate", "bounds"):
             raise ValueError("--format csv is only available for iterate and bounds")
         return _HANDLERS[args.command](args)
     except (ValueError, RuntimeError, OSError) as exc:
         payload = {"error": f"{type(exc).__name__}: {exc}"}
-        return CommandResult(args.command, "error", payload), None
+        return CommandResult(command, "error", payload), None
 
 
 def run_command(argv) -> CommandResult:

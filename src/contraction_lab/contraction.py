@@ -45,7 +45,7 @@ from .space import (
     StructuralError,
     violates,
 )
-from .trifun import TriangleFunctionSpec
+from .trifun import TriangleFunctionSpec, _json_float
 
 
 @dataclass(frozen=True)
@@ -243,6 +243,10 @@ class PairWitness:
     lhs: float
     rhs: float
 
+    def to_json(self) -> dict:
+        return {"x": self.x, "y": self.y, "lhs": _json_float(self.lhs),
+                "rhs": _json_float(self.rhs)}
+
 
 def _pair_components(space: Space, mapping: SelfMap, seed: int, samples: int):
     """The ordered pairs a family inequality is checked over, and the six
@@ -338,6 +342,17 @@ class ContractionCertificate:
     @property
     def passed(self) -> bool:
         return self.violation_count == 0
+
+    def to_json(self) -> dict:
+        return {
+            "kind": self.kind.to_json(),
+            "scope": self.scope,
+            "passed": self.passed,
+            "margin": _json_float(self.margin),
+            "witness": self.witness.to_json(),
+            "violation_count": self.violation_count,
+            "violations": [v.to_json() for v in self.violations],
+        }
 
 
 def verify_contraction(
@@ -454,6 +469,10 @@ class StepFactorResult:
     reason: str = ""
     caveats: tuple[str, ...] = ()
 
+    def to_json(self) -> dict:
+        return {"value": _json_float(self.value), "derivable": self.derivable,
+                "reason": self.reason, "caveats": list(self.caveats)}
+
 
 def step_contraction_factor(kind: ContractionKind, phi: TriangleFunctionSpec) -> StepFactorResult:
     """The factor r with d(x_{n+1}, x_{n+2}) <= r * d(x_n, x_{n+1}).
@@ -493,6 +512,10 @@ class HypothesisCheck:
     certified: bool
     detail: str = ""
 
+    def to_json(self) -> dict:
+        return {"name": self.name, "passed": self.passed, "certified": self.certified,
+                "detail": self.detail}
+
 
 @dataclass(frozen=True)
 class ApplicabilityRecord:
@@ -512,6 +535,11 @@ class ApplicabilityRecord:
 
     def failed(self) -> list[str]:
         return [c.name for c in self.checklist if not c.passed]
+
+    def to_json(self) -> dict:
+        return {"principle": self.principle, "applicable": self.applicable,
+                "unique": self.unique, "rate": _json_float(self.rate), "certified": self.certified,
+                "checklist": [c.to_json() for c in self.checklist]}
 
 
 def applicability(kind: ContractionKind, phi: TriangleFunctionSpec) -> ApplicabilityRecord:

@@ -109,7 +109,8 @@ RESULT_SCHEMA = {
     "title": "Command result envelope",
     "type": "object",
     "properties": {
-        "command": {"enum": ["validate", "classify", "iterate", "bounds", "search"]},
+        # null in the error envelope of an argv that names no command
+        "command": {"enum": ["validate", "classify", "iterate", "bounds", "search", None]},
         "status": {"enum": ["ok", "violation", "not-applicable", "error"]},
         "payload": {"type": "object"},
     },

@@ -23,7 +23,7 @@ import numpy as np
 from . import trifun
 from .contraction import SelfMap
 from .space import FiniteSemimetricSpace, IntervalSpace, Space
-from .trifun import TriangleFunctionSpec
+from .trifun import TriangleFunctionSpec, _json_float
 
 MAX_ITER_DEFAULT = 100_000
 STEP_TOL_DEFAULT = 1e-10
@@ -71,11 +71,11 @@ class IterationTrace:
     def to_json(self) -> dict:
         return {
             "points": self.point_labels(),
-            "step_dists": list(self.step_dists),
+            "step_dists": [_json_float(d) for d in self.step_dists],
             "stop_reason": self.stop_reason,
-            "tol": self.tol,
-            "rate_estimate": self.rate_estimate,
-            "rate_geomean": self.rate_geomean,
+            "tol": _json_float(self.tol),
+            "rate_estimate": _json_float(self.rate_estimate),
+            "rate_geomean": _json_float(self.rate_geomean),
         }
 
     def to_csv(self) -> str:
@@ -238,8 +238,8 @@ class BoundReport:
         return {
             "alpha": self.alpha,
             "c_alpha": self.c_alpha,
-            "d01": self.d01,
-            "min_slack": self.min_slack,
+            "d01": _json_float(self.d01),
+            "min_slack": _json_float(self.min_slack),
             "bounds_ok": self.bounds_ok,
             "steps_ok": self.steps_ok,
             "certified": self.certified,
@@ -248,10 +248,10 @@ class BoundReport:
                 {
                     "n": r.n,
                     "x_n": r.point,
-                    "step_dist": r.step_dist,
-                    "bound": r.bound,
-                    "observed": r.observed,
-                    "slack": r.slack,
+                    "step_dist": _json_float(r.step_dist),
+                    "bound": _json_float(r.bound),
+                    "observed": _json_float(r.observed),
+                    "slack": _json_float(r.slack),
                 }
                 for r in self.rows
             ],

@@ -19,13 +19,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from . import trifun
 from .expressions import Expression, parse_expression
-from .trifun import INEQ_ABS_TOL, INEQ_REL_TOL, CheckItem, TriangleFunctionSpec, violates
+from .trifun import (INEQ_ABS_TOL, INEQ_REL_TOL, CheckItem, TriangleFunctionSpec, _json_float,
+                     violates)
 
 DEFAULT_SEED = 0
 TRIPLE_SAMPLES = 10_000
@@ -34,9 +35,6 @@ PAIR_SAMPLES = 10_000
 # Triples per streamed block of the O(N^3) kernels; their temporaries stay
 # this size whatever the space size.
 BLOCK_ELEMENTS = 2**16
-
-TAIL_WINDOW = (1000, 10001)
-TAIL_TOL = 1e-6
 
 
 class StructuralError(ValueError):
@@ -149,6 +147,10 @@ class SpaceReport:
     scope: str  # "exhaustive" | "sampled"
     checks: tuple[CheckItem, ...]
 
+    def to_json(self) -> dict:
+        return {"passed": self.passed, "scope": self.scope,
+                "checks": [c.to_json() for c in self.checks]}
+
 
 def _interval_samples(space: IntervalSpace, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -219,6 +221,10 @@ class TriangleViolation:
     lhs: float
     rhs: float
 
+    def to_json(self) -> dict:
+        return {"x": self.x, "y": self.y, "z": self.z,
+                "lhs": _json_float(self.lhs), "rhs": _json_float(self.rhs)}
+
 
 @dataclass(frozen=True)
 class TriangleReport:
@@ -227,6 +233,10 @@ class TriangleReport:
 
     count: int
     violations: tuple[TriangleViolation, ...]
+
+    def to_json(self) -> dict:
+        return {"passed": self.count == 0, "violation_count": self.count,
+                "violations": [v.to_json() for v in self.violations]}
 
 
 def _triple_blocks(n: int):
@@ -338,159 +348,3 @@ def minimal_b_constant(space: FiniteSemimetricSpace) -> float:
             ratios = np.where(distinct & (lhs > 0.0), lhs / closest, 0.0)
             best = max(best, float(np.max(ratios)))
     return best
-
-
-# --- continuity harness -----------------------------------------------------
-
-SeqFn = Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class PairEntry:
-    """Convergent pair (x_n -> x, y_n -> y); checks d(x_n,y_n) -> d(x,y)."""
-
-    name: str
-    x_seq: SeqFn
-    y_seq: SeqFn
-    x_limit: float
-    y_limit: float
-    tol: float = TAIL_TOL
-
-
-@dataclass(frozen=True)
-class SqueezeEntry:
-    """Abstract squeeze data (a_n, b_n, c_n, l).
-
-    Hypotheses validated on the window before the limit is judged:
-        l   <= phi(b_n, phi(a_n, c_n))
-        c_n <= phi(a_n, phi(l, b_n))
-    Entries violating either are rejected with a diagnostic rather than
-    counted as failures.  The conclusion under test is c_n -> l.
-    """
-
-    name: str
-    a_seq: SeqFn
-    b_seq: SeqFn
-    c_seq: SeqFn
-    limit: float
-    tol: float = TAIL_TOL
-
-
-BatteryEntry = Union[PairEntry, SqueezeEntry]
-
-
-@dataclass(frozen=True)
-class EntryResult:
-    name: str
-    kind: str  # "pair" | "squeeze"
-    status: str  # "pass" | "fail" | "rejected"
-    max_deviation: float | None
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class HarnessReport:
-    refused: bool
-    reason: str
-    entries: tuple[EntryResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return (not self.refused) and all(e.status != "fail" for e in self.entries)
-
-
-def default_battery(space: IntervalSpace) -> list[BatteryEntry]:
-    """Fast-converging default entries sized to the tail window and its tol."""
-    lo, hi, span = space.lo, space.hi, space.hi - space.lo
-    mid = lo + 0.5 * span
-    q = lo + 0.7 * span
-    entries: list[BatteryEntry] = [
-        PairEntry("ends_cubic", lambda n: lo + span / n**3, lambda n: hi - span / n**3, lo, hi),
-        PairEntry("mid_geometric", lambda n: mid + 0.25 * span * np.power(0.5, n),
-                  lambda n: np.full_like(n, mid), mid, mid),
-        PairEntry("wobble_cubic", lambda n: lo + span * np.abs(np.sin(n)) / n**3,
-                  lambda n: mid + 0.1 * span * np.cos(n) / n**3, lo, mid),
-        PairEntry("same_limit", lambda n: q + 0.1 * span / n**3,
-                  lambda n: q - 0.1 * span / n**3, q, q),
-        SqueezeEntry("constant_target", lambda n: 1.0 / n**3, lambda n: 1.0 / n**3,
-                   lambda n: np.ones_like(n), 1.0),
-    ]
-    return entries
-
-
-def continuity_harness(
-    space: IntervalSpace,
-    phi: TriangleFunctionSpec,
-    battery: Sequence[BatteryEntry] | None = None,
-    seed: int = DEFAULT_SEED,
-) -> HarnessReport:
-    """Empirical continuity check for the distance of an interval space.
-
-    Refuses outright (with a diagnostic) when phi fails the vanishing
-    deviation battery or the space fails the sampled generalized triangle
-    condition, since the conclusions under test assume both.
-    """
-    deviation = trifun.check_limit_deviation(phi)
-    if not deviation.passed:
-        w = deviation.witness
-        return HarnessReport(
-            True,
-            "triangle function failed the vanishing-deviation battery "
-            f"(pair {w.x_name}/{w.y_name}, deviation {w.max_deviation:g})",
-            (),
-        )
-    triangle = triangle_report(space, phi, seed=seed, listed=1)
-    if triangle.count:
-        v = triangle.violations[0]
-        return HarnessReport(
-            True,
-            "space fails the generalized triangle condition at sampled triples "
-            f"(x={v.x:g}, y={v.y:g}, z={v.z:g}: {v.lhs:g} > {v.rhs:g})",
-            (),
-        )
-
-    if battery is None:
-        battery = default_battery(space)
-    lo_idx, hi_idx = TAIL_WINDOW
-    n = np.arange(lo_idx, hi_idx, dtype=np.float64)
-    results: list[EntryResult] = []
-    with np.errstate(all="ignore"):
-        for entry in battery:
-            if isinstance(entry, PairEntry):
-                xv = np.asarray(entry.x_seq(n), dtype=np.float64)
-                yv = np.asarray(entry.y_seq(n), dtype=np.float64)
-                if not (space.contains(xv) and space.contains(yv)):
-                    results.append(EntryResult(entry.name, "pair", "rejected", None,
-                                               "sequence leaves the interval"))
-                    continue
-                target = float(space.d(entry.x_limit, entry.y_limit))
-                dev = float(np.max(np.abs(space.d(xv, yv) - target)))
-                status = "pass" if dev < entry.tol else "fail"
-                results.append(EntryResult(entry.name, "pair", status, dev))
-            else:
-                av = np.asarray(entry.a_seq(n), dtype=np.float64)
-                bv = np.asarray(entry.b_seq(n), dtype=np.float64)
-                cv = np.asarray(entry.c_seq(n), dtype=np.float64)
-                l = entry.limit
-                inner = trifun._eval_raw(phi, av, cv)
-                first = np.asarray(trifun._eval_raw(phi, bv, inner), dtype=np.float64)
-                if np.any(violates(l, first)):
-                    k = int(np.argwhere(violates(l, first))[0][0])
-                    results.append(EntryResult(
-                        entry.name, "squeeze", "rejected", None,
-                        f"lower squeeze fails at n={int(n[k])}: {l} > {first[k]:g}"))
-                    continue
-                second = np.asarray(
-                    trifun._eval_raw(phi, av, trifun._eval_raw(phi, np.full_like(n, l), bv)),
-                    dtype=np.float64,
-                )
-                if np.any(violates(cv, second)):
-                    k = int(np.argwhere(violates(cv, second))[0][0])
-                    results.append(EntryResult(
-                        entry.name, "squeeze", "rejected", None,
-                        f"upper squeeze fails at n={int(n[k])}: {cv[k]:g} > {second[k]:g}"))
-                    continue
-                dev = float(np.max(np.abs(cv - l)))
-                status = "pass" if dev < entry.tol else "fail"
-                results.append(EntryResult(entry.name, "squeeze", status, dev))
-    return HarnessReport(False, "", tuple(results))

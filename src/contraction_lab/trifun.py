@@ -68,6 +68,16 @@ def violates(lhs, rhs):
     return np.asarray(lhs) > np.asarray(rhs) * (1.0 + INEQ_REL_TOL) + INEQ_ABS_TOL
 
 
+def _json_float(value):
+    """`value` as JSON data: a non-finite float is spelled "inf", "-inf" or
+    "nan", which JSON has no number for; anything else is returned as is.
+    The reports of every module apply it in their `to_json` to the fields
+    that can hold one: it is private to the package, not to this module."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else "inf" if value > 0.0 else "-inf"
+    return value
+
+
 @dataclass(frozen=True)
 class _Kind:
     """What sets one triangle-function family apart; the callables take the
@@ -94,6 +104,17 @@ def _power_c_alpha(phi, alpha: float) -> float:
         return (1.0 - alpha**phi.q) ** (-1.0 / phi.q)
     except OverflowError:  # beyond the float64 range: no usable bound
         return math.inf
+
+
+def _power_inverse(phi, tau: float) -> float:
+    if tau <= 1.0:
+        return 0.0
+    try:
+        return (tau**phi.q - 1.0) ** (1.0 / phi.q)
+    except OverflowError:
+        # tau**q lies beyond float64 while the inverse is about tau; this form
+        # cannot overflow, but it rounds differently, so it serves only here
+        return tau * (1.0 - tau**-phi.q) ** (1.0 / phi.q)
 
 
 # every named family is homogeneous and continuous
@@ -140,7 +161,7 @@ _KINDS = {
         requirement="power requires a finite exponent q > 0",
         quiet=True,
         c_alpha=_power_c_alpha,
-        inverse=lambda phi, tau: 0.0 if tau <= 1.0 else (tau**phi.q - 1.0) ** (1.0 / phi.q),
+        inverse=_power_inverse,
         verdicts={**_CLOSED_FORM, **_VANISHING,
                   "bounded_by_sum": lambda phi: (phi.q >= 1.0, f"q = {phi.q:g}")},
     ),
@@ -274,6 +295,11 @@ class CheckItem:
     witness: tuple | None = None
     detail: str = ""
 
+    def to_json(self) -> dict:
+        witness = None if self.witness is None else [_json_float(w) for w in self.witness]
+        return {"name": self.name, "passed": self.passed, "witness": witness,
+                "detail": self.detail}
+
 
 @dataclass(frozen=True)
 class AxiomReport:
@@ -282,6 +308,9 @@ class AxiomReport:
 
     def failed_names(self) -> list[str]:
         return [c.name for c in self.checks if not c.passed]
+
+    def to_json(self) -> dict:
+        return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
 
 
 def check_axioms(

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import jsonschema
 import numpy as np
@@ -177,6 +178,16 @@ class TestClassify:
             "name": "chain_bound_finite", "passed": False, "certified": True,
             "detail": "C(0.6) = inf",
         }
+
+    def test_power_inverse_beyond_float64_powers(self, capsys, line_file):
+        # tau = 1/beta = 1000 and tau**200 overflows, although the inverse is about 1000
+        code, out, err = run_main(capsys, [
+            "classify", "--space", line_file, "--map", '{"images":[0,0,0]}',
+            "--kind", '{"tag":"chatterjea_bianchini","beta":0.001}',
+            "--phi", '{"kind":"power","q":200}',
+        ])
+        assert code in (0, 1) and err == ""
+        assert json.loads(out)["payload"]["step_factor"]["value"] == pytest.approx(1e-3)
 
     def test_blocked_principle_is_not_applicable(self, capsys, stretched_file):
         code, out, _ = run_main(capsys, [
@@ -365,9 +376,20 @@ class TestErrorsAndUsage:
         assert "only available for iterate and bounds" in json.loads(err)["payload"]["error"]
 
     def test_unknown_command_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+        for argv, command, error in (
+            (["frobnicate"], None, "invalid choice: 'frobnicate'"),
+            ([], None, "the following arguments are required: command"),
+            (["validate", "--bogus"], "validate", "unrecognized arguments: --bogus"),
+            (["iterate", "--max-iter", "many"], "iterate", "invalid int value: 'many'"),
+        ):
+            code, out, err = run_main(capsys, argv)
+            assert code == 2 and out == "", argv
+            envelope = json.loads(err)
+            jsonschema.validate(envelope, RESULT_SCHEMA)
+            assert envelope["command"] == command
+            assert envelope["payload"]["error"].startswith("ValueError: "), argv
+            assert error in envelope["payload"]["error"], argv
+            assert run_command(argv).to_json() == envelope
 
     def test_malformed_kind_and_map_exit_two(self, capsys, line_file, tmp_path):
         labels_not_list = tmp_path / "labels.json"
@@ -379,6 +401,27 @@ class TestErrorsAndUsage:
             path.write_text(doc)
             bad_intervals.append(('{"expr":"x/2"}', PARTIAL_33, ADDITIVE, str(path)))
         three = '{"images":[0,0,0]}'
+        # integer literals beyond the float64 range, one per place a number is read
+        big = "1" + "0" * 400
+        huge_files = []
+        for index, doc in enumerate((
+            f'{{"lo": -{big}, "hi": 1}}',
+            f'{{"lo": 0, "hi": {big}}}',
+            f'{{"labels": ["a", "b", "c"], "dist": [[0, {big}, 1], [{big}, 0, 1], [1, 1, 0]]}}',
+            f'{{"images": [{big}, 0, 0]}}',
+        )):
+            path = tmp_path / f"huge{index}.json"
+            path.write_text(doc)
+            huge_files.append(str(path))
+        huge = (
+            ('{"expr":"x/2"}', PARTIAL_33, ADDITIVE, huge_files[0]),
+            ('{"expr":"x/2"}', PARTIAL_33, ADDITIVE, huge_files[1]),
+            (three, PARTIAL_33, ADDITIVE, huge_files[2]),
+            (huge_files[3], PARTIAL_33, ADDITIVE, line_file),
+            (three, PARTIAL_33, f'{{"kind":"bscaled","K":{big}}}', line_file),
+            (three, PARTIAL_33, f'{{"kind":"power","q":{big}}}', line_file),
+            (three, f'{{"tag":"chatterjea_bianchini","beta":{big}}}', ADDITIVE, line_file),
+        )
         for map_json, kind_json, phi_json, space_file in (
             (three, '{"tag":"partial","alpha":"x","beta":0.3}', ADDITIVE, line_file),
             (three, '{"tag":"partial","alpha":true,"beta":0.3}', ADDITIVE, line_file),
@@ -389,6 +432,7 @@ class TestErrorsAndUsage:
             (three, PARTIAL_33, '{"kind":"custom","expr":["u"]}', line_file),
             (three, PARTIAL_33, '{"kind":"custom","expr":5}', line_file),
             *bad_intervals,
+            *huge,
         ):
             code, out, err = run_main(capsys, ["classify", "--space", space_file,
                                                "--map", map_json, "--kind", kind_json,
@@ -397,6 +441,8 @@ class TestErrorsAndUsage:
             envelope = json.loads(err)
             jsonschema.validate(envelope, RESULT_SCHEMA)
             assert envelope["status"] == "error"
+            if (map_json, kind_json, phi_json, space_file) in huge:
+                assert "beyond the float64 range" in envelope["payload"]["error"], envelope
 
     def test_constant_map_leaving_the_interval_is_error(self, capsys, unit_file):
         escape = '{"expr":"5"}'
@@ -491,3 +537,85 @@ class TestRunCommand:
 
         monkeypatch.setattr(cli, "build_parser", rebuilt)
         assert run_command(argv).status == "ok"
+
+
+def assert_plain(value, where="payload"):
+    """Every leaf is exactly a str, int, finite float, bool or None, inside
+    lists and str-keyed dicts: no tuple, no numpy type, no inf or nan."""
+    if type(value) is dict:
+        for key, item in value.items():
+            assert type(key) is str, (where, key)
+            assert_plain(item, f"{where}.{key}")
+    elif type(value) is list:
+        for index, item in enumerate(value):
+            assert_plain(item, f"{where}[{index}]")
+    else:
+        assert type(value) in (str, int, float, bool, type(None)), (where, type(value))
+        assert type(value) is not float or math.isfinite(value), (where, value)
+
+
+class TestPlainReplies:
+    @pytest.fixture
+    def divided_file(self, tmp_path):
+        # d(0, y) = y/0 is inf and d(0, 0) = 0/0 is nan
+        path = tmp_path / "divided.json"
+        path.write_text('{"lo": 0, "hi": 1, "dist": "abs(x-y)/x"}')
+        return str(path)
+
+    def reply(self, argv):
+        envelope = run_command(argv).to_json()
+        json.dumps(envelope, allow_nan=False)
+        assert_plain(envelope)
+        return envelope["payload"]
+
+    def test_every_command_and_error_replies_plain_data(self, stretched_file, unit_file):
+        contract = ["--kind", PARTIAL_33, "--phi", ADDITIVE]
+        finite = ["--space", stretched_file, "--map", '{"images":[0,0,0]}']
+        interval = ["--space", unit_file, "--map", '{"expr":"x/2"}']
+        for argv in (
+            ["validate", "--space", stretched_file, "--phi", ADDITIVE],
+            ["validate", "--space", unit_file, "--phi", MAX],
+            ["classify", *finite, *contract],
+            ["classify", "--space", stretched_file, "--map", '{"images":[1,2,0]}', *contract],
+            ["classify", *interval, *contract],
+            ["classify", *interval, "--kind", '{"tag":"partial","alpha":0.6,"beta":0.5}',
+             "--phi", ADDITIVE],
+            ["iterate", *finite, "--x0", "y"],
+            ["iterate", *interval, "--x0", "1.0", "--format", "csv"],
+            ["bounds", *finite, *contract, "--x0", "y"],
+            ["bounds", *interval, *contract, "--x0", "1.0"],
+            ["bounds", *interval, "--kind", PARTIAL_33, "--phi", '{"kind":"bscaled","K":2.0}',
+             "--x0", "1.0"],
+            ["search", "--phi", '{"kind":"bscaled","K":2.0}', "--kind", PARTIAL_33,
+             "--budget", "20", "--seed", "3"],
+            ["validate", "--space", unit_file, "--phi", '{"kind":"nope"}'],
+            ["search", "--phi", ADDITIVE],
+            ["frobnicate"],
+        ):
+            assert self.reply(argv), argv
+
+    def test_non_finite_values_are_spelled(self, line_file, divided_file):
+        axioms = self.reply(["validate", "--space", line_file,
+                             "--phi", '{"kind":"power","q":1e-300}'])["phi_axioms"]
+        assert axioms["checks"][1] == {"name": "nonnegative", "passed": False,
+                                       "witness": [0.125, 0.125, "inf"],
+                                       "detail": "value out of R+"}
+
+        payload = self.reply(["validate", "--space", divided_file, "--phi", ADDITIVE])
+        assert payload["space"]["checks"][0]["witness"] == [0.0, 1.0, "inf"]
+        first, second = payload["triangle"]["violations"][:2]
+        assert first == {"x": 0.0, "y": 0.0, "z": 0.0, "lhs": "nan", "rhs": "nan"}
+        assert (second["lhs"], second["rhs"]) == ("nan", "inf")
+
+        certificate = self.reply(["classify", "--space", divided_file, "--map", '{"expr":"0.5"}',
+                                  "--kind", PARTIAL_33, "--phi", ADDITIVE])["certificate"]
+        assert certificate["margin"] == "nan"
+        assert certificate["witness"]["rhs"] == "nan"
+
+        orbit = ["--space", divided_file, "--map", '{"expr":"0.5"}', "--x0", "0"]
+        trace = self.reply(["iterate", *orbit, "--tol", "1e400"])
+        assert (trace["step_dists"], trace["tol"]) == (["inf", 0.0], "inf")
+        bounds = self.reply(["bounds", *orbit, "--kind", PARTIAL_33, "--phi", ADDITIVE])
+        assert (bounds["d01"], bounds["min_slack"]) == ("inf", "inf")
+        assert bounds["rows"][0] == {"n": 0, "x_n": 0.0, "step_dist": "inf", "bound": "inf",
+                                     "observed": "inf", "slack": "nan"}

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import contraction_lab as cl
 from contraction_lab import space as space_module
 from contraction_lab.search import random_semimetric
-from contraction_lab.space import SqueezeEntry, PairEntry
 
 from helpers import (
     line_space,
@@ -294,83 +293,6 @@ class TestMinimalB:
             assert cl.triangle_report(space, exact).count == 0
             shrunk = cl.custom(f"{k_star * (1.0 - 1e-6)!r}*(u+v)")
             assert cl.triangle_report(space, shrunk).count
-
-
-class TestContinuityHarness:
-    def test_additive_passes_default_battery(self):
-        report = cl.continuity_harness(unit_interval(), cl.additive())
-        assert not report.refused
-        assert report.passed
-        assert [e.status for e in report.entries] == ["pass"] * 5
-
-    def test_refuses_when_phi_fails_battery(self):
-        report = cl.continuity_harness(unit_interval(), cl.bscaled(2.0))
-        assert report.refused
-        assert "vanishing-deviation" in report.reason
-        assert not report.passed
-
-    def test_refuses_when_space_breaks_triangle(self):
-        report = cl.continuity_harness(unit_interval(), cl.maximum())
-        assert report.refused
-        assert "triangle" in report.reason
-
-    def test_refuses_squared_distance_under_additive(self):
-        report = cl.continuity_harness(
-            cl.IntervalSpace(0.0, 1.0, "(x-y)^2"), cl.additive()
-        )
-        assert report.refused
-
-    def test_squeeze_entry_passes_with_loose_tol(self):
-        entry = SqueezeEntry(
-            "inherit_limit",
-            lambda n: 1.0 / n,
-            lambda n: 1.0 / n,
-            lambda n: 1.0 + 2.0 / n,
-            1.0,
-            tol=1e-2,
-        )
-        report = cl.continuity_harness(unit_interval(), cl.additive(), battery=(entry,))
-        result = report.entries[0]
-        assert result.status == "pass"
-        assert result.kind == "squeeze"
-        assert result.max_deviation < 1e-2
-
-    def test_squeeze_entry_with_false_hypothesis_is_rejected(self):
-        entry = SqueezeEntry(
-            "bad_claim",
-            lambda n: 1.0 / n,
-            lambda n: 1.0 / n,
-            lambda n: 1.0 + 2.0 / n,
-            2.0,
-            tol=1e-2,
-        )
-        report = cl.continuity_harness(unit_interval(), cl.additive(), battery=(entry,))
-        result = report.entries[0]
-        assert result.status == "rejected"
-        assert "squeeze" in result.detail
-
-    def test_pair_entry_with_wrong_limit_fails(self):
-        entry = PairEntry(
-            "wrong_target",
-            lambda n: 0.0 + 1.0 / n**3,
-            lambda n: 1.0 - 1.0 / n**3,
-            0.5,
-            1.0,
-        )
-        report = cl.continuity_harness(unit_interval(), cl.additive(), battery=(entry,))
-        assert report.entries[0].status == "fail"
-        assert not report.passed
-
-    def test_pair_entry_leaving_interval_is_rejected(self):
-        entry = PairEntry(
-            "escapes",
-            lambda n: 1.0 + 1.0 / n,
-            lambda n: np.zeros_like(n),
-            1.0,
-            0.0,
-        )
-        report = cl.continuity_harness(unit_interval(), cl.additive(), battery=(entry,))
-        assert report.entries[0].status == "rejected"
 
 
 class TestViolatesRule:

@@ -335,6 +335,8 @@ class TestUnitProfile:
         assert cl.unit_profile_inverse(cl.power(0.5), 4.0) == pytest.approx(
             1.0, rel=1e-12
         )
+        # tau**q overflows here, although the inverse is tau to within float64
+        assert cl.unit_profile_inverse(cl.power(200.0), 1000.0) == 1000.0
 
     def test_bscaled_inverse(self):
         assert cl.unit_profile_inverse(cl.bscaled(2.0), 3.0) == 0.5
