@@ -3,9 +3,9 @@
 Commands: validate, classify, iterate, bounds, search.  Inputs are JSON
 (space from a file, map inline or from a file, phi/kind inline); reports are
 JSON envelopes {command, status, payload} on stdout with deterministic key
-order, or CSV tables for iterate/bounds with --format csv.  Exit codes:
-0 ok, 1 violation or not-applicable, 2 operational error, usage errors
-included.
+order, CSV tables for iterate/bounds with --format csv, or help text with
+-h.  Exit codes: 0 ok (help included), 1 violation or not-applicable, 2
+operational error, usage errors included.
 
 Setting CONTRACTION_LAB_SEED in the environment overrides --seed.
 """
@@ -118,12 +118,20 @@ def _resolve_seed(args) -> int:
     return args.seed if args.seed is not None else 0
 
 
+class _HelpRequested(Exception):
+    """-h or --help was given; the argument is the help text."""
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors, such as an unknown subcommand or option, as
-    ValueError instead of printing them and exiting."""
+    ValueError and a help request as _HelpRequested, instead of printing
+    them and exiting."""
 
     def error(self, message):
         raise ValueError(message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,6 +292,8 @@ _shared_parser = functools.cache(build_parser)
 
 
 def _execute(argv) -> tuple[CommandResult, str | None]:
+    """The result envelope, and the text `main` prints in its place (CSV
+    tables and help), if any."""
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in _HANDLERS else None
     try:
@@ -291,6 +301,9 @@ def _execute(argv) -> tuple[CommandResult, str | None]:
         if args.format == "csv" and args.command not in ("iterate", "bounds"):
             raise ValueError("--format csv is only available for iterate and bounds")
         return _HANDLERS[args.command](args)
+    except _HelpRequested as request:
+        text = request.args[0]
+        return CommandResult(command, "ok", {"help": text}), text.rstrip("\n")
     except (ValueError, RuntimeError, OSError) as exc:
         payload = {"error": f"{type(exc).__name__}: {exc}"}
         return CommandResult(command, "error", payload), None
@@ -302,11 +315,11 @@ def run_command(argv) -> CommandResult:
 
 
 def main(argv=None) -> int:
-    result, csv_text = _execute(argv)
+    result, text = _execute(argv)
     if result.status == "error":
         print(json.dumps(result.to_json(), indent=2, sort_keys=True), file=sys.stderr)
-    elif csv_text is not None:
-        print(csv_text)
+    elif text is not None:
+        print(text)
     else:
         print(json.dumps(result.to_json(), indent=2, sort_keys=True))
     return EXIT_CODES[result.status]

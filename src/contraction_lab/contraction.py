@@ -43,6 +43,7 @@ from .space import (
     FiniteSemimetricSpace,
     Space,
     StructuralError,
+    _interval_points,
     violates,
 )
 from .trifun import TriangleFunctionSpec, _json_float
@@ -214,12 +215,8 @@ class SelfMap:
             return
         if self.expr is None:
             raise StructuralError("interval spaces need an expression map")
-        xs = np.concatenate([
-            np.array([space.lo, 0.5 * (space.lo + space.hi), space.hi]),
-            space.lo + (space.hi - space.lo) * np.random.default_rng(DEFAULT_SEED).random(1000),
-        ])
-        # a constant map evaluates to a scalar: spread it over the samples
-        images = np.broadcast_to(np.asarray(self(xs), dtype=np.float64), xs.shape)
+        (xs,) = _interval_points(space, 1, 1000, DEFAULT_SEED)
+        images = self(xs)
         if not np.all(np.isfinite(images)) or not space.contains(images):
             k = int(np.argwhere(~np.isfinite(images) | (images < space.lo - 1e-12)
                                 | (images > space.hi + 1e-12))[0][0])
@@ -273,11 +270,7 @@ def _pair_components(space: Space, mapping: SelfMap, seed: int, samples: int):
             return labels[k // n], labels[k % n]
     else:
         scope, d = "sampled", space.d
-        ends = np.array([space.lo, 0.5 * (space.lo + space.hi), space.hi])
-        grid = np.array(np.meshgrid(ends, ends, indexing="ij")).reshape(2, -1).T
-        rng = np.random.default_rng(seed)
-        random_part = space.lo + (space.hi - space.lo) * rng.random((samples, 2))
-        xs, ys = np.vstack([grid, random_part]).T
+        xs, ys = _interval_points(space, 2, samples, seed)
 
         def point(k):
             return float(xs[k]), float(ys[k])
@@ -287,10 +280,6 @@ def _pair_components(space: Space, mapping: SelfMap, seed: int, samples: int):
         "x_tx": d(xs, txs), "y_ty": d(ys, tys),
         "x_ty": d(xs, tys), "y_tx": d(ys, txs),
     }
-    for name, value in components.items():
-        value = np.asarray(value, dtype=np.float64)
-        # a constant map evaluates to a scalar: spread it over the pairs
-        components[name] = value if value.shape == xs.shape else np.broadcast_to(value, xs.shape)
     lhs = components["lhs"]
     return scope, lambda k, rhs: PairWitness(*point(k), float(lhs[k]), float(rhs)), components
 

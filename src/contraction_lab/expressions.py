@@ -10,19 +10,26 @@ Grammar ('^' is right-associative and binds a unary base):
     atom   := number | ident | ident "(" expr ("," expr)* ")" | "(" expr ")"
 
 Numbers are decimal with an optional exponent.  Identifiers are limited to
-the variables x, y, u, v and the functions abs, min, max, sqrt.  Evaluation
-is double precision throughout; numpy arrays pass through element-wise, so a
-parsed expression can be applied to whole sample batches at once.  Division
-by zero and fractional powers of negatives produce inf/nan rather than
-raising; callers that need finite non-negative values check the result.
+the variables x, y, u, v and the functions abs, min, max, sqrt.  Parsing
+compiles the tree once into a closure; calling an Expression converts each
+keyword binding to float64 and evaluates in double precision throughout.
+Division by zero and fractional powers of negatives produce inf/nan rather
+than raising; callers that need finite non-negative values check the result.
+
+The value has the shape of the bindings: arrays pass through element-wise,
+so an expression applies to whole sample batches at once, and the value has
+the broadcast shape of all bindings even where the expression does not read
+one of them ("1" or "x" bound to arrays x and y).  When every binding is a
+scalar the value is a Python float.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import re
-from dataclasses import dataclass
-from typing import Iterable, Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -215,21 +222,6 @@ class _Parser:
         return Call(name.text, tuple(args))
 
 
-def _free_vars(node: Node) -> frozenset[str]:
-    if isinstance(node, Var):
-        return frozenset((node.name,))
-    if isinstance(node, Neg):
-        return _free_vars(node.operand)
-    if isinstance(node, BinOp):
-        return _free_vars(node.left) | _free_vars(node.right)
-    if isinstance(node, Call):
-        out: frozenset[str] = frozenset()
-        for arg in node.args:
-            out |= _free_vars(arg)
-        return out
-    return frozenset()
-
-
 # Grammar slots, loosest to tightest.  A node prints bare in a slot when its
 # own rank is at least the slot's; otherwise it gets wrapped in parentheses.
 _RANK_EXPR, _RANK_TERM, _RANK_FACTOR, _RANK_UNARY, _RANK_ATOM = range(5)
@@ -269,54 +261,59 @@ def unparse(node: Node, slot: int = _RANK_EXPR) -> str:
     return unparse(node.left, _RANK_EXPR) + node.op + unparse(node.right, _RANK_TERM)
 
 
-def _eval(node: Node, env: dict):
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": np.divide, "^": np.power}
+_CALLS = {"abs": np.abs, "sqrt": np.sqrt,
+          "min": lambda *args: functools.reduce(np.minimum, args),
+          "max": lambda *args: functools.reduce(np.maximum, args)}
+
+
+def _compile(node: Node) -> tuple[Callable[[dict], object], frozenset[str]]:
+    """The tree as one closure over a dict of float64 bindings, and the
+    variables it reads.  Numbers are np.float64; the operations are applied
+    depth first, left operand first."""
     if isinstance(node, Num):
-        return np.float64(node.value)
+        value = np.float64(node.value)
+        return (lambda env: value), frozenset()
     if isinstance(node, Var):
-        try:
-            value = env[node.name]
-        except KeyError:
-            raise ValueError(f"no value supplied for variable {node.name!r}") from None
-        return np.asarray(value, dtype=np.float64)
+        name = node.name
+        return (lambda env: env[name]), frozenset((name,))
     if isinstance(node, Neg):
-        return -_eval(node.operand, env)
-    if isinstance(node, Call):
-        args = [_eval(a, env) for a in node.args]
-        if node.func == "abs":
-            return np.abs(args[0])
-        if node.func == "sqrt":
-            return np.sqrt(args[0])
-        if node.func == "min":
-            return functools.reduce(np.minimum, args)
-        return functools.reduce(np.maximum, args)
-    left = _eval(node.left, env)
-    right = _eval(node.right, env)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        return np.divide(left, right)
-    return np.power(left, right)
+        operand, names = _compile(node.operand)
+        return (lambda env: -operand(env)), names
+    if isinstance(node, BinOp):
+        (left, lnames), (right, rnames) = _compile(node.left), _compile(node.right)
+        op = _BINARY[node.op]
+        return (lambda env: op(left(env), right(env))), lnames | rnames
+    args, names = zip(*(_compile(arg) for arg in node.args))
+    fn = _CALLS[node.func]
+    return (lambda env: fn(*[arg(env) for arg in args])), frozenset().union(*names)
 
 
 @dataclass(frozen=True)
 class Expression:
-    """A parsed expression: source text, tree and free variables."""
+    """A parsed expression: source text, tree, the variables it reads and
+    its compiled closure."""
 
     source: str
     tree: Node
     variables: frozenset[str]
+    compiled: Callable[[dict], object] = field(repr=False, compare=False)
 
     def __call__(self, **env):
-        """Evaluate with keyword bindings; arrays broadcast element-wise."""
-        with np.errstate(all="ignore"):
-            result = _eval(self.tree, env)
-        if np.ndim(result) == 0:
-            return float(result)
-        return result
+        """Evaluate with keyword bindings; see the module docstring for the
+        shape of the value."""
+        env = {name: np.asarray(value, dtype=np.float64) for name, value in env.items()}
+        try:
+            with np.errstate(all="ignore"):
+                result = self.compiled(env)
+        except KeyError as exc:
+            raise ValueError(f"no value supplied for variable {exc.args[0]!r}") from None
+        if len(env) > len(self.variables):  # a binding the value does not read
+            shape = np.broadcast(*env.values()).shape
+            if result.shape != shape:
+                result = np.full(shape, result)
+        return float(result) if result.ndim == 0 else result
 
     def text(self) -> str:
         """Canonical rendering; reparsing it reproduces the same tree."""
@@ -326,6 +323,6 @@ class Expression:
 def parse_expression(text: str, allowed: Iterable[str] | None = None) -> Expression:
     """Parse ``text``; ``allowed`` restricts which variables may appear."""
     allowed_vars = frozenset(VARIABLES if allowed is None else allowed)
-    tokens = _tokenize(text)
-    tree = _Parser(tokens, allowed_vars).parse()
-    return Expression(text, tree, _free_vars(tree))
+    tree = _Parser(_tokenize(text), allowed_vars).parse()
+    compiled, variables = _compile(tree)
+    return Expression(text, tree, variables, compiled)

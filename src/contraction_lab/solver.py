@@ -180,10 +180,9 @@ def picard_iterate(
     )
 
 
-def a_priori_bound(
-    phi: TriangleFunctionSpec, alpha: float, n: int, d01: float
-) -> float:
-    """The tail bound alpha^n * C(alpha) * d01; raises when C is infinite."""
+def _chain_constant(phi: TriangleFunctionSpec, alpha: float, n: int = 0, d01: float = 0.0) -> float:
+    """C(alpha) after checking the bound's inputs in turn; raises
+    BoundUnavailable when C is infinite."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
     if n < 0:
@@ -195,6 +194,12 @@ def a_priori_bound(
         raise BoundUnavailable(
             f"chain constant C({alpha:g}) is not finite for this triangle function"
         )
+    return c
+
+
+def a_priori_bound(phi: TriangleFunctionSpec, alpha: float, n: int, d01: float) -> float:
+    """The tail bound alpha^n * C(alpha) * d01; raises when C is infinite."""
+    c = _chain_constant(phi, alpha, n, d01)
     return alpha**n * c * d01
 
 
@@ -278,13 +283,7 @@ def verify_bound(
     The report is certified only when the distance-continuity battery
     passes for phi; otherwise it carries an explanatory note.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [0, 1)")
-    c = trifun.chain_bound_constant(phi, alpha)
-    if not math.isfinite(c):
-        raise BoundUnavailable(
-            f"chain constant C({alpha:g}) is not finite for this triangle function"
-        )
+    c = _chain_constant(phi, alpha)
     space = trace.space
     finite = isinstance(space, FiniteSemimetricSpace)
     if finite and isinstance(fixed_point, str):
@@ -301,18 +300,18 @@ def verify_bound(
         bound = alpha**n * c * d01
         slack = bound - observed
         min_slack = min(min_slack, slack)
-        if slack < -slack_tol:
+        if not slack >= -slack_tol:  # a NaN slack fails too
             bounds_ok = False
         step = trace.step_dists[n] if n < len(trace.step_dists) else None
         step_bound = alpha**n * d01 if step is not None else None
         step_ok = True
         if step is not None:
-            step_ok = not step > step_bound * (1.0 + 1e-12) + 1e-12
+            step_ok = step <= step_bound * (1.0 + 1e-12) + 1e-12
             if not step_ok:
                 steps_ok = False
         rows.append(BoundRow(n, labels[n], step, bound, observed, slack, step_bound, step_ok))
 
-    battery = trifun.limit_deviation_passes(phi)
+    battery = trifun._deviation_report(phi).passed
     note = "" if battery else (
         "not certified: distance continuity not established by the "
         "vanishing-deviation battery"

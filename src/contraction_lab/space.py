@@ -157,6 +157,16 @@ def _interval_samples(space: IntervalSpace, count: int, seed: int) -> np.ndarray
     return space.lo + (space.hi - space.lo) * rng.random(count)
 
 
+def _interval_points(space: IntervalSpace, arity: int, samples: int, seed: int) -> np.ndarray:
+    """Points of [lo, hi]^arity, one row per coordinate: every combination
+    of the endpoints and the midpoint in row-major order, then `samples`
+    seeded uniform points."""
+    ends = np.array([space.lo, 0.5 * (space.lo + space.hi), space.hi])
+    grid = np.array(np.meshgrid(*[ends] * arity, indexing="ij")).reshape(arity, -1).T
+    rng = np.random.default_rng(seed)
+    return np.vstack([grid, space.lo + (space.hi - space.lo) * rng.random((samples, arity))]).T
+
+
 def validate_semimetric(space: Space, seed: int = DEFAULT_SEED) -> SpaceReport:
     """Check the two semimetric axioms (plus non-negativity of values)."""
     if isinstance(space, FiniteSemimetricSpace):
@@ -194,16 +204,16 @@ def _validate_interval(space: IntervalSpace, seed: int) -> SpaceReport:
     ends = np.array([space.lo, 0.5 * (space.lo + space.hi), space.hi])
     xs = np.concatenate([ends, _interval_samples(space, PAIR_SAMPLES, seed)])
     ys = np.concatenate([ends[::-1], _interval_samples(space, PAIR_SAMPLES, seed + 1)])
-    # a constant distance evaluates to a scalar: spread it over the samples
-    dxy, dyx, dxx = (np.broadcast_to(np.asarray(space.d(a, b), dtype=np.float64), xs.shape)
-                     for a, b in ((xs, ys), (ys, xs), (xs, xs)))
+    dxy, dyx, dxx = space.d(xs, ys), space.d(ys, xs), space.d(xs, xs)
+    with np.errstate(invalid="ignore"):  # inf - inf: equal infinities are symmetric
+        gap = np.abs(dxy - dyx)
     checks = (
         _check("nonnegative", ~np.isfinite(dxy) | (dxy < -INEQ_ABS_TOL),
                lambda k: (float(xs[k]), float(ys[k]), float(dxy[k]))),
-        _check("symmetry",
-               np.abs(dxy - dyx) > INEQ_REL_TOL * np.maximum(1.0, np.abs(dxy)) + INEQ_ABS_TOL,
+        _check("symmetry", np.isnan(dxy) | np.isnan(dyx)
+               | (gap > INEQ_REL_TOL * np.maximum(1.0, np.abs(dxy)) + INEQ_ABS_TOL),
                lambda k: (float(xs[k]), float(ys[k]), float(dxy[k]), float(dyx[k]))),
-        _check("identity_zero_self", np.abs(dxx) > INEQ_ABS_TOL,
+        _check("identity_zero_self", ~(np.abs(dxx) <= INEQ_ABS_TOL),
                lambda k: (float(xs[k]), float(dxx[k]))),
         _check("identity_distinct_positive", (np.abs(xs - ys) > 1e-9) & (dxy <= INEQ_ABS_TOL),
                lambda k: (float(xs[k]), float(ys[k]), float(dxy[k]))),
@@ -262,7 +272,6 @@ def _triangle_blocks(space: Space, phi: TriangleFunctionSpec, seed: int, samples
         for xs, ys in _triple_blocks(n):
             lhs = D[xs, ys, None]
             rhs = trifun._eval_raw(phi, D[xs, None, :], D.T[None, ys, :])  # d(x,z), d(z,y)
-            rhs = np.broadcast_to(rhs, lhs.shape[:2] + (n,))
 
             def violation(idx, x0=xs.start, y0=ys.start, rhs=rhs):
                 x, y, z = x0 + idx[0], y0 + idx[1], idx[2]
@@ -271,16 +280,9 @@ def _triangle_blocks(space: Space, phi: TriangleFunctionSpec, seed: int, samples
             yield violates(lhs, rhs), violation
         return
 
-    ends = np.array([space.lo, 0.5 * (space.lo + space.hi), space.hi])
-    corners = np.array(np.meshgrid(ends, ends, ends, indexing="ij")).reshape(3, -1).T
-    rng = np.random.default_rng(seed)
-    random_part = space.lo + (space.hi - space.lo) * rng.random((samples, 3))
-    triples = np.vstack([corners, random_part])
-    xs, ys, zs = triples[:, 0], triples[:, 1], triples[:, 2]
-    # a constant distance or phi evaluates to a scalar: spread it over the triples
-    lhs = np.broadcast_to(np.asarray(space.d(xs, ys), dtype=np.float64), xs.shape)
-    rhs = np.broadcast_to(np.asarray(trifun._eval_raw(phi, space.d(xs, zs), space.d(zs, ys)),
-                                     dtype=np.float64), xs.shape)
+    xs, ys, zs = _interval_points(space, 3, samples, seed)
+    lhs = space.d(xs, ys)
+    rhs = trifun._eval_raw(phi, space.d(xs, zs), space.d(zs, ys))
 
     def violation(idx):
         (k,) = idx

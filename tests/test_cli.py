@@ -461,6 +461,46 @@ class TestErrorsAndUsage:
         assert json.loads(err)["status"] == "error"
 
 
+class TestNaNDistances:
+    """d(0, 0) = 0/0 is NaN on this interval; every check reading it fails."""
+
+    @pytest.fixture
+    def nan_file(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"lo": 0, "hi": 1, "dist": "abs(x-y)/x"}))
+        return str(path)
+
+    def test_validate_flags_identity_zero_self(self, nan_file):
+        result = run_command(["validate", "--space", nan_file, "--phi", ADDITIVE])
+        assert result.status == "violation"
+        checks = {c["name"]: c for c in result.payload["space"]["checks"]}
+        assert not checks["identity_zero_self"]["passed"]
+        assert checks["identity_zero_self"]["witness"] == [0.0, "nan"]
+
+    def test_classify_counts_nan_pairs_as_violations(self, nan_file):
+        result = run_command(["classify", "--space", nan_file, "--map", '{"expr":"0.5"}',
+                              "--kind", PARTIAL_33, "--phi", ADDITIVE])
+        assert result.status == "violation"
+        certificate = result.payload["certificate"]
+        assert certificate["margin"] == "nan"
+        assert certificate["violation_count"] > 0
+
+    def test_infinite_distances_are_symmetric_without_a_warning(self, tmp_path):
+        path = tmp_path / "inverse.json"
+        path.write_text(json.dumps({"lo": 0, "hi": 1, "dist": "1/abs(x-y)"}))
+        result = run_command(["validate", "--space", str(path), "--phi", ADDITIVE])
+        checks = {c["name"]: c["passed"] for c in result.payload["space"]["checks"]}
+        assert checks == {"nonnegative": False, "symmetry": True,
+                          "identity_zero_self": False, "identity_distinct_positive": True}
+
+    def test_bounds_fails_a_nan_slack(self, nan_file):
+        result = run_command(["bounds", "--space", nan_file, "--map", '{"expr":"0.5"}',
+                              "--kind", PARTIAL_33, "--phi", ADDITIVE, "--x0", "0"])
+        assert result.status == "violation"
+        assert result.payload["rows"][0]["slack"] == "nan"
+        assert not result.payload["bounds_ok"]
+
+
 class TestSchemas:
     def test_phi_schema(self):
         for doc in ({"kind": "additive"}, {"kind": "max"},
@@ -525,6 +565,19 @@ class TestRunCommand:
             jsonschema.validate(result.to_json(), RESULT_SCHEMA)
         assert run_command(["search", "--phi", ADDITIVE]).payload["error"] == \
             "ValueError: search requires --kind, --budget"
+
+    def test_help_returns_an_envelope(self, capsys):
+        for argv, command, usage in ((["--help"], None, "usage: contraction-lab [-h]"),
+                                     (["validate", "-h"], "validate",
+                                      "usage: contraction-lab validate [-h]")):
+            result = run_command(argv)
+            jsonschema.validate(result.to_json(), RESULT_SCHEMA)
+            assert (result.command, result.status) == (command, "ok"), argv
+            assert result.payload["help"].startswith(usage), argv
+            assert capsys.readouterr().out == "", argv
+            code, out, err = run_main(capsys, argv)
+            assert code == 0 and err == "", argv
+            assert out == result.payload["help"], argv
 
     def test_parser_is_built_once(self, unit_file, monkeypatch):
         import contraction_lab.cli as cli

@@ -1,7 +1,9 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contraction_lab.expressions import (
@@ -14,6 +16,7 @@ from contraction_lab.expressions import (
     UnknownIdentifierError,
     Var,
     parse_expression,
+    unparse,
 )
 
 
@@ -189,7 +192,63 @@ class TestRoundTripProperty:
     @settings(max_examples=200, deadline=None)
     @given(tree=_trees(("x", "y", "u", "v")))
     def test_print_parse_identity(self, tree):
-        from contraction_lab.expressions import unparse
-
         text = unparse(tree)
         assert parse_expression(text).tree == tree
+
+
+# Bindings for the array-against-scalar property: zero, negatives, values
+# below and above one, and large ones, so that inf and nan arise too.
+_POINTS = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-3, 7.25, 1e200])
+_XS, _YS = (grid.ravel() for grid in np.meshgrid(_POINTS, _POINTS[::-1], indexing="ij"))
+
+
+def _variable_exponent(node):
+    """Whether some '^' in the tree has an exponent that reads a variable.
+
+    numpy's power loop takes fast paths when the exponent is the same for
+    every element (sqrt for 0.5, x*x for 2, 1/x for -1), so a scalar call
+    can differ from an array call there: x^y at x = -0.0, y = 0.5 is -0.0
+    in a scalar call and 0.0 in an array call."""
+    if isinstance(node, BinOp):
+        if node.op == "^" and parse_expression(unparse(node.right)).variables:
+            return True
+        return _variable_exponent(node.left) or _variable_exponent(node.right)
+    if isinstance(node, Neg):
+        return _variable_exponent(node.operand)
+    if isinstance(node, Call):
+        return any(_variable_exponent(arg) for arg in node.args)
+    return False
+
+
+def _same_bits(a, b):
+    """Equal bit for bit, with any NaN matching any NaN."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+class TestArrayCalls:
+    @settings(max_examples=300, deadline=None)
+    @given(tree=_trees(("x", "y")))
+    def test_array_call_equals_scalar_calls(self, tree):
+        assume(not _variable_exponent(tree))
+        expr = parse_expression(unparse(tree))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = expr(x=_XS, y=_YS)
+            scalars = [expr(x=float(x), y=float(y)) for x, y in zip(_XS, _YS)]
+        assert all(type(value) is float for value in scalars)
+        assert _same_bits(values, scalars)
+
+    def test_constant_and_partial_expressions_take_the_bindings_shape(self):
+        column, row = np.arange(3.0)[:, None], np.arange(4.0)[None, :]
+        for text in ("1", "x", "2*x + 1", "min(x, 2)"):
+            expr = parse_expression(text)
+            assert np.shape(expr(x=column, y=row)) == (3, 4), text
+            assert np.shape(expr(x=np.arange(3.0), y=0.0)) == (3,), text
+            assert type(expr(x=0.5, y=0.25)) is float, text
+            assert type(expr(x=np.float64(0.5), y=np.asarray(0.25))) is float, text
+        assert _same_bits(parse_expression("1")(x=column, y=row), np.ones((3, 4)))
+        assert _same_bits(parse_expression("x")(x=column, y=row), np.repeat(column, 4, axis=1))
+        assert type(parse_expression("1")()) is float

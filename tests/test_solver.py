@@ -153,6 +153,15 @@ class TestAPrioriBound:
         with pytest.raises(ValueError):
             cl.a_priori_bound(cl.additive(), 0.5, 1, -1.0)
 
+    def test_argument_errors_come_before_an_infinite_constant(self):
+        for alpha, n, d01, message in ((1.0, -1, -1.0, "alpha"), (0.9, -1, -1.0, "n must"),
+                                       (0.9, 1, -1.0, "d01 must")):
+            with pytest.raises(ValueError, match=message):
+                cl.a_priori_bound(cl.bscaled(2.0), alpha, n, d01)
+        with pytest.raises(ValueError, match="alpha"):
+            cl.verify_bound(cl.picard_iterate(cl.IntervalSpace(0.0, 1.0), SelfMap(expr="x/2"),
+                                              1.0), cl.bscaled(2.0), 1.0, 0.0)
+
     def test_unavailable_when_chain_constant_infinite(self):
         with pytest.raises(BoundUnavailable):
             cl.a_priori_bound(cl.bscaled(2.0), 0.5, 1, 1.0)

@@ -77,6 +77,22 @@ class TestIntervalConstruction:
         with pytest.raises(ValueError):
             cl.IntervalSpace(0.0, 1.0, "u+v")
 
+    def test_distance_takes_the_shape_of_its_arguments(self):
+        constant = cl.IntervalSpace(0, 1, "1")
+        assert constant.d(np.arange(3.0), 0.0).shape == (3,)
+        assert type(constant.d(0.0, 0.5)) is float
+
+    def test_interval_points_lead_with_the_grid(self):
+        space = cl.IntervalSpace(0.0, 2.0)
+        xs, ys = space_module._interval_points(space, 2, 5, 7)
+        assert (xs[:9].tolist(), ys[:9].tolist()) == ([0.0] * 3 + [1.0] * 3 + [2.0] * 3,
+                                                      [0.0, 1.0, 2.0] * 3)
+        random = 2.0 * np.random.default_rng(7).random((5, 2))
+        assert (xs[9:].tolist(), ys[9:].tolist()) == (random[:, 0].tolist(), random[:, 1].tolist())
+        (only,) = space_module._interval_points(space, 1, 4, 7)
+        random = 2.0 * np.random.default_rng(7).random(4)
+        assert only.tolist() == [0.0, 1.0, 2.0] + random.tolist()
+
     def test_json_round_trip(self):
         space = cl.IntervalSpace(0.0, 2.0, "(x-y)^2")
         again = cl.IntervalSpace.from_json(space.to_json())
@@ -303,6 +319,13 @@ class TestViolatesRule:
         assert not violates(1.0 + 1e-13, 1.0)
         assert bool(violates(1.0 + 1e-11, 1.0))
         assert bool(violates(0.5, 0.4))
+
+    def test_nan_violates(self):
+        from contraction_lab.space import violates
+
+        assert bool(violates(math.nan, 1.0)) and bool(violates(1.0, math.nan))
+        assert violates(np.array([0.5, math.nan]), 1.0).tolist() == [False, True]
+        assert not violates(math.inf, math.inf)
 
     @settings(max_examples=100, deadline=None)
     @given(lhs=st.floats(min_value=0, max_value=1e6))

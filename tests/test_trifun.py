@@ -310,6 +310,23 @@ class TestLimitDeviationBattery:
         assert report.origin_continuous
 
 
+    def test_battery_runs_once_per_phi(self, monkeypatch):
+        from contraction_lab import solver
+
+        runs = []
+        real = trifun.check_limit_deviation
+        monkeypatch.setattr(trifun, "check_limit_deviation",
+                            lambda phi: runs.append(phi) or real(phi))
+        phi = cl.custom("max(u, v) + 0*u*v")  # a phi no other test runs the battery on
+        for name in ("origin_continuity", "distance_continuity", "origin_continuity"):
+            trifun.check_hypothesis(phi, name)
+        space = cl.IntervalSpace(0.0, 1.0)
+        trace = cl.picard_iterate(space, cl.SelfMap(expr="x/2"), 1.0)
+        assert solver.verify_bound(trace, phi, 0.5, 0.0).certified
+        assert runs == [phi]
+        assert trifun.check_hypothesis(phi, "origin_continuity")[0]
+
+
 class TestUnitProfile:
     def test_profile_values(self):
         assert cl.unit_profile(cl.additive(), 0.3) == 1.3
