@@ -7,6 +7,10 @@ order, CSV tables for iterate/bounds with --format csv, or help text with
 -h.  Exit codes: 0 ok (help included), 1 violation or not-applicable, 2
 operational error, usage errors included.
 
+One table, `_COMMANDS`, gives each command its help text, the inputs it
+reads in order, whether it prints CSV and its handler; `_INPUTS` reads each
+input, and the `from_json` readers hold every document to one field rule.
+
 Setting CONTRACTION_LAB_SEED in the environment overrides --seed.
 """
 
@@ -18,6 +22,7 @@ import functools
 import json
 import os
 import sys
+from typing import Callable
 
 from . import solver, trifun
 from .contraction import (
@@ -65,33 +70,16 @@ def _parse_int(text: str) -> int:
     return value
 
 
-def _inline_json(text: str, flag: str) -> dict:
+def _read_json(flag: str, text: str, inline: bool = True):
+    """The JSON document `flag` gives: `text` itself when `inline`, else the
+    file at path `text`."""
+    if not inline:
+        with open(text, "r", encoding="utf-8") as handle:
+            text = handle.read()
     try:
-        obj = json.loads(text, parse_int=_parse_int)
+        return json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{flag} is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ValueError(f"{flag} must be a JSON object")
-    return obj
-
-
-def _load_space(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle, parse_int=_parse_int)
-    if not isinstance(obj, dict):
-        raise ValueError("space file must hold a JSON object")
-    return space_from_json(obj)
-
-
-def _load_map(text: str) -> SelfMap:
-    if text.lstrip().startswith("{"):
-        obj = _inline_json(text, "--map")
-    else:
-        with open(text, "r", encoding="utf-8") as handle:
-            obj = json.load(handle, parse_int=_parse_int)
-        if not isinstance(obj, dict):
-            raise ValueError("map file must hold a JSON object")
-    return SelfMap.from_json(obj)
 
 
 def _parse_x0(space, text: str):
@@ -106,6 +94,18 @@ def _parse_x0(space, text: str):
         return float(text)
     except ValueError:
         raise ValueError(f"--x0 {text!r} is not a number") from None
+
+
+# flag -> reader of its value, given the inputs read before it
+_INPUTS = {
+    "space": lambda text, read: space_from_json(_read_json("--space", text, inline=False)),
+    "map": lambda text, read: SelfMap.from_json(
+        _read_json("--map", text, inline=text.lstrip().startswith("{"))),
+    "phi": lambda text, read: TriangleFunctionSpec.from_json(_read_json("--phi", text)),
+    "kind": lambda text, read: ContractionKind.from_json(_read_json("--kind", text)),
+    "x0": lambda text, read: _parse_x0(read["space"], text),
+    "budget": lambda value, read: value,
+}
 
 
 def _resolve_seed(args) -> int:
@@ -141,14 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
         "iterate maps, audit error bounds, and search for boundary instances.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("validate", "check space axioms and the triangle condition for phi"),
-        ("classify", "verify a contraction inequality and the matching principle"),
-        ("iterate", "run Picard iteration and report the trace"),
-        ("bounds", "audit the a-priori error bound along an orbit"),
-        ("search", "seeded randomized search for boundary instances"),
-    ):
-        cmd = sub.add_parser(name, help=blurb)
+    for name, command in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
         cmd.add_argument("--space", metavar="FILE", help="space JSON file")
         cmd.add_argument("--map", metavar="JSON|FILE", help="self-map JSON or file")
         cmd.add_argument("--phi", metavar="JSON", help="triangle function JSON")
@@ -162,12 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(args, names):
-    missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
-    if missing:
-        raise ValueError(f"{args.command} requires {', '.join(missing)}")
-
-
 def _orbit(args, space, mapping, x0):
     return solver.picard_iterate(
         space, mapping, x0,
@@ -176,10 +164,7 @@ def _orbit(args, space, mapping, x0):
     )
 
 
-def _cmd_validate(args):
-    _require(args, ("space", "phi"))
-    space = _load_space(args.space)
-    phi = TriangleFunctionSpec.from_json(_inline_json(args.phi, "--phi"))
+def _cmd_validate(args, space, phi):
     space_report = validate_semimetric(space)
     phi_report = trifun.check_axioms(phi)
     triangle = triangle_report(space, phi, listed=MAX_LISTED_VIOLATIONS)
@@ -187,21 +172,17 @@ def _cmd_validate(args):
         "space": space_report.to_json(),
         "phi_axioms": phi_report.to_json(),
         "triangle": triangle.to_json(),
+        # undefined on intervals and on a single point
         "minimal_b": _json_float(minimal_b_constant(space))
-        if isinstance(space, FiniteSemimetricSpace)
+        if isinstance(space, FiniteSemimetricSpace) and space.size >= 2
         else None,
     }
     ok = space_report.passed and phi_report.passed and triangle.count == 0
     return CommandResult("validate", "ok" if ok else "violation", payload), None
 
 
-def _cmd_classify(args):
-    _require(args, ("space", "map", "phi", "kind"))
-    space = _load_space(args.space)
-    mapping = _load_map(args.map)
+def _cmd_classify(args, space, mapping, phi, kind):
     mapping.validate_for(space)
-    phi = TriangleFunctionSpec.from_json(_inline_json(args.phi, "--phi"))
-    kind = ContractionKind.from_json(_inline_json(args.kind, "--kind"))
     certificate = verify_contraction(space, mapping, kind, listed=MAX_LISTED_VIOLATIONS)
     record = applicability(kind, phi)
     factor = step_contraction_factor(kind, phi)
@@ -219,24 +200,14 @@ def _cmd_classify(args):
     return CommandResult("classify", status, payload), None
 
 
-def _cmd_iterate(args):
-    _require(args, ("space", "map", "x0"))
-    space = _load_space(args.space)
-    mapping = _load_map(args.map)
-    x0 = _parse_x0(space, args.x0)
+def _cmd_iterate(args, space, mapping, x0):
     trace = _orbit(args, space, mapping, x0)
     status = "ok" if trace.stop_reason == "converged" else "violation"
     csv_text = trace.to_csv() if args.format == "csv" else None
     return CommandResult("iterate", status, trace.to_json()), csv_text
 
 
-def _cmd_bounds(args):
-    _require(args, ("space", "map", "phi", "kind", "x0"))
-    space = _load_space(args.space)
-    mapping = _load_map(args.map)
-    phi = TriangleFunctionSpec.from_json(_inline_json(args.phi, "--phi"))
-    kind = ContractionKind.from_json(_inline_json(args.kind, "--kind"))
-    x0 = _parse_x0(space, args.x0)
+def _cmd_bounds(args, space, mapping, phi, kind, x0):
     factor = step_contraction_factor(kind, phi)
     if not factor.derivable:
         payload = {"reason": factor.reason, "step_factor": factor.to_json()}
@@ -269,21 +240,31 @@ def _cmd_bounds(args):
     return CommandResult("bounds", status, payload), csv_text
 
 
-def _cmd_search(args):
-    _require(args, ("phi", "kind", "budget"))
-    phi = TriangleFunctionSpec.from_json(_inline_json(args.phi, "--phi"))
-    kind = ContractionKind.from_json(_inline_json(args.kind, "--kind"))
-    config = SearchConfig(phi=phi, kind=kind, budget=args.budget, seed=_resolve_seed(args))
+def _cmd_search(args, phi, kind, budget):
+    config = SearchConfig(phi=phi, kind=kind, budget=budget, seed=_resolve_seed(args))
     result = counterexample_search(config)
     return CommandResult("search", "ok", result.to_json()), None
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "classify": _cmd_classify,
-    "iterate": _cmd_iterate,
-    "bounds": _cmd_bounds,
-    "search": _cmd_search,
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    help: str
+    inputs: tuple[str, ...]  # required flags, read in this order and passed to the handler
+    handler: Callable[..., tuple[CommandResult, str | None]]
+    csv: bool = False  # --format csv is allowed
+
+
+_COMMANDS = {
+    "validate": _Command("check space axioms and the triangle condition for phi",
+                         ("space", "phi"), _cmd_validate),
+    "classify": _Command("verify a contraction inequality and the matching principle",
+                         ("space", "map", "phi", "kind"), _cmd_classify),
+    "iterate": _Command("run Picard iteration and report the trace",
+                        ("space", "map", "x0"), _cmd_iterate, csv=True),
+    "bounds": _Command("audit the a-priori error bound along an orbit",
+                       ("space", "map", "phi", "kind", "x0"), _cmd_bounds, csv=True),
+    "search": _Command("seeded randomized search for boundary instances",
+                       ("phi", "kind", "budget"), _cmd_search),
 }
 
 
@@ -291,16 +272,27 @@ _HANDLERS = {
 _shared_parser = functools.cache(build_parser)
 
 
+def _run(args) -> tuple[CommandResult, str | None]:
+    command = _COMMANDS[args.command]
+    if args.format == "csv" and not command.csv:
+        tabular = " and ".join(name for name, c in _COMMANDS.items() if c.csv)
+        raise ValueError(f"--format csv is only available for {tabular}")
+    missing = [f"--{name}" for name in command.inputs if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"{args.command} requires {', '.join(missing)}")
+    read = {}
+    for name in command.inputs:
+        read[name] = _INPUTS[name](getattr(args, name), read)
+    return command.handler(args, *read.values())
+
+
 def _execute(argv) -> tuple[CommandResult, str | None]:
     """The result envelope, and the text `main` prints in its place (CSV
     tables and help), if any."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _HANDLERS else None
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _shared_parser().parse_args(argv)
-        if args.format == "csv" and args.command not in ("iterate", "bounds"):
-            raise ValueError("--format csv is only available for iterate and bounds")
-        return _HANDLERS[args.command](args)
+        return _run(_shared_parser().parse_args(argv))
     except _HelpRequested as request:
         text = request.args[0]
         return CommandResult(command, "ok", {"help": text}), text.rstrip("\n")

@@ -29,7 +29,6 @@ triangle-function families apart lives in trifun's own table.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,7 +45,8 @@ from .space import (
     _interval_points,
     violates,
 )
-from .trifun import TriangleFunctionSpec, _json_float
+from .trifun import (TriangleFunctionSpec, _INTEGERS, _NUMBER, _STRING, _json_fields,
+                     _json_float, _real)
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,7 @@ class ContractionKind:
         for name in ("alpha", "beta", "delta"):
             value = getattr(self, name)
             if name in wanted:
-                if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                        or not math.isfinite(value) or value < 0.0):
+                if not (_real(value) and math.isfinite(value) and value >= 0.0):
                     raise ValueError(f"{self.tag} needs finite {name} >= 0")
             elif value is not None:
                 raise ValueError(f"{self.tag} does not take {name}")
@@ -161,11 +160,8 @@ class ContractionKind:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ContractionKind":
-        if not isinstance(obj, dict) or "tag" not in obj:
-            raise ValueError("contraction kind JSON needs a 'tag' field")
-        extra = set(obj) - {"tag", "alpha", "beta", "delta"}
-        if extra:
-            raise ValueError(f"unknown contraction kind fields: {sorted(extra)}")
+        obj = _json_fields(obj, ValueError, "contraction kind", {"tag": _STRING},
+                           dict.fromkeys(("alpha", "beta", "delta"), _NUMBER))
         return cls(obj["tag"], obj.get("alpha"), obj.get("beta"), obj.get("delta"))
 
 
@@ -185,17 +181,10 @@ class SelfMap:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SelfMap":
-        if not isinstance(obj, dict):
-            raise StructuralError("self-map JSON must be an object")
-        if "images" in obj:
-            images = obj["images"]
-            if not isinstance(images, (list, tuple)) or not all(
-                    isinstance(i, int) and not isinstance(i, bool) for i in images):
-                raise StructuralError("self-map images must be integer indices")
-            return cls(images=tuple(images))
-        if "expr" in obj:
-            return cls(expr=str(obj["expr"]))
-        raise StructuralError("self-map JSON needs 'images' or 'expr'")
+        obj = _json_fields(obj, StructuralError, "self-map", {},
+                           {"images": _INTEGERS, "expr": _STRING})
+        images = obj.get("images")
+        return cls(None if images is None else tuple(map(int, images)), obj.get("expr"))
 
     def to_json(self) -> dict:
         if self.images is not None:
@@ -306,7 +295,7 @@ def defining_rhs(kind: ContractionKind, space: Space, mapping: SelfMap, x, y) ->
     d = space.d
     components = {"dxy": d(x, y), "x_tx": d(x, tx), "y_ty": d(y, ty),
                   "x_ty": d(x, ty), "y_tx": d(y, tx)}
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is nan, which violates
         return float(_rhs(kind, components))
 
 
@@ -356,10 +345,10 @@ def verify_contraction(
     listing the first `listed` violating pairs (all of them when None)."""
     scope, pair_witness, components = _pair_components(space, mapping, seed, samples)
     lhs = components["lhs"]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf and inf - inf are nan
         rhs = _rhs(kind, components)
         bad = np.flatnonzero(violates(lhs, rhs))
-    margins = rhs - lhs
+        margins = rhs - lhs
     k = int(np.argmin(margins))
     violations = tuple(pair_witness(a, rhs[a]) for a in bad[:listed].tolist())
     return ContractionCertificate(kind, scope, float(margins[k]), pair_witness(k, rhs[k]),

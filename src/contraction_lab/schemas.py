@@ -1,54 +1,51 @@
 """JSON Schemas for the documents the command line reads and writes.
 
-These mirror the `to_json`/`from_json` pairs on the core types, so that
-other tooling can validate payloads with a JSON Schema validator.  Importing
-this module runs the package `__init__` (numpy included); the contraction
-tags come from `contraction.TAGS`.
+They describe the `to_json`/`from_json` pairs on the core types, so that
+other tooling can validate payloads with a JSON Schema validator.  The
+program itself reads its inputs with the `from_json` readers, which are the
+source of truth; a drift test (`tests/test_boundary.py`) holds each input
+schema to its reader, which rejects a document exactly when the schema does
+or when it breaks a rule no schema states (finite numbers, distinct labels,
+a square matrix, lo < hi, a parseable expression).  Importing this module
+runs the package `__init__` (numpy included); the families come from the
+tables in `trifun` and `contraction`, and the commands from the CLI's.
 """
 
 from __future__ import annotations
 
-from .contraction import TAGS
+from .cli import _COMMANDS
+from .contraction import TAG_CONSTANTS
+from .trifun import _KINDS
 
 _NUMBER = {"type": "number"}
+_STRING = {"type": "string"}
+_CONSTANT = {"type": "number", "minimum": 0}
+# the parameters of the triangle-function and contraction families
+_PARAMS = {"K": {"type": "number", "minimum": 1}, "q": {"type": "number", "exclusiveMinimum": 0},
+           "expr": _STRING, "alpha": _CONSTANT, "beta": _CONSTANT, "delta": _CONSTANT}
+
+
+def _families(tag: str, params: dict) -> list:
+    """One branch per family in `params` (name -> its parameters): `tag`
+    names the family, and its parameters are required and no other field
+    is allowed."""
+    return [{"properties": {tag: {"const": name}, **{p: _PARAMS[p] for p in names}},
+             "required": [tag, *names], "additionalProperties": False}
+            for name, names in params.items()]
+
 
 PHI_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "Triangle function",
     "type": "object",
-    "oneOf": [
-        {
-            "properties": {"kind": {"const": "additive"}},
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {"kind": {"const": "max"}},
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {"kind": {"const": "bscaled"}, "K": {"type": "number", "minimum": 1}},
-            "required": ["kind", "K"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {"kind": {"const": "power"}, "q": {"type": "number", "exclusiveMinimum": 0}},
-            "required": ["kind", "q"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {"kind": {"const": "custom"}, "expr": {"type": "string"}},
-            "required": ["kind", "expr"],
-            "additionalProperties": False,
-        },
-    ],
+    "oneOf": _families("kind", {kind: [row.param] if row.param else []
+                                for kind, row in _KINDS.items()}),
 }
 
 FINITE_SPACE_SCHEMA = {
     "type": "object",
     "properties": {
-        "labels": {"type": "array", "items": {"type": "string"}, "minItems": 1},
+        "labels": {"type": "array", "items": _STRING, "minItems": 1},
         "dist": {"type": "array", "items": {"type": "array", "items": _NUMBER}},
     },
     "required": ["labels", "dist"],
@@ -57,11 +54,7 @@ FINITE_SPACE_SCHEMA = {
 
 INTERVAL_SPACE_SCHEMA = {
     "type": "object",
-    "properties": {
-        "lo": _NUMBER,
-        "hi": _NUMBER,
-        "dist": {"type": "string"},
-    },
+    "properties": {"lo": _NUMBER, "hi": _NUMBER, "dist": _STRING},
     "required": ["lo", "hi"],
     "additionalProperties": False,
 }
@@ -83,7 +76,7 @@ MAP_SCHEMA = {
             "additionalProperties": False,
         },
         {
-            "properties": {"expr": {"type": "string"}},
+            "properties": {"expr": _STRING},
             "required": ["expr"],
             "additionalProperties": False,
         },
@@ -94,14 +87,7 @@ KIND_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "Contraction kind",
     "type": "object",
-    "properties": {
-        "tag": {"enum": list(TAGS)},
-        "alpha": {"type": "number", "minimum": 0},
-        "beta": {"type": "number", "minimum": 0},
-        "delta": {"type": "number", "minimum": 0},
-    },
-    "required": ["tag"],
-    "additionalProperties": False,
+    "oneOf": _families("tag", TAG_CONSTANTS),
 }
 
 RESULT_SCHEMA = {
@@ -110,7 +96,7 @@ RESULT_SCHEMA = {
     "type": "object",
     "properties": {
         # null in the error envelope of an argv that names no command
-        "command": {"enum": ["validate", "classify", "iterate", "bounds", "search", None]},
+        "command": {"enum": [*_COMMANDS, None]},
         "status": {"enum": ["ok", "violation", "not-applicable", "error"]},
         "payload": {"type": "object"},
     },

@@ -299,7 +299,8 @@ def verify_bound(
         observed = float(space.d(point, fixed_point))
         bound = alpha**n * c * d01
         slack = bound - observed
-        min_slack = min(min_slack, slack)
+        if slack < min_slack or math.isnan(slack):  # once a NaN, it stays
+            min_slack = slack
         if not slack >= -slack_tol:  # a NaN slack fails too
             bounds_ok = False
         step = trace.step_dists[n] if n < len(trace.step_dists) else None

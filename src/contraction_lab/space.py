@@ -17,7 +17,6 @@ a caller asks for (`triangle_report`'s `listed`).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -25,8 +24,8 @@ import numpy as np
 
 from . import trifun
 from .expressions import Expression, parse_expression
-from .trifun import (INEQ_ABS_TOL, INEQ_REL_TOL, CheckItem, TriangleFunctionSpec, _json_float,
-                     violates)
+from .trifun import (INEQ_ABS_TOL, INEQ_REL_TOL, CheckItem, TriangleFunctionSpec, _MATRIX, _NUMBER,
+                     _STRING, _STRINGS, _check, _json_fields, _json_float, _real, violates)
 
 DEFAULT_SEED = 0
 TRIPLE_SAMPLES = 10_000
@@ -49,7 +48,10 @@ class FiniteSemimetricSpace:
     dist: np.ndarray
 
     def __post_init__(self):
-        matrix = np.asarray(self.dist, dtype=np.float64)
+        try:
+            matrix = np.asarray(self.dist, dtype=np.float64)
+        except ValueError as exc:  # ragged rows
+            raise StructuralError(f"bad distance matrix: {exc}") from None
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise StructuralError("distance matrix must be square")
         if matrix.shape[0] != len(self.labels):
@@ -78,15 +80,9 @@ class FiniteSemimetricSpace:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteSemimetricSpace":
-        if not isinstance(obj, dict) or "labels" not in obj or "dist" not in obj:
-            raise StructuralError("finite space JSON needs 'labels' and 'dist'")
-        if not isinstance(obj["labels"], (list, tuple)):
-            raise StructuralError("finite space labels must be a list")
-        try:
-            matrix = np.asarray(obj["dist"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise StructuralError(f"bad distance matrix: {exc}") from None
-        return cls(tuple(str(x) for x in obj["labels"]), matrix)
+        obj = _json_fields(obj, StructuralError, "finite space",
+                           {"labels": _STRINGS, "dist": _MATRIX})
+        return cls(tuple(obj["labels"]), obj["dist"])
 
 
 @dataclass(frozen=True)
@@ -98,8 +94,9 @@ class IntervalSpace:
     dist_expr: str = "abs(x-y)"
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise StructuralError("interval endpoints must be finite")
+        if not all(_real(end) and math.isfinite(end) for end in (self.lo, self.hi)):
+            raise StructuralError(f"interval endpoints must be finite numbers, got "
+                                  f"{self.lo!r} and {self.hi!r}")
         if not self.lo < self.hi:
             raise StructuralError("interval needs lo < hi")
         object.__setattr__(self, "_dist", parse_expression(self.dist_expr, allowed=("x", "y")))
@@ -120,15 +117,9 @@ class IntervalSpace:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IntervalSpace":
-        if not isinstance(obj, dict) or "lo" not in obj or "hi" not in obj:
-            raise StructuralError("interval space JSON needs 'lo' and 'hi'")
-        for name in ("lo", "hi"):
-            if isinstance(obj[name], bool) or not isinstance(obj[name], numbers.Real):
-                raise StructuralError(f"interval {name} must be a number, got {obj[name]!r}")
-        dist = obj.get("dist", "abs(x-y)")
-        if not isinstance(dist, str):
-            raise StructuralError(f"interval dist must be an expression string, got {dist!r}")
-        return cls(float(obj["lo"]), float(obj["hi"]), dist)
+        obj = _json_fields(obj, StructuralError, "interval space",
+                           {"lo": _NUMBER, "hi": _NUMBER}, {"dist": _STRING})
+        return cls(float(obj["lo"]), float(obj["hi"]), obj.get("dist", "abs(x-y)"))
 
 
 Space = Union[FiniteSemimetricSpace, IntervalSpace]
@@ -136,7 +127,7 @@ Space = Union[FiniteSemimetricSpace, IntervalSpace]
 
 def space_from_json(obj: dict) -> Space:
     """Dispatch on the payload shape: labelled matrix or interval."""
-    if isinstance(obj, dict) and "labels" in obj:
+    if "labels" in _json_fields(obj, StructuralError, "space"):
         return FiniteSemimetricSpace.from_json(obj)
     return IntervalSpace.from_json(obj)
 
@@ -172,14 +163,6 @@ def validate_semimetric(space: Space, seed: int = DEFAULT_SEED) -> SpaceReport:
     if isinstance(space, FiniteSemimetricSpace):
         return _validate_finite(space)
     return _validate_interval(space, seed)
-
-
-def _check(name: str, failed, witness, detail: str = "") -> CheckItem:
-    """The check `name`, failing at the first set entry of the mask `failed`
-    with the witness witness(*index) of that entry."""
-    if not np.any(failed):
-        return CheckItem(name, True)
-    return CheckItem(name, False, witness(*np.argwhere(failed)[0]), detail)
 
 
 def _validate_finite(space: FiniteSemimetricSpace) -> SpaceReport:
@@ -288,7 +271,7 @@ def _triangle_blocks(space: Space, phi: TriangleFunctionSpec, seed: int, samples
         (k,) = idx
         return TriangleViolation(float(xs[k]), float(ys[k]), float(zs[k]),
                                  float(lhs[k]), float(rhs[k]))
-    yield violates(lhs, rhs) | ~np.isfinite(rhs), violation
+    yield violates(lhs, rhs), violation
 
 
 def triangle_report(

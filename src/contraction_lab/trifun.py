@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -77,6 +78,59 @@ def _json_float(value):
     if isinstance(value, float) and not math.isfinite(value):
         return "nan" if math.isnan(value) else "inf" if value > 0.0 else "-inf"
     return value
+
+
+def _number_type(kind: type) -> bool:
+    """The package's one number rule, on a type: a real number, not a bool
+    (a string is no number at all)."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+
+def _real(value) -> bool:
+    return _number_type(type(value))
+
+
+def _numbers(row) -> bool:
+    """A list of numbers, checked in one C-level pass over its entry types."""
+    return isinstance(row, list) and all(map(_number_type, set(map(type, row))))
+
+
+# Field rules: what a field must hold, and the test of it.
+_NUMBER = ("a number", _real)
+_STRING = ("a string", lambda value: isinstance(value, str))
+_STRINGS = ("a list of strings", lambda value: isinstance(value, list)
+            and set(map(type, value)) <= {str})
+_MATRIX = ("a list of lists of numbers", lambda value: isinstance(value, list)
+           and all(map(_numbers, value)))
+# JSON has one number type, so an integer is one without a fractional part
+_INTEGERS = ("a list of integers", lambda value: isinstance(value, list) and all(
+    type(i) is int or type(i) is float and i.is_integer() for i in value))
+
+
+def _json_fields(obj, error: type, what: str, required=None, optional=None) -> dict:
+    """`obj`, the JSON document a `from_json` reader is given, once it holds
+    to the package's one field rule: a JSON object with every `required`
+    field, no field outside `required` and `optional`, no null, and each
+    field passing its rule; these map field names to (description, test)
+    pairs.  With no rules given only the object is checked.  A breach
+    raises `error`.  Private to the package, like `_json_float`."""
+    if not isinstance(obj, dict):
+        raise error(f"{what} JSON must be an object, got {reprlib.repr(obj)}")
+    if required is None:
+        return obj
+    missing = [name for name in required if name not in obj]
+    if missing:
+        raise error(f"{what} JSON needs {', '.join(map(repr, missing))}")
+    rules = {**required, **(optional or {})}
+    unknown = [name for name in obj if name not in rules]
+    if unknown:
+        raise error(f"unknown {what} fields: {unknown}")
+    for name, value in obj.items():
+        description, test = rules[name]
+        if value is None or not test(value):
+            got = "null" if value is None else reprlib.repr(value)
+            raise error(f"{what} {name} must be {description}, got {got}")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -141,7 +195,7 @@ _KINDS = {
     "bscaled": _Kind(
         lambda phi, u, v: phi.K * np.add(u, v, dtype=np.float64),
         param="K",
-        valid=lambda K: K is not None and math.isfinite(K) and K >= 1.0,
+        valid=lambda K: _real(K) and math.isfinite(K) and K >= 1.0,
         requirement="bscaled requires a finite scale K >= 1",
         c_alpha=lambda phi, a: phi.K / (1.0 - a * phi.K) if a * phi.K < 1.0 else math.inf,
         inverse=lambda phi, tau: max(tau / phi.K - 1.0, 0.0),
@@ -158,7 +212,7 @@ _KINDS = {
     "power": _Kind(
         lambda phi, u, v: np.power(np.power(u, phi.q) + np.power(v, phi.q), 1.0 / phi.q),
         param="q",
-        valid=lambda q: q is not None and math.isfinite(q) and q > 0.0,
+        valid=lambda q: _real(q) and math.isfinite(q) and q > 0.0,
         requirement="power requires a finite exponent q > 0",
         quiet=True,
         c_alpha=_power_c_alpha,
@@ -191,11 +245,6 @@ class TriangleFunctionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown triangle function kind {self.kind!r}")
-        for name in ("K", "q"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, numbers.Real)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
         row = _KINDS[self.kind]
         for name, label in (("K", "K"), ("q", "q"), ("expr", "an expression")):
             value = getattr(self, name)
@@ -214,11 +263,8 @@ class TriangleFunctionSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TriangleFunctionSpec":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValueError("triangle function JSON needs a 'kind' field")
-        extra = set(obj) - {"kind", "K", "q", "expr"}
-        if extra:
-            raise ValueError(f"unknown triangle function fields: {sorted(extra)}")
+        obj = _json_fields(obj, ValueError, "triangle function", {"kind": _STRING},
+                           {"K": _NUMBER, "q": _NUMBER, "expr": _STRING})
         return cls(obj["kind"], obj.get("K"), obj.get("q"), obj.get("expr"))
 
 
@@ -302,6 +348,14 @@ class CheckItem:
                 "detail": self.detail}
 
 
+def _check(name: str, failed, witness, detail: str = "") -> CheckItem:
+    """The check `name`, failing at the first set entry of the mask `failed`
+    with the witness witness(*index) of that entry."""
+    if not np.any(failed):
+        return CheckItem(name, True)
+    return CheckItem(name, False, witness(*np.argwhere(failed)[0]), detail)
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     passed: bool
@@ -332,51 +386,27 @@ def check_axioms(
         # differences of infinite values are nan, which flags nothing
         gap = np.abs(values - values.T)
         slot_diffs = (np.diff(values, axis=0), np.diff(values, axis=1))
-    checks: list[CheckItem] = []
-
     origin = float(values[0, 0])
-    checks.append(
-        CheckItem(
-            "zero_at_origin",
-            abs(origin) <= ABS_TOL,
-            None if abs(origin) <= ABS_TOL else (0.0, 0.0, origin),
-            f"phi(0,0) = {origin}",
-        )
+    at_origin = abs(origin) <= ABS_TOL
+    checks = (
+        CheckItem("zero_at_origin", at_origin, None if at_origin else (0.0, 0.0, origin),
+                  f"phi(0,0) = {origin}"),
+        _check("nonnegative", ~np.isfinite(values) | (values < -ABS_TOL),
+               lambda i, j: (float(axis[i]), float(axis[j]), float(values[i, j])),
+               "value out of R+"),
+        _check("symmetry", gap > REL_TOL * np.maximum(1.0, np.abs(values)),
+               lambda i, j: (float(axis[i]), float(axis[j]), float(values[i, j]),
+                             float(values[j, i])),
+               "phi(u,v) != phi(v,u)"),
+        _check("monotone_first_slot",
+               slot_diffs[0] < -(REL_TOL * np.maximum(1.0, np.abs(values[:-1, :])) + ABS_TOL),
+               lambda i, j: (float(axis[i]), float(axis[i + 1]), float(axis[j])),
+               "value decreases along the slot"),
+        _check("monotone_second_slot",
+               slot_diffs[1] < -(REL_TOL * np.maximum(1.0, np.abs(values[:, :-1])) + ABS_TOL),
+               lambda i, j: (float(axis[i]), float(axis[j]), float(axis[j + 1])),
+               "value decreases along the slot"),
     )
-
-    bad = ~np.isfinite(values) | (values < -ABS_TOL)
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        witness = (float(axis[i]), float(axis[j]), float(values[i, j]))
-        checks.append(CheckItem("nonnegative", False, witness, "value out of R+"))
-    else:
-        checks.append(CheckItem("nonnegative", True))
-
-    tol = REL_TOL * np.maximum(1.0, np.abs(values))
-    asym = gap > tol
-    if np.any(asym):
-        i, j = np.argwhere(asym)[0]
-        witness = (float(axis[i]), float(axis[j]), float(values[i, j]), float(values[j, i]))
-        checks.append(CheckItem("symmetry", False, witness, "phi(u,v) != phi(v,u)"))
-    else:
-        checks.append(CheckItem("symmetry", True))
-
-    for name, diffs, argpair in (
-        ("monotone_first_slot", slot_diffs[0], 0),
-        ("monotone_second_slot", slot_diffs[1], 1),
-    ):
-        slack = REL_TOL * np.maximum(1.0, np.abs(values[:-1, :] if argpair == 0 else values[:, :-1]))
-        drop = diffs < -(slack + ABS_TOL)
-        if np.any(drop):
-            i, j = np.argwhere(drop)[0]
-            if argpair == 0:
-                witness = (float(axis[i]), float(axis[i + 1]), float(axis[j]))
-            else:
-                witness = (float(axis[i]), float(axis[j]), float(axis[j + 1]))
-            checks.append(CheckItem(name, False, witness, "value decreases along the slot"))
-        else:
-            checks.append(CheckItem(name, True))
-
     return AxiomReport(all(c.passed for c in checks), tuple(checks))
 
 

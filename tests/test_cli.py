@@ -8,7 +8,7 @@ import pytest
 
 from contraction_lab import trifun
 from contraction_lab.cli import MAX_LISTED_VIOLATIONS, main, run_command
-from contraction_lab.contraction import TAGS
+from contraction_lab.contraction import TAG_CONSTANTS, TAGS
 from contraction_lab.schemas import (
     KIND_SCHEMA,
     MAP_SCHEMA,
@@ -444,6 +444,53 @@ class TestErrorsAndUsage:
             if (map_json, kind_json, phi_json, space_file) in huge:
                 assert "beyond the float64 range" in envelope["payload"]["error"], envelope
 
+    def test_documents_breaking_the_field_rule_exit_two(self, capsys, line_file, unit_file,
+                                                        tmp_path):
+        spaces = []
+        for index, doc in enumerate((
+            '{"labels": ["a", "b"], "dist": [[false, true], [true, false]]}',
+            '{"labels": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}',
+            '{"labels": [1, 2], "dist": [[0, 1], [1, 0]]}',
+            '{"lo": 0, "hi": 1, "foo": 2}',
+        )):
+            path = tmp_path / f"space{index}.json"
+            path.write_text(doc)
+            spaces.append(str(path))
+        three = '{"images":[0,0,0]}'
+        classify = ["classify", "--space", line_file, "--phi", ADDITIVE]
+        for argv in (
+            *(["validate", "--space", path, "--phi", ADDITIVE] for path in spaces),
+            [*classify, "--map", '{"images":[0,0,0],"bogus":1}', "--kind", PARTIAL_33],
+            [*classify, "--map", '{"images":[0,0,0],"expr":"x"}', "--kind", PARTIAL_33],
+            ["iterate", "--space", unit_file, "--map", '{"expr":5}', "--x0", "0"],
+            ["validate", "--space", line_file, "--phi", '{"kind":"additive","K":null}'],
+            [*classify, "--map", three, "--kind", '{"tag":"bianchini","beta":0.5,"alpha":null}'],
+            [*classify, "--map", three, "--kind", '{"tag":"partial","delta":0.1}'],
+        ):
+            code, out, err = run_main(capsys, argv)
+            assert code == 2 and out == "", argv
+            assert json.loads(err)["status"] == "error", argv
+
+    def test_expr_must_be_a_string(self, unit_file):
+        error = run_command(["iterate", "--space", unit_file, "--map", '{"expr":5}',
+                             "--x0", "0"]).payload["error"]
+        assert error == "StructuralError: self-map expr must be a string, got 5"
+
+    def test_one_point_space_validates(self, tmp_path):
+        path = tmp_path / "point.json"
+        path.write_text('{"labels": ["a"], "dist": [[0]]}')
+        result = run_command(["validate", "--space", str(path), "--phi", ADDITIVE])
+        assert (result.status, result.payload["minimal_b"]) == ("ok", None)
+
+    def test_zero_constant_times_infinite_distance_is_a_quiet_violation(self, tmp_path):
+        # beta * d = 0 * inf is nan, which violates, without a numpy warning
+        path = tmp_path / "inverse.json"
+        path.write_text('{"lo": 0, "hi": 1, "dist": "1/abs(x-y)"}')
+        result = run_command(["classify", "--space", str(path), "--map", '{"expr":"0.5"}',
+                              "--kind", '{"tag":"bianchini","beta":0}', "--phi", ADDITIVE])
+        assert result.status == "violation"
+        assert result.payload["certificate"]["margin"] == "nan"
+
     def test_constant_map_leaving_the_interval_is_error(self, capsys, unit_file):
         escape = '{"expr":"5"}'
         for argv in (["iterate", "--x0", "0.5"],
@@ -498,6 +545,7 @@ class TestNaNDistances:
                               "--kind", PARTIAL_33, "--phi", ADDITIVE, "--x0", "0"])
         assert result.status == "violation"
         assert result.payload["rows"][0]["slack"] == "nan"
+        assert result.payload["min_slack"] == "nan"
         assert not result.payload["bounds_ok"]
 
 
@@ -534,7 +582,13 @@ class TestSchemas:
             jsonschema.validate({"images": [0], "expr": "x"}, MAP_SCHEMA)
 
     def test_kind_schema(self):
-        assert KIND_SCHEMA["properties"]["tag"]["enum"] == list(TAGS)
+        branches = {entry["properties"]["tag"]["const"]: entry for entry in KIND_SCHEMA["oneOf"]}
+        assert tuple(branches) == TAGS
+        for tag, entry in branches.items():
+            assert entry["required"] == ["tag", *TAG_CONSTANTS[tag]], tag
+            assert sorted(entry["properties"]) == sorted(entry["required"]), tag
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({"tag": "partial", "delta": 0.1}, KIND_SCHEMA)
         jsonschema.validate({"tag": "partial", "alpha": 0.3, "beta": 0.4}, KIND_SCHEMA)
         jsonschema.validate({"tag": "bianchini", "beta": 0.5}, KIND_SCHEMA)
         with pytest.raises(jsonschema.ValidationError):
@@ -669,6 +723,6 @@ class TestPlainReplies:
         trace = self.reply(["iterate", *orbit, "--tol", "1e400"])
         assert (trace["step_dists"], trace["tol"]) == (["inf", 0.0], "inf")
         bounds = self.reply(["bounds", *orbit, "--kind", PARTIAL_33, "--phi", ADDITIVE])
-        assert (bounds["d01"], bounds["min_slack"]) == ("inf", "inf")
+        assert (bounds["d01"], bounds["min_slack"]) == ("inf", "nan")
         assert bounds["rows"][0] == {"n": 0, "x_n": 0.0, "step_dist": "inf", "bound": "inf",
                                      "observed": "inf", "slack": "nan"}

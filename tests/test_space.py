@@ -188,6 +188,22 @@ class TestGeneralizedTriangle:
         assert cl.triangle_report(space, cl.power(0.5)).count == 0
         assert cl.triangle_report(space, cl.additive()).count
 
+    @pytest.mark.parametrize("expr", ["1/(u*v)", "u/v", "0*(1/u)", "1/u - 1/v"])
+    def test_finite_and_interval_judge_non_finite_phi_alike(self, expr):
+        # With no samples the interval is checked on its corner grid, the
+        # ordered triples of {0, 1/2, 1} in row-major order: the triples of
+        # this finite space.  An infinite Phi bounds everything; NaN violates.
+        grid = np.array([0.0, 0.5, 1.0])
+        finite = cl.FiniteSemimetricSpace(("0", "0.5", "1"), np.abs(grid[:, None] - grid))
+        phi = cl.custom(expr)
+        on_finite = cl.triangle_report(finite, phi)
+        on_interval = cl.triangle_report(cl.IntervalSpace(0.0, 1.0), phi, samples=0)
+        assert on_finite.count == on_interval.count
+        assert [(float(v.x), float(v.y), float(v.z), repr(v.lhs), repr(v.rhs))
+                for v in on_finite.violations] == [
+            (v.x, v.y, v.z, repr(v.lhs), repr(v.rhs)) for v in on_interval.violations]
+        assert cl.triangle_report(finite, cl.custom("1/(u*v)")).count == 0
+
 
 # (spec, the same function in plain Python) pairs for the oracle
 ORACLE_PHIS = {
