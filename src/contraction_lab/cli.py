@@ -96,11 +96,15 @@ def _parse_x0(space, text: str):
         raise ValueError(f"--x0 {text!r} is not a number") from None
 
 
+# --map text that opens a JSON object, array or string is the document, any
+# other text a path
+_JSON_OPENERS = ("{", "[", '"')
+
 # flag -> reader of its value, given the inputs read before it
 _INPUTS = {
     "space": lambda text, read: space_from_json(_read_json("--space", text, inline=False)),
     "map": lambda text, read: SelfMap.from_json(
-        _read_json("--map", text, inline=text.lstrip().startswith("{"))),
+        _read_json("--map", text, inline=text.lstrip().startswith(_JSON_OPENERS))),
     "phi": lambda text, read: TriangleFunctionSpec.from_json(_read_json("--phi", text)),
     "kind": lambda text, read: ContractionKind.from_json(_read_json("--kind", text)),
     "x0": lambda text, read: _parse_x0(read["space"], text),

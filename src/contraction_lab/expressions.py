@@ -12,7 +12,8 @@ Grammar ('^' is right-associative and binds a unary base):
 Numbers are decimal with an optional exponent.  Identifiers are limited to
 the variables x, y, u, v and the functions abs, min, max, sqrt.  Parsing
 compiles the tree once into a closure; calling an Expression converts each
-keyword binding to float64 and evaluates in double precision throughout.
+keyword binding to C-ordered float64 and evaluates in double precision
+throughout.
 Division by zero and fractional powers of negatives produce inf/nan rather
 than raising; callers that need finite non-negative values check the result.
 
@@ -20,7 +21,8 @@ The value has the shape of the bindings: arrays pass through element-wise,
 so an expression applies to whole sample batches at once, and the value has
 the broadcast shape of all bindings even where the expression does not read
 one of them ("1" or "x" bound to arrays x and y).  When every binding is a
-scalar the value is a Python float.
+scalar the value is a Python float.  A scalar call gives the bits an array
+call gives at the same point.
 """
 
 from __future__ import annotations
@@ -268,10 +270,23 @@ _CALLS = {"abs": np.abs, "sqrt": np.sqrt,
           "max": lambda *args: functools.reduce(np.maximum, args)}
 
 
+def _power(base, exponent):
+    """base^exponent for an exponent that reads a variable, element by
+    element whatever the shapes of the bindings.  numpy's power loop takes
+    fast paths (x*x for 2, sqrt for 0.5, 1/x for -1) when one exponent value
+    serves the whole call, as for a scalar or a broadcast exponent, and
+    these round differently from the general loop, so the exponent is
+    materialised at the broadcast shape, with at least one element."""
+    shape = np.broadcast_shapes(np.shape(base), np.shape(exponent))
+    exponent = np.array(np.broadcast_to(exponent, shape), ndmin=1)
+    return np.power(base, exponent).reshape(shape)
+
+
 def _compile(node: Node) -> tuple[Callable[[dict], object], frozenset[str]]:
     """The tree as one closure over a dict of float64 bindings, and the
     variables it reads.  Numbers are np.float64; the operations are applied
-    depth first, left operand first."""
+    depth first, left operand first, and a power whose exponent reads a
+    variable goes through _power."""
     if isinstance(node, Num):
         value = np.float64(node.value)
         return (lambda env: value), frozenset()
@@ -283,7 +298,7 @@ def _compile(node: Node) -> tuple[Callable[[dict], object], frozenset[str]]:
         return (lambda env: -operand(env)), names
     if isinstance(node, BinOp):
         (left, lnames), (right, rnames) = _compile(node.left), _compile(node.right)
-        op = _BINARY[node.op]
+        op = _power if node.op == "^" and rnames else _BINARY[node.op]
         return (lambda env: op(left(env), right(env))), lnames | rnames
     args, names = zip(*(_compile(arg) for arg in node.args))
     fn = _CALLS[node.func]
@@ -303,7 +318,8 @@ class Expression:
     def __call__(self, **env):
         """Evaluate with keyword bindings; see the module docstring for the
         shape of the value."""
-        env = {name: np.asarray(value, dtype=np.float64) for name, value in env.items()}
+        # C order: numpy's power loop rounds differently on reversed views
+        env = {name: np.asarray(value, dtype=np.float64, order="C") for name, value in env.items()}
         try:
             with np.errstate(all="ignore"):
                 result = self.compiled(env)

@@ -17,6 +17,7 @@ a caller asks for (`triangle_report`'s `listed`).
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Union
 
@@ -40,6 +41,13 @@ class StructuralError(ValueError):
     """Malformed space, matrix or expression payload."""
 
 
+def _float_matrix(rows) -> np.ndarray:
+    try:
+        return np.asarray(rows, dtype=np.float64)
+    except ValueError as exc:  # ragged rows
+        raise StructuralError(f"bad distance matrix: {exc}") from None
+
+
 @dataclass(frozen=True)
 class FiniteSemimetricSpace:
     """Finitely many labelled points with a full distance matrix."""
@@ -48,10 +56,17 @@ class FiniteSemimetricSpace:
     dist: np.ndarray
 
     def __post_init__(self):
-        try:
-            matrix = np.asarray(self.dist, dtype=np.float64)
-        except ValueError as exc:  # ragged rows
-            raise StructuralError(f"bad distance matrix: {exc}") from None
+        # the field rule of from_json: string labels, and numbers only, read
+        # off an array's dtype or checked row by row in a list
+        if not set(map(type, self.labels)) <= {str}:
+            raise StructuralError(f"labels must be strings, got {reprlib.repr(self.labels)}")
+        if isinstance(self.dist, np.ndarray):
+            if self.dist.dtype.kind not in "iuf":
+                raise StructuralError(f"distances must be numbers, got dtype {self.dist.dtype}")
+        elif not _MATRIX[1](self.dist):
+            raise StructuralError(f"distance matrix must be an array or {_MATRIX[0]}, "
+                                  f"got {reprlib.repr(self.dist)}")
+        matrix = _float_matrix(self.dist)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise StructuralError("distance matrix must be square")
         if matrix.shape[0] != len(self.labels):
@@ -66,8 +81,11 @@ class FiniteSemimetricSpace:
     def size(self) -> int:
         return len(self.labels)
 
-    def d(self, i: int, j: int) -> float:
-        return float(self.dist[i, j])
+    def d(self, i, j):
+        """d(i, j) by index: a float for two indices, the gathered array
+        when either is an index array."""
+        value = self.dist[i, j]
+        return value if isinstance(value, np.ndarray) else float(value)
 
     def index_of(self, label: str) -> int:
         try:
@@ -82,7 +100,8 @@ class FiniteSemimetricSpace:
     def from_json(cls, obj: dict) -> "FiniteSemimetricSpace":
         obj = _json_fields(obj, StructuralError, "finite space",
                            {"labels": _STRINGS, "dist": _MATRIX})
-        return cls(tuple(obj["labels"]), obj["dist"])
+        # an array, so that the constructor does not check the rows again
+        return cls(tuple(obj["labels"]), _float_matrix(obj["dist"]))
 
 
 @dataclass(frozen=True)

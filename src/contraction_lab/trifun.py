@@ -54,6 +54,10 @@ CHAIN_CONVERGENCE_TOL = 1e-12
 # Inverse-by-bisection parameters for custom unit profiles.
 BISECTION_STEPS = 200
 BRACKET_CAP = 1e18
+# The power family's closed-form inverse counts as overshooting when the
+# profile reaches tau this far below it, relatively; closer than this is
+# rounding in the closed form itself.
+INVERSE_PROBE = 1e-12
 
 _BATTERY_WINDOW = (1000, 10001)
 _BATTERY_SEED = 20260201
@@ -165,11 +169,18 @@ def _power_inverse(phi, tau: float) -> float:
     if tau <= 1.0:
         return 0.0
     try:
-        return (tau**phi.q - 1.0) ** (1.0 / phi.q)
+        t = (tau**phi.q - 1.0) ** (1.0 / phi.q)
     except OverflowError:
         # tau**q lies beyond float64 while the inverse is about tau; this form
         # cannot overflow, but it rounds differently, so it serves only here
         return tau * (1.0 - tau**-phi.q) ** (1.0 / phi.q)
+    # Near tau = 1 the profile is flat, so the rounding in tau comes back
+    # magnified in t, which can overshoot: where the computed profile
+    # already reaches tau just below t, bisect down to where it first does.
+    below = t * (1.0 - INVERSE_PROBE)
+    if unit_profile(phi, below) >= tau:
+        return _bisect_profile(phi, tau, 0.0, below)
+    return t
 
 
 # every named family is homogeneous and continuous
@@ -723,6 +734,13 @@ def unit_profile_inverse(phi: TriangleFunctionSpec, tau: float) -> float:
         hi *= 2.0
         if hi > BRACKET_CAP:
             return math.inf
+    return _bisect_profile(phi, tau, lo, hi)
+
+
+def _bisect_profile(phi: TriangleFunctionSpec, tau: float, lo: float, hi: float) -> float:
+    """The least t in (lo, hi] with Phi(t, 1) >= tau, to float resolution,
+    by bisection on the non-decreasing unit profile; the profile must stay
+    below tau at lo and reach it at hi."""
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if unit_profile(phi, mid) >= tau:

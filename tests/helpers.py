@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 import contraction_lab as cl
+from contraction_lab import solver
 from contraction_lab.search import random_metric, random_self_map, random_ultrametric
 from contraction_lab.space import INEQ_ABS_TOL, INEQ_REL_TOL
 
@@ -96,6 +97,71 @@ def triangle_oracle(triples, d, phi) -> list[tuple]:
         if lhs > rhs * (1.0 + INEQ_REL_TOL) + INEQ_ABS_TOL:
             found.append((x, y, z, lhs, rhs))
     return found
+
+
+def reference_orbit(space, mapping, x0, max_iter=solver.MAX_ITER_DEFAULT,
+                    tol=solver.STEP_TOL_DEFAULT) -> tuple[list, list[float], str]:
+    """(points, step_dists, stop_reason) of the Picard orbit from x0 (an
+    index on finite spaces), walked one step at a time with one scalar
+    distance call per step; an interval orbit that leaves [lo, hi] raises
+    DomainEscapeError naming the iterate."""
+    finite = isinstance(space, cl.FiniteSemimetricSpace)
+    points, step_dists = [x0], []
+    visited = {x0}
+    buckets = {} if finite else {round(x0 / solver.CYCLE_PROXIMITY): 0}
+    for _ in range(max_iter):
+        nxt = mapping(points[-1])
+        if finite:
+            nxt = int(nxt)
+        else:
+            nxt = float(nxt)
+            if not (space.lo - 1e-12 <= nxt <= space.hi + 1e-12):
+                raise solver.DomainEscapeError(
+                    f"iterate {len(points)}: T({points[-1]!r}) = {nxt!r} "
+                    f"leaves [{space.lo}, {space.hi}]"
+                )
+            nxt = min(max(nxt, space.lo), space.hi)
+        step = float(space.d(points[-1], nxt))
+        points.append(nxt)
+        step_dists.append(step)
+        if step < tol:
+            return points, step_dists, "converged"
+        if finite:
+            if nxt in visited:
+                return points, step_dists, "cycle_detected"
+            visited.add(nxt)
+            continue
+        key = round(nxt / solver.CYCLE_PROXIMITY)
+        revisit = any(k in buckets and buckets[k] <= len(points) - 3
+                      and abs(nxt - points[buckets[k]]) < solver.CYCLE_PROXIMITY
+                      for k in (key - 1, key, key + 1))
+        if revisit and step >= solver.CYCLE_STEP_FLOOR:
+            return points, step_dists, "cycle_detected"
+        buckets.setdefault(key, len(points) - 1)
+    return points, step_dists, "max_iter"
+
+
+def reference_audit(trace, phi, alpha, fixed_point, slack_tol=solver.BOUND_SLACK_TOL):
+    """(rows, min_slack, bounds_ok, steps_ok) of the bound audit, one row at
+    a time with one scalar distance call per row; each row is the tuple
+    (n, point, step_dist, bound, observed, slack, step_bound, step_ok)."""
+    c = cl.chain_bound_constant(phi, alpha)
+    steps = trace.step_dists
+    d01 = steps[0] if steps else 0.0
+    labels = trace.point_labels()
+    rows, min_slack = [], math.inf
+    for n, point in enumerate(trace.points):
+        observed = float(trace.space.d(point, fixed_point))
+        bound = alpha**n * c * d01
+        slack = bound - observed
+        if slack < min_slack or math.isnan(slack):
+            min_slack = slack
+        step = steps[n] if n < len(steps) else None
+        step_bound = None if step is None else alpha**n * d01
+        step_ok = step is None or step <= step_bound * (1.0 + 1e-12) + 1e-12
+        rows.append((n, labels[n], step, bound, observed, slack, step_bound, step_ok))
+    return (tuple(rows), min_slack, all(row[5] >= -slack_tol for row in rows),
+            all(row[7] for row in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -471,6 +471,14 @@ class TestErrorsAndUsage:
             assert code == 2 and out == "", argv
             assert json.loads(err)["status"] == "error", argv
 
+    def test_inline_map_must_be_an_object(self, capsys, unit_file):
+        for text, shown in (("[0, 1]", "[0, 1]"), (' "x/2"', "'x/2'")):
+            argv = ["iterate", "--space", unit_file, "--map", text, "--x0", "0"]
+            code, out, err = run_main(capsys, argv)
+            assert code == 2 and out == "", argv
+            assert json.loads(err)["payload"]["error"] == (
+                f"StructuralError: self-map JSON must be an object, got {shown}")
+
     def test_expr_must_be_a_string(self, unit_file):
         error = run_command(["iterate", "--space", unit_file, "--map", '{"expr":5}',
                              "--x0", "0"]).payload["error"]

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contraction_lab.expressions import (
@@ -202,24 +202,6 @@ _POINTS = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-3, 7.25, 1e200])
 _XS, _YS = (grid.ravel() for grid in np.meshgrid(_POINTS, _POINTS[::-1], indexing="ij"))
 
 
-def _variable_exponent(node):
-    """Whether some '^' in the tree has an exponent that reads a variable.
-
-    numpy's power loop takes fast paths when the exponent is the same for
-    every element (sqrt for 0.5, x*x for 2, 1/x for -1), so a scalar call
-    can differ from an array call there: x^y at x = -0.0, y = 0.5 is -0.0
-    in a scalar call and 0.0 in an array call."""
-    if isinstance(node, BinOp):
-        if node.op == "^" and parse_expression(unparse(node.right)).variables:
-            return True
-        return _variable_exponent(node.left) or _variable_exponent(node.right)
-    if isinstance(node, Neg):
-        return _variable_exponent(node.operand)
-    if isinstance(node, Call):
-        return any(_variable_exponent(arg) for arg in node.args)
-    return False
-
-
 def _same_bits(a, b):
     """Equal bit for bit, with any NaN matching any NaN."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
@@ -232,14 +214,24 @@ class TestArrayCalls:
     @settings(max_examples=300, deadline=None)
     @given(tree=_trees(("x", "y")))
     def test_array_call_equals_scalar_calls(self, tree):
-        assume(not _variable_exponent(tree))
         expr = parse_expression(unparse(tree))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values = expr(x=_XS, y=_YS)
+            # the same grid from a column and a row, each broadcast along the other
+            broadcast = expr(x=_POINTS[:, None], y=_POINTS[::-1][None, :])
             scalars = [expr(x=float(x), y=float(y)) for x, y in zip(_XS, _YS)]
         assert all(type(value) is float for value in scalars)
         assert _same_bits(values, scalars)
+        assert _same_bits(broadcast.ravel(), scalars)
+
+    def test_variable_exponent_takes_one_path(self):
+        # numpy's constant-exponent fast path gives 0.1*0.1 = 0.010000000000000002
+        expr = parse_expression("x^y")
+        assert expr(x=0.1, y=2) == 0.01
+        assert _same_bits(expr(x=np.array([0.1, 0.1]), y=2.0), [0.01, 0.01])
+        assert _same_bits(expr(x=np.array([0.1, 0.1]), y=np.array([2.0, 2.0])), [0.01, 0.01])
+        assert np.shape(expr(x=np.arange(3.0)[:, None], y=np.arange(2.0))) == (3, 2)
 
     def test_constant_and_partial_expressions_take_the_bindings_shape(self):
         column, row = np.arange(3.0)[:, None], np.arange(4.0)[None, :]

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contraction_lab as cl
 from contraction_lab.contraction import ContractionKind, SelfMap
+from contraction_lab.search import random_metric, random_self_map
 from contraction_lab.solver import BoundUnavailable, DomainEscapeError
 
 from helpers import (
     bianchini_bound_instances,
     c_alpha_oracle,
+    reference_audit,
+    reference_orbit,
     stretched_space,
     unit_interval,
 )
@@ -262,3 +267,93 @@ class TestVerifyBound:
                 assert report.min_slack >= -1e-9
                 checked += 1
         assert checked >= 30
+
+
+# Distances the chunked orbit is held to: no power, constant exponents on
+# and off numpy's fast paths, and an exponent that reads a variable.
+REFERENCE_DISTANCES = ("abs(x-y)", "abs(x-y)^2", "sqrt(abs(x-y))", "abs(x-y)^1.5",
+                       "abs(x-y)^(1+x*y)")
+REFERENCE_PHIS = (cl.additive(), cl.maximum(), cl.power(0.5))
+
+
+def _unit_floats(lo=0.0, hi=1.0):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False)
+
+
+@st.composite
+def _interval_maps(draw):
+    """Affine maps a*x + b and maps c*sqrt(x^2 + e) of [0, 1] into itself,
+    and the flip 1 - x."""
+    shape = draw(st.sampled_from(("affine", "sqrt", "flip")))
+    if shape == "affine":
+        a = draw(_unit_floats(-0.99, 0.99))
+        b = draw(_unit_floats(max(0.0, -a), min(1.0, 1.0 - a)))
+        return f"{a!r}*x + {b!r}"
+    if shape == "sqrt":
+        c = draw(_unit_floats(0.05, 0.99))
+        e = draw(_unit_floats(0.0, min(1.0, 0.999 * (1.0 / c**2 - 1.0))))
+        return f"{c!r}*sqrt(x^2 + {e!r})"
+    return "1-x"
+
+
+def _same(chunked, reference):
+    """Equal bit for bit: repr spells every float exactly, -0.0 and nan too."""
+    assert repr(chunked) == repr(reference)
+
+
+def _audits_match(trace, phi, alpha, fixed_point):
+    report = cl.verify_bound(trace, phi, alpha, fixed_point)
+    _same((tuple(map(tuple, report.rows)), report.min_slack, report.bounds_ok, report.steps_ok),
+          reference_audit(trace, phi, alpha, fixed_point))
+
+
+class TestChunkedOrbitMatchesReference:
+    """The chunked orbit and columnar audit against the step-by-step walk."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(dist=st.sampled_from(REFERENCE_DISTANCES), expr=_interval_maps(), x0=_unit_floats(),
+           max_iter=st.integers(1, 3000), tol=st.sampled_from((1e-10, 1e-6, 1e-3)),
+           phi=st.sampled_from(REFERENCE_PHIS), alpha=_unit_floats(0.0, 0.99))
+    def test_interval_orbits(self, dist, expr, x0, max_iter, tol, phi, alpha):
+        space, mapping = cl.IntervalSpace(0.0, 1.0, dist), SelfMap(expr=expr)
+        trace = cl.picard_iterate(space, mapping, x0, max_iter=max_iter, tol=tol)
+        _same((list(trace.points), list(trace.step_dists), trace.stop_reason),
+              reference_orbit(space, mapping, x0, max_iter=max_iter, tol=tol))
+        assert all(type(step) is float for step in trace.step_dists)
+        _audits_match(trace, phi, alpha, trace.points[-1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_iter=st.integers(1, 10),
+           alpha=_unit_floats(0.0, 0.99))
+    def test_finite_image_tables(self, seed, max_iter, alpha):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(3, 9))
+        space, mapping = random_metric(rng, size), random_self_map(rng, size)
+        for start in range(size):
+            trace = cl.picard_iterate(space, mapping, start, max_iter=max_iter)
+            _same((list(trace.points), list(trace.step_dists), trace.stop_reason),
+                  reference_orbit(space, mapping, start, max_iter=max_iter))
+            _audits_match(trace, cl.additive(), alpha, trace.points[-1])
+
+    @pytest.mark.parametrize("center, stop", [
+        (GAP_CENTER, "escape"),  # from x0 = GAP_CENTER: the first map value escapes
+        (2.0**-20, "escape"),  # x/2 from 1 meets it at iterate 20, inside the second chunk
+        (2.0**-34, "converged"),  # the limit: the orbit stops before mapping it
+        (2.0**-35, "converged"),  # the first iterate past the stop
+    ])
+    def test_spiked_maps(self, center, stop):
+        space = unit_interval()
+        spiky = SelfMap(expr=f"x/2 + 4*max(0, 1 - 1e20*abs(x - {center!r}))")
+        spiky.validate_for(space)  # the sampled check cannot see the spike
+        x0 = GAP_CENTER if center == GAP_CENTER else 1.0
+        if stop == "escape":
+            with pytest.raises(DomainEscapeError) as chunked:
+                cl.picard_iterate(space, spiky, x0)
+            with pytest.raises(DomainEscapeError) as reference:
+                reference_orbit(space, spiky, x0)
+            assert str(chunked.value) == str(reference.value)
+            return
+        trace = cl.picard_iterate(space, spiky, x0)
+        assert trace.stop_reason == "converged" and len(trace.points) == 35
+        _same((list(trace.points), list(trace.step_dists), trace.stop_reason),
+              reference_orbit(space, spiky, x0))

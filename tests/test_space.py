@@ -45,6 +45,23 @@ class TestFiniteConstruction:
                 ("a", "b"), np.array([[0.0, math.nan], [math.nan, 0.0]])
             )
 
+    def test_rejects_what_the_field_rule_rejects(self):
+        for labels, dist in (
+            ((1, 2), [["0", "1"], ["1", "0"]]),
+            ((1, 2), [[0.0, 1.0], [1.0, 0.0]]),
+            (("a", "b"), [["0", "1"], ["1", "0"]]),
+            (("a", "b"), [[False, True], [True, False]]),
+            (("a", "b"), np.array([[False, True], [True, False]])),
+            (("a", "b"), np.array([["0", "1"], ["1", "0"]])),
+        ):
+            with pytest.raises(cl.StructuralError):
+                cl.FiniteSemimetricSpace(labels, dist)
+
+    def test_accepts_number_lists_and_numeric_arrays(self):
+        for dist in ([[0, 1], [1, 0]], [[0.0, 1.5], [1.5, 0.0]], np.array([[0, 1], [1, 0]])):
+            space = cl.FiniteSemimetricSpace(("a", "b"), dist)
+            assert space.dist.dtype == np.float64
+
     def test_unknown_label_lookup(self):
         with pytest.raises(cl.StructuralError):
             stretched_space().index_of("w")
