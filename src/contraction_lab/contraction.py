@@ -199,8 +199,7 @@ class SelfMap:
                 raise StructuralError("finite spaces need an image table")
             if len(self.images) != space.size:
                 raise StructuralError("image table size does not match the space")
-            if any(not 0 <= i < space.size for i in self.images):
-                raise StructuralError("image index out of range")
+            _check_images(np.asarray(self.images), space.size)
             return
         if self.expr is None:
             raise StructuralError("interval spaces need an expression map")
@@ -234,6 +233,31 @@ class PairWitness:
                 "rhs": _json_float(self.rhs)}
 
 
+def _check_images(images: np.ndarray, size: int) -> None:
+    """Raise unless every entry of an image table, or of a stack of them,
+    indexes one of `size` points."""
+    if np.any((images < 0) | (images >= size)):
+        raise StructuralError("image index out of range")
+
+
+def _components(d, xs, ys, txs, tys) -> dict:
+    return {"lhs": d(txs, tys), "dxy": d(xs, ys), "x_tx": d(xs, txs), "y_ty": d(ys, tys),
+            "x_ty": d(xs, tys), "y_tx": d(ys, txs)}
+
+
+def _finite_pair_components(dist: np.ndarray, images: np.ndarray) -> dict:
+    """The pair components of `_pair_components` for a stack of finite
+    spaces: dist is a (B, n, n) stack of distance matrices and images the
+    (B, n) stack of their image tables, whose entries must index points.
+    Each component is (B, n^2), over all ordered pairs in row-major order."""
+    b, n = images.shape
+    xs, ys = np.divmod(np.arange(n * n), n)
+    flat, offsets = dist.reshape(-1), np.arange(0, b * n * n, n * n)[:, None]
+    # one flat gather per component is faster than indexing three axes
+    return _components(lambda a, c: flat[offsets + a * n + c], xs, ys,
+                       images[:, xs], images[:, ys])
+
+
 def _pair_components(space: Space, mapping: SelfMap, seed: int, samples: int):
     """The ordered pairs a family inequality is checked over, and the six
     distances every right-hand side is built from, as flat vectors:
@@ -241,34 +265,29 @@ def _pair_components(space: Space, mapping: SelfMap, seed: int, samples: int):
         lhs = d(Tx,Ty)   dxy = d(x,y)   x_tx = d(x,Tx)   y_ty = d(y,Ty)
         x_ty = d(x,Ty)   y_tx = d(y,Tx)
 
-    Finite spaces give all N^2 ordered pairs in row-major order; intervals
-    give the 9 corner/midpoint pairs followed by `samples` seeded random
-    pairs.  Returns (scope, pair_witness, components), where
+    Finite spaces give all N^2 ordered pairs in row-major order, through
+    the stacked kernel `_finite_pair_components` with a stack of one;
+    intervals give the 9 corner/midpoint pairs followed by `samples` seeded
+    random pairs.  Returns (scope, pair_witness, components), where
     pair_witness(k, rhs) is the PairWitness of the pair at flat index k, with
     labels on finite spaces and floats on intervals.
     """
     mapping.validate_for(space)
     if isinstance(space, FiniteSemimetricSpace):
         scope, n, labels = "all-pairs", space.size, space.labels
-        xs, ys = np.divmod(np.arange(n * n), n)
-
-        def d(a, b):
-            return space.dist[a, b]
+        stack = _finite_pair_components(space.dist[None],
+                                        np.asarray(mapping.images, dtype=np.int64)[None])
+        components = {name: value[0] for name, value in stack.items()}
 
         def point(k):
             return labels[k // n], labels[k % n]
     else:
-        scope, d = "sampled", space.d
+        scope = "sampled"
         xs, ys = _interval_points(space, 2, samples, seed)
+        components = _components(space.d, xs, ys, mapping(xs), mapping(ys))
 
         def point(k):
             return float(xs[k]), float(ys[k])
-    txs, tys = mapping(xs), mapping(ys)
-    components = {
-        "lhs": d(txs, tys), "dxy": d(xs, ys),
-        "x_tx": d(xs, txs), "y_ty": d(ys, tys),
-        "x_ty": d(xs, tys), "y_tx": d(ys, txs),
-    }
     lhs = components["lhs"]
     return scope, lambda k, rhs: PairWitness(*point(k), float(lhs[k]), float(rhs)), components
 

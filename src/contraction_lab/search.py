@@ -5,8 +5,22 @@ points (symmetric, entries drawn in (0, 1] and rescaled), maps mix constant,
 near-constant and uniform images.  The search keeps instances whose map
 satisfies the configured contraction inequality while some hypothesis of the
 matching fixed-point principle fails, and records what Picard iteration and
-the a-priori bound did anyway.  Findings are merged in instance-index order,
-so identical configurations reproduce identical reports.
+the a-priori bound did anyway.
+
+The search runs in three stages.  Draw: each instance takes the size, the
+matrix and the map from the seeded stream in the order that
+`random_semimetric` and `random_self_map` take them, and at most BATCH_CAP
+instances are buffered at a time, so memory does not grow with the budget.
+Check: the buffered instances of one size are stacked into a (B, n, n)
+matrix stack and a (B, n) image table, checked against the family
+inequality in one call of the finite pair kernel in `contraction`.
+Findings: the satisfied instances of a principle that does not apply walk
+every start's Picard orbit at once, under `picard_iterate`'s finite stop
+rule; their converged orbits are audited against the a-priori bound as
+`verify_bound` audits them, in one array, and their triangle violations are
+counted over the whole stack.  Spaces, maps and findings are built for the
+findings only, and merged in instance-index order, so identical
+configurations reproduce identical reports.
 """
 
 from __future__ import annotations
@@ -20,27 +34,56 @@ from . import solver, trifun
 from .contraction import (
     ContractionKind,
     SelfMap,
+    _check_images,
+    _finite_pair_components,
+    _rhs,
     applicability,
     step_contraction_factor,
-    verify_contraction,
 )
-from .space import FiniteSemimetricSpace, triangle_report
-from .trifun import TriangleFunctionSpec
+from .space import FiniteSemimetricSpace, _finite_triples
+from .trifun import TriangleFunctionSpec, violates
 
 SIZE_RANGE = (3, 8)
+
+# Instances drawn before they are checked: the search holds at most this
+# many in memory, whatever its budget.
+BATCH_CAP = 256
+
+# The iteration cap of every finding's Picard orbits.
+MAX_ITER = 10_000
+
+_STOP_REASONS = ("converged", "cycle_detected", "max_iter")
+
+
+def _labels(size: int) -> tuple[str, ...]:
+    return tuple(f"p{i}" for i in range(size))
+
+
+def _semimetric(draws: np.ndarray) -> np.ndarray:
+    """Semimetric matrices from uniform draws in [0, 1) shaped (..., n, n):
+    1 - draw above the diagonal, in (0, 1], mirrored below it, and each
+    matrix rescaled to maximum 1."""
+    matrix = np.triu(1.0 - draws, 1)
+    matrix = matrix + np.swapaxes(matrix, -1, -2)
+    matrix /= matrix.max(axis=(-2, -1), keepdims=True)
+    return matrix
+
+
+def _draw_images(rng: np.random.Generator, size: int) -> list[int]:
+    style = rng.integers(0, 3)
+    target = int(rng.integers(0, size))
+    if style == 0:
+        return [target] * size
+    if style == 1:
+        return [target if rng.random() < 0.7 else int(rng.integers(0, size))
+                for _ in range(size)]
+    return [int(rng.integers(0, size)) for _ in range(size)]
 
 
 def random_semimetric(rng: np.random.Generator, size: int) -> FiniteSemimetricSpace:
     """Symmetric matrix with off-diagonal entries in (0, 1], rescaled to
-    maximum 1; degenerate draws (a zero off-diagonal) are redrawn."""
-    while True:
-        upper = 1.0 - rng.random((size, size))  # in (0, 1]
-        matrix = np.triu(upper, 1)
-        matrix = matrix + matrix.T
-        if np.all(matrix + np.eye(size) > 0.0):
-            matrix /= matrix.max()
-            labels = tuple(f"p{i}" for i in range(size))
-            return FiniteSemimetricSpace(labels, matrix)
+    maximum 1."""
+    return FiniteSemimetricSpace(_labels(size), _semimetric(rng.random((size, size))))
 
 
 def random_metric(rng: np.random.Generator, size: int) -> FiniteSemimetricSpace:
@@ -51,8 +94,7 @@ def random_metric(rng: np.random.Generator, size: int) -> FiniteSemimetricSpace:
         matrix = np.sqrt(np.sum(diff * diff, axis=2))
         if np.all(matrix + np.eye(size) > 1e-6):
             matrix /= matrix.max()
-            labels = tuple(f"p{i}" for i in range(size))
-            return FiniteSemimetricSpace(labels, matrix)
+            return FiniteSemimetricSpace(_labels(size), matrix)
 
 
 def random_ultrametric(rng: np.random.Generator, size: int) -> FiniteSemimetricSpace:
@@ -73,22 +115,12 @@ def random_ultrametric(rng: np.random.Generator, size: int) -> FiniteSemimetricS
 
     order = list(rng.permutation(size))
     fill(order, 1.0)
-    labels = tuple(f"p{i}" for i in range(size))
-    return FiniteSemimetricSpace(labels, matrix)
+    return FiniteSemimetricSpace(_labels(size), matrix)
 
 
 def random_self_map(rng: np.random.Generator, size: int) -> SelfMap:
     """Mixture of constant, near-constant and uniform image tables."""
-    style = rng.integers(0, 3)
-    target = int(rng.integers(0, size))
-    if style == 0:
-        images = [target] * size
-    elif style == 1:
-        images = [target if rng.random() < 0.7 else int(rng.integers(0, size))
-                  for _ in range(size)]
-    else:
-        images = [int(rng.integers(0, size)) for _ in range(size)]
-    return SelfMap(images=tuple(images))
+    return SelfMap(images=tuple(_draw_images(rng, size)))
 
 
 @dataclass(frozen=True)
@@ -153,60 +185,131 @@ def counterexample_search(config: SearchConfig) -> SearchResult:
     rng = np.random.default_rng(config.seed)
     record = applicability(config.kind, config.phi)
     factor = step_contraction_factor(config.kind, config.phi)
-    findings: list[Finding] = []
-    satisfied = 0
-
-    for index in range(config.budget):
-        size = int(rng.integers(SIZE_RANGE[0], SIZE_RANGE[1] + 1))
-        space = random_semimetric(rng, size)
-        mapping = random_self_map(rng, size)
-        certificate = verify_contraction(space, mapping, config.kind, listed=0)
-        if not certificate.passed:
-            continue
-        satisfied += 1
-        if record.applicable:
-            continue
-
-        outcomes = []
-        limits = []
-        for start in range(space.size):
-            trace = solver.picard_iterate(space, mapping, start, max_iter=10_000)
-            outcomes.append({
-                "start": space.labels[start],
-                "stop_reason": trace.stop_reason,
-                "limit": space.labels[trace.points[-1]]
-                if trace.stop_reason == "converged" else None,
-                "steps": len(trace.step_dists),
-            })
-            if trace.stop_reason == "converged":
-                limits.append((start, trace))
-        brute = solver.brute_force_fixed_points(space, mapping)
-
-        bound_state = "unavailable"
-        if factor.derivable and limits:
-            c = trifun.chain_bound_constant(config.phi, factor.value)
-            if math.isfinite(c):
-                held = True
-                for start, trace in limits:
-                    report = solver.verify_bound(
-                        trace, config.phi, factor.value, trace.points[-1]
-                    )
-                    if not report.bounds_ok:
-                        held = False
-                        break
-                bound_state = "held" if held else "violated"
-
-        compatible = triangle_report(space, config.phi, listed=0).count == 0
-        findings.append(
-            Finding(
-                index=index,
-                space=space,
-                mapping=mapping,
-                failed_hypotheses=tuple(record.failed()),
-                space_compatible=compatible,
-                picard=tuple(outcomes),
-                fixed_points=tuple(space.labels[i] for i in brute),
-                bound=bound_state,
-            )
-        )
+    satisfied, findings = 0, []
+    for first in range(0, config.budget, BATCH_CAP):
+        count, found = _check_batch(config, record, factor, _draw_batch(
+            rng, range(first, min(first + BATCH_CAP, config.budget))))
+        satisfied += count
+        findings += found
     return SearchResult(config, config.budget, satisfied, tuple(findings))
+
+
+def _draw_batch(rng: np.random.Generator, indices: range) -> dict[int, list]:
+    """The instances at `indices`, drawn in order and grouped by size, each
+    an (index, matrix draw, image table) triple."""
+    by_size: dict[int, list] = {}
+    for index in indices:
+        size = int(rng.integers(SIZE_RANGE[0], SIZE_RANGE[1] + 1))
+        by_size.setdefault(size, []).append(
+            (index, rng.random((size, size)), _draw_images(rng, size)))
+    return by_size
+
+
+def _check_batch(config: SearchConfig, record, factor, by_size: dict[int, list]):
+    """(satisfied count, findings in index order) of a drawn batch: each
+    size class is checked against the family inequality in one stacked
+    call, and its satisfied instances go on to the findings stage when the
+    principle does not apply."""
+    satisfied, found = 0, []
+    for instances in by_size.values():
+        indices, draws, tables = zip(*instances)
+        dist, table = _semimetric(np.stack(draws)), np.array(tables)
+        _check_images(table, table.shape[1])
+        components = _finite_pair_components(dist, table)
+        with np.errstate(over="ignore", invalid="ignore"):  # as verify_contraction
+            bad = violates(components["lhs"], _rhs(config.kind, components))
+        passed = ~np.any(bad, axis=1)
+        satisfied += int(np.count_nonzero(passed))
+        if not record.applicable and passed.any():
+            keep = np.flatnonzero(passed)
+            found += _findings(config.phi, tuple(record.failed()),
+                               factor.value if factor.derivable else None, dist[keep],
+                               table[keep], [(indices[k], tables[k]) for k in keep.tolist()])
+    return satisfied, sorted(found, key=lambda finding: finding.index)
+
+
+def _walk(dist: np.ndarray, table: np.ndarray):
+    """Every start's Picard orbit on each space of a stack at once, under
+    `picard_iterate`'s finite stop rule: a step below its default tol
+    converges, else a revisit is a cycle, and MAX_ITER steps end the orbit.
+    Returns the points (B, n, K+1), with a start's orbit in its first
+    steps + 1 entries and its continuation after them, and the step counts
+    and stop reasons (indices into _STOP_REASONS), each (B, n)."""
+    b, n = table.shape
+    rows, starts = np.arange(b)[:, None], np.arange(n)
+    x = np.broadcast_to(starts, (b, n))
+    points = [x]
+    visited = np.zeros((b, n, n), dtype=bool)
+    visited[:, starts, starts] = True
+    steps = np.zeros((b, n), dtype=np.int64)
+    reasons = np.full((b, n), 2)  # indices into _STOP_REASONS
+    running = np.ones((b, n), dtype=bool)
+    # an orbit of n points stops within n steps: a new point or a stop each
+    while running.any() and len(points) <= MAX_ITER:
+        nxt = table[rows, x]
+        converged = running & (dist[rows, x, nxt] < solver.STEP_TOL_DEFAULT)
+        cycle = running & ~converged & visited[rows, starts, nxt]
+        steps += running
+        reasons[converged], reasons[cycle] = 0, 1
+        running &= ~(converged | cycle)
+        visited[rows, starts, nxt] = True
+        x = nxt
+        points.append(x)
+    return np.stack(points, axis=-1), steps, reasons
+
+
+def _bounds_held(dist: np.ndarray, points: np.ndarray, steps: np.ndarray, limits: np.ndarray,
+                 converged: np.ndarray, alpha: float, c: float) -> np.ndarray:
+    """Per space of a stack, whether `verify_bound` passes every converged
+    orbit (the outputs of `_walk`, with each orbit's last point in limits):
+    each of its rows n has slack alpha^n * c * d01 - d(x_n, x*) at least
+    -BOUND_SLACK_TOL, with alpha^n a Python float power and the arithmetic
+    in verify_bound's order; a NaN slack fails."""
+    b, n, depth = points.shape
+    rows = np.arange(b)[:, None, None]
+    observed = dist[rows, points, limits[..., None]]
+    d01 = dist[rows, points[..., :1], points[..., 1:2]]
+    scales = np.array([alpha**k for k in range(depth)])
+    slack = scales * c * d01 - observed
+    audited = converged[..., None] & (np.arange(depth) <= steps[..., None])
+    return np.all(~audited | (slack >= -solver.BOUND_SLACK_TOL), axis=(1, 2))
+
+
+def _findings(phi: TriangleFunctionSpec, failed: tuple[str, ...], rate: float | None,
+              dist: np.ndarray, table: np.ndarray, instances: list) -> list[Finding]:
+    """The findings of a stack of satisfied instances of one size, each
+    instance an (index, images) pair, under a principle whose `failed`
+    hypotheses are given and whose per-step factor is `rate` (None when it
+    is not derivable)."""
+    labels = _labels(table.shape[1])
+    points, steps, reasons = _walk(dist, table)
+    limits = np.take_along_axis(points, steps[..., None], axis=-1)[..., 0]
+    converged = reasons == 0
+    bound = ["unavailable"] * len(instances)
+    if rate is not None and converged.any():
+        c = trifun.chain_bound_constant(phi, rate)
+        if math.isfinite(c):
+            held = _bounds_held(dist, points, steps, limits, converged, rate, c)
+            bound = [("held" if ok else "violated") if any_limit else "unavailable"
+                     for ok, any_limit in zip(held.tolist(), converged.any(axis=1).tolist())]
+    with np.errstate(all="ignore"):  # as triangle_report
+        lhs, rhs = _finite_triples(phi, dist, slice(None), slice(None))
+        compatible = ~np.any(violates(lhs, rhs), axis=(1, 2, 3))
+    found = []
+    for k, (index, images) in enumerate(instances):
+        picard = tuple(
+            {"start": labels[start], "stop_reason": _STOP_REASONS[reason],
+             "limit": labels[limit] if reason == 0 else None, "steps": count}
+            for start, (reason, limit, count)
+            in enumerate(zip(reasons[k].tolist(), limits[k].tolist(), steps[k].tolist())))
+        found.append(Finding(
+            index=index,
+            space=FiniteSemimetricSpace(labels, dist[k]),
+            mapping=SelfMap(images=tuple(images)),
+            failed_hypotheses=failed,
+            space_compatible=bool(compatible[k]),
+            picard=picard,
+            fixed_points=tuple(labels[i] for i, image in enumerate(images) if image == i),
+            bound=bound[k],
+        ))
+    return found

@@ -265,6 +265,16 @@ def _triple_blocks(n: int):
             yield slice(x0, min(x0 + rows, n)), slice(y0, min(y0 + cols, n))
 
 
+def _finite_triples(phi: TriangleFunctionSpec, D: np.ndarray, xs: slice, ys: slice):
+    """(d(x,y), phi(d(x,z), d(z,y))) over the triples (x, y, z) with x in
+    xs, y in ys and every z, shaped (..., x, y, z) for a matrix D with any
+    leading axes, such as a stack of spaces.  phi reads d(x,z) as a row
+    view of D and d(z,y) as a transposed one: numpy's power loop rounds by
+    operand layout, so every caller gets this one."""
+    Dt = np.swapaxes(D, -1, -2)
+    return D[..., xs, ys, None], trifun._eval_raw(phi, D[..., xs, None, :], Dt[..., None, ys, :])
+
+
 def _triangle_blocks(space: Space, phi: TriangleFunctionSpec, seed: int, samples: int):
     """Yield (bad, violation) per block of checked triples, in checking
     order: bad is the block's violation mask and violation(idx) the
@@ -272,8 +282,7 @@ def _triangle_blocks(space: Space, phi: TriangleFunctionSpec, seed: int, samples
     if isinstance(space, FiniteSemimetricSpace):
         D, labels, n = space.dist, space.labels, space.size
         for xs, ys in _triple_blocks(n):
-            lhs = D[xs, ys, None]
-            rhs = trifun._eval_raw(phi, D[xs, None, :], D.T[None, ys, :])  # d(x,z), d(z,y)
+            lhs, rhs = _finite_triples(phi, D, xs, ys)
 
             def violation(idx, x0=xs.start, y0=ys.start, rhs=rhs):
                 x, y, z = x0 + idx[0], y0 + idx[1], idx[2]

@@ -161,7 +161,8 @@ def _holds(detail: str):
 def _power_c_alpha(phi, alpha: float) -> float:
     try:
         return (1.0 - alpha**phi.q) ** (-1.0 / phi.q)
-    except OverflowError:  # beyond the float64 range: no usable bound
+    # beyond the float64 range, or alpha**q rounded to 1 (tiny q): no usable bound
+    except (OverflowError, ZeroDivisionError):
         return math.inf
 
 

@@ -13,7 +13,8 @@ import numpy as np
 
 import contraction_lab as cl
 from contraction_lab import solver
-from contraction_lab.search import random_metric, random_self_map, random_ultrametric
+from contraction_lab.search import (SIZE_RANGE, Finding, SearchResult, random_metric,
+                                    random_self_map, random_semimetric, random_ultrametric)
 from contraction_lab.space import INEQ_ABS_TOL, INEQ_REL_TOL
 
 # ---------------------------------------------------------------------------
@@ -162,6 +163,58 @@ def reference_audit(trace, phi, alpha, fixed_point, slack_tol=solver.BOUND_SLACK
         rows.append((n, labels[n], step, bound, observed, slack, step_bound, step_ok))
     return (tuple(rows), min_slack, all(row[5] >= -slack_tol for row in rows),
             all(row[7] for row in rows))
+
+
+def reference_search(config) -> SearchResult:
+    """The counterexample search one instance at a time: each instance is
+    drawn, checked with verify_contraction and, when it is a finding, walked
+    with one picard_iterate per start, audited with one verify_bound per
+    converged start and checked with its own triangle_report."""
+    rng = np.random.default_rng(config.seed)
+    record = cl.applicability(config.kind, config.phi)
+    factor = cl.step_contraction_factor(config.kind, config.phi)
+    findings, satisfied = [], 0
+    for index in range(config.budget):
+        size = int(rng.integers(SIZE_RANGE[0], SIZE_RANGE[1] + 1))
+        space = random_semimetric(rng, size)
+        mapping = random_self_map(rng, size)
+        if not cl.verify_contraction(space, mapping, config.kind, listed=0).passed:
+            continue
+        satisfied += 1
+        if record.applicable:
+            continue
+        outcomes, limits = [], []
+        for start in range(space.size):
+            trace = solver.picard_iterate(space, mapping, start, max_iter=10_000)
+            converged = trace.stop_reason == "converged"
+            outcomes.append({
+                "start": space.labels[start],
+                "stop_reason": trace.stop_reason,
+                "limit": space.labels[trace.points[-1]] if converged else None,
+                "steps": len(trace.step_dists),
+            })
+            if converged:
+                limits.append(trace)
+        bound = "unavailable"
+        if factor.derivable and limits:
+            c = cl.chain_bound_constant(config.phi, factor.value)
+            if math.isfinite(c):
+                held = all(solver.verify_bound(trace, config.phi, factor.value,
+                                               trace.points[-1]).bounds_ok
+                           for trace in limits)
+                bound = "held" if held else "violated"
+        findings.append(Finding(
+            index=index,
+            space=space,
+            mapping=mapping,
+            failed_hypotheses=tuple(record.failed()),
+            space_compatible=cl.triangle_report(space, config.phi, listed=0).count == 0,
+            picard=tuple(outcomes),
+            fixed_points=tuple(space.labels[i]
+                               for i in solver.brute_force_fixed_points(space, mapping)),
+            bound=bound,
+        ))
+    return SearchResult(config, config.budget, satisfied, tuple(findings))
 
 
 # ---------------------------------------------------------------------------

@@ -185,13 +185,17 @@ def fitting_documents(draw):
     return {"lo": 0, "hi": 1, "dist": dist}, {"expr": expr}
 
 
+# the extreme parameters put C(alpha) and the profile inverse at the edge
+# of the float64 range
 FUZZ_PHIS = st.sampled_from([{"kind": "additive"}, {"kind": "max"}, {"kind": "bscaled", "K": 2},
                              {"kind": "power", "q": 0.5}, {"kind": "custom", "expr": "u+v"},
                              {"kind": "custom", "expr": "1/(u*v)"},
-                             {"kind": "custom", "expr": "u/v"}])
+                             {"kind": "custom", "expr": "u/v"},
+                             {"kind": "power", "q": 1e-300}, {"kind": "power", "q": 1e-15},
+                             {"kind": "power", "q": 1e300}, {"kind": "bscaled", "K": 1e308}])
 FUZZ_KINDS = st.sampled_from(sorted(TAG_CONSTANTS.items())).flatmap(
     lambda item: st.fixed_dictionaries({"tag": st.just(item[0]),
-                                        **{name: st.sampled_from([0, 0.3, 0.6, 1.2])
+                                        **{name: st.sampled_from([0, 0.3, 0.6, 0.999, 1.2])
                                            for name in item[1]}}))
 
 

@@ -179,6 +179,29 @@ class TestClassify:
             "detail": "C(0.6) = inf",
         }
 
+    def test_power_rounding_to_one_has_no_chain_constant(self, capsys, line_file, unit_file):
+        # alpha**q rounds to 1.0 at q = 1e-300 for any alpha > 0, and at q = 1e-15
+        # for alpha = 0.999, so C(alpha) = 0.0**(-1/q) lies beyond float64
+        cases = (('{"kind":"power","q":1e-300}', PARTIAL_33),
+                 ('{"kind":"power","q":1e-15}', '{"tag":"weak_dual","alpha":0.999,"delta":0}'))
+        commands = (["classify", "--space", unit_file, "--map", '{"expr":"x/2"}'],
+                    ["bounds", "--space", unit_file, "--map", '{"expr":"x/2"}', "--x0", "1"],
+                    ["bounds", "--space", line_file, "--map", '{"images":[0,0,1]}', "--x0", "c"],
+                    ["search", "--budget", "3"])
+        for phi, kind in cases:
+            for argv in commands:
+                code, out, err = run_main(capsys, [*argv, "--phi", phi, "--kind", kind])
+                assert code in (0, 1) and err == "", (argv, phi)
+                envelope = json.loads(out)
+                if argv[0] == "classify":
+                    check = envelope["payload"]["applicability"]["checklist"][2]
+                    assert check["name"] == "chain_bound_finite" and not check["passed"]
+                elif argv[0] == "bounds":
+                    assert envelope["status"] == "not-applicable"
+                    assert "is not finite" in envelope["payload"]["reason"]
+                else:
+                    assert envelope["status"] == "ok"
+
     def test_power_inverse_beyond_float64_powers(self, capsys, line_file):
         # tau = 1/beta = 1000 and tau**200 overflows, although the inverse is about 1000
         code, out, err = run_main(capsys, [

@@ -1,10 +1,16 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contraction_lab as cl
+from contraction_lab.contraction import TAG_CONSTANTS
 from contraction_lab.search import (
+    BATCH_CAP,
     SearchConfig,
     counterexample_search,
     random_metric,
@@ -12,6 +18,18 @@ from contraction_lab.search import (
     random_semimetric,
     random_ultrametric,
 )
+from helpers import reference_search
+
+SEARCH_PHIS = st.sampled_from([
+    cl.additive(), cl.maximum(), cl.bscaled(1.5), cl.bscaled(2.0),
+    *(cl.power(q) for q in (0.5, 0.7, 1.5, 3.0)),
+    cl.custom("(u^1.3+v^1.3)^(1/1.3)"), cl.custom("1/(u*v)"),
+])
+# constants on both sides of each principle's gate
+SEARCH_KINDS = st.sampled_from(sorted(TAG_CONSTANTS.items())).flatmap(
+    lambda item: st.fixed_dictionaries(
+        {name: st.sampled_from([0.0, 0.2, 0.3, 0.45, 0.6, 0.9, 1.1]) for name in item[1]}
+    ).map(lambda constants: cl.ContractionKind(item[0], **constants)))
 
 
 class TestGenerators:
@@ -37,6 +55,25 @@ class TestGenerators:
         for _ in range(20):
             space = random_ultrametric(rng, int(rng.integers(3, 9)))
             assert cl.triangle_report(space, cl.maximum()).count == 0
+
+    def test_draws_are_unchanged(self):
+        rng = np.random.default_rng(3)
+        space = random_semimetric(rng, 3)
+        assert space.labels == ("p0", "p1", "p2")
+        assert space.dist.tolist() == [[0.0, 1.0, 0.2603881952138356],
+                                       [1.0, 0.0, 0.7427684273210006],
+                                       [0.2603881952138356, 0.7427684273210006, 0.0]]
+        assert [random_self_map(rng, size).images for size in (3, 4, 5)] == [
+            (0, 0, 0), (1, 1, 1, 3), (1, 1, 3, 3, 3)]
+        # forty more draws, every map style among them
+        rng = np.random.default_rng(11)
+        draws = []
+        for _ in range(40):
+            size = int(rng.integers(3, 9))
+            draws.append([random_semimetric(rng, size).to_json(),
+                          random_self_map(rng, size).to_json()])
+        digest = hashlib.sha256(json.dumps(draws).encode()).hexdigest()
+        assert digest == "364889cd10c18ca0357a95e244abfe3ac1d4f81ef052b0f1aff85c36b555a11a"
 
     def test_self_map_stays_in_range(self):
         rng = np.random.default_rng(17)
@@ -127,3 +164,27 @@ class TestCounterexampleSearch:
         base = counterexample_search(self.blocked_config(seed=5))
         other = counterexample_search(self.blocked_config(seed=6))
         assert base.to_json() != other.to_json()
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(phi=SEARCH_PHIS, kind=SEARCH_KINDS, budget=st.integers(1, 2 * BATCH_CAP + 8),
+           seed=st.integers(0, 2**63))
+    def test_batched_search_matches_the_instance_loop(self, phi, kind, budget, seed):
+        config = SearchConfig(phi, kind, budget, seed)
+        batched, reference = counterexample_search(config), reference_search(config)
+        assert json.dumps(batched.to_json()) == json.dumps(reference.to_json())
+
+    def test_memory_does_not_grow_with_the_budget(self):
+        # an applicable configuration: every instance is drawn and checked,
+        # none becomes a finding
+        def peak(budget):
+            config = SearchConfig(cl.additive(), cl.ContractionKind("partial", alpha=0.3, beta=0.3),
+                                  budget, seed=3)
+            tracemalloc.start()
+            try:
+                assert counterexample_search(config).findings == ()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # fill the applicability caches
+        assert peak(8 * BATCH_CAP) <= 1.5 * peak(BATCH_CAP)

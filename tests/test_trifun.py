@@ -236,6 +236,11 @@ class TestChainConstant:
         assert report.c_alpha == math.inf and report.certified
         assert cl.chain_bound_constant(cl.power(1e-3), 0.0) == 1.0
 
+    def test_power_rounding_to_one_is_inf(self):
+        # alpha**q rounds to 1.0, and 0.0**(-1/q) has no float value
+        assert cl.chain_bound_constant(cl.power(1e-300), 0.5) == math.inf
+        assert cl.chain_bound_constant(cl.power(1e-15), 0.999) == math.inf
+
     def test_report_fields(self):
         report = cl.chain_report(cl.additive(), 0.5)
         assert len(report.values) == 64
