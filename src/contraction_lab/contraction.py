@@ -220,6 +220,11 @@ class SelfMap:
             return np.asarray(self.images, dtype=np.int64)[np.asarray(x, dtype=np.int64)]
         return self._fn(x=x)  # type: ignore[attr-defined]
 
+    def at(self, x: float) -> float:
+        """T(x) for an expression map at one float, under the caller's error
+        state (see Expression.at)."""
+        return self._fn.at(x)  # type: ignore[attr-defined]
+
 
 @dataclass(frozen=True)
 class PairWitness:

@@ -23,6 +23,14 @@ the broadcast shape of all bindings even where the expression does not read
 one of them ("1" or "x" bound to arrays x and y).  When every binding is a
 scalar the value is a Python float.  A scalar call gives the bits an array
 call gives at the same point.
+
+A keyword call converts its bindings and enters np.errstate on every call.
+Expression.at is the entry for a caller that evaluates one float at a time,
+such as a Picard orbit: it binds x as np.float64 and runs the same closure,
+so '^' is still the np.power ufunc and the value has the keyword call's
+bits.  It leaves the error state to its caller, who enters np.errstate
+once around many calls; outside one, a division by zero warns or raises
+as numpy's current settings say.
 """
 
 from __future__ import annotations
@@ -330,6 +338,16 @@ class Expression:
             if result.shape != shape:
                 result = np.full(shape, result)
         return float(result) if result.ndim == 0 else result
+
+    def at(self, x: float) -> float:
+        """The value at x as a float, for an expression that reads at most
+        x: the closure bound to one np.float64 under the caller's error
+        state, so a caller that makes many calls enters np.errstate once.
+        It gives the bits that the keyword call gives at the same x."""
+        try:
+            return float(self.compiled({"x": np.float64(x)}))
+        except KeyError as exc:
+            raise ValueError(f"no value supplied for variable {exc.args[0]!r}") from None
 
     def text(self) -> str:
         """Canonical rendering; reparsing it reproduces the same tree."""

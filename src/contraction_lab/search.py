@@ -62,10 +62,11 @@ def _labels(size: int) -> tuple[str, ...]:
 def _semimetric(draws: np.ndarray) -> np.ndarray:
     """Semimetric matrices from uniform draws in [0, 1) shaped (..., n, n):
     1 - draw above the diagonal, in (0, 1], mirrored below it, and each
-    matrix rescaled to maximum 1."""
+    matrix rescaled to maximum 1 (a one-point matrix stays [[0]])."""
     matrix = np.triu(1.0 - draws, 1)
     matrix = matrix + np.swapaxes(matrix, -1, -2)
-    matrix /= matrix.max(axis=(-2, -1), keepdims=True)
+    if matrix.shape[-1] > 1:  # off the diagonal every entry is positive
+        matrix /= matrix.max(axis=(-2, -1), keepdims=True)
     return matrix
 
 
@@ -93,7 +94,8 @@ def random_metric(rng: np.random.Generator, size: int) -> FiniteSemimetricSpace:
         diff = pts[:, None, :] - pts[None, :, :]
         matrix = np.sqrt(np.sum(diff * diff, axis=2))
         if np.all(matrix + np.eye(size) > 1e-6):
-            matrix /= matrix.max()
+            if size > 1:
+                matrix /= matrix.max()
             return FiniteSemimetricSpace(_labels(size), matrix)
 
 

@@ -13,17 +13,29 @@ established through the vanishing-deviation battery, and reports where the
 battery fails are flagged as not certified.
 
 Each map call needs the value of the one before, so the map is called once
-per iterate.  The distances are not: an interval orbit collects its
-iterates in chunks of CHUNK_FIRST, doubling up to CHUNK_CAP, takes each
-chunk's step distances in one array call of the distance and then scans the
-chunk for the first stop; the audit takes its observed column d(x_n, x*) in
-one call.  A finite orbit walks one step at a time, so that it makes one
-map call per step.  An expression gives the same bits in scalar and array
-calls, so the orbit and the audit give the values a step-by-step walk does.
+per iterate, through SelfMap.at: one float in, one float out, with no
+array built.  The distances are not: an interval orbit collects its
+iterates in chunks of CHUNK_FIRST, doubling up to CHUNK_CAP.  Each chunk's
+map calls share one np.errstate, which closes before the chunk is handed
+on, so the caller's error state holds outside it.  Each chunk's step
+distances come from one array call of the distance; the chunk is then
+searched for the first step below tol and walked a step at a time for the
+first revisit.  A finite orbit walks one step at a time, so that it makes
+one image lookup per step.
+
+verify_bound builds its report as columns: the observed distances
+d(x_n, x*) in one call, alpha^n as Python's float power row by row, and
+the bounds, slacks, step bounds and step flags as float64 arrays, kept as
+tuples of Python floats.  The report's JSON and CSV read the columns, and
+spell a column's non-finite values only when it has some; its rows are
+built on first use.  An expression gives the same bits in scalar and
+array calls, and float64 array arithmetic rounds as Python's floats do,
+so the orbit and the audit give the values a step-by-step walk does.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -116,42 +128,97 @@ def _tail_rates(step_dists: list[float]) -> tuple[float | None, float | None]:
     return max(ratios), geomean
 
 
-def _finite_steps(space: FiniteSemimetricSpace, mapping: SelfMap, x: int, max_iter: int):
-    """(x_{n+1}, d(x_n, x_{n+1})) along a finite orbit from x, one image
-    table lookup per step, for at most max_iter steps."""
+def _finite_orbit(space: FiniteSemimetricSpace, mapping: SelfMap, x: int, max_iter: int,
+                  tol: float) -> tuple[list, list[float], str]:
+    """(points, step_dists, stop_reason) of a finite orbit from x, one image
+    table lookup per step; an exact revisit is a cycle."""
     images, dist = mapping.images, space.dist
+    points, step_dists, visited = [x], [], {x}
     for _ in range(max_iter):
         nxt = int(images[x])
-        yield nxt, float(dist[x, nxt])
+        step = float(dist[x, nxt])
+        points.append(nxt)
+        step_dists.append(step)
+        if step < tol:
+            return points, step_dists, "converged"
+        if nxt in visited:
+            return points, step_dists, "cycle_detected"
+        visited.add(nxt)
         x = nxt
+    return points, step_dists, "max_iter"
 
 
-def _interval_steps(space: IntervalSpace, mapping: SelfMap, x: float, max_iter: int):
-    """(x_{n+1}, d(x_n, x_{n+1})) along an interval orbit from x, for at most
-    max_iter steps, with the step distances of each chunk of iterates taken
-    in one array call.  A map value outside [lo, hi] ends its chunk; the
-    DomainEscapeError naming it comes after the chunk's earlier steps, so a
-    caller that stops at one of them never sees it."""
+def _interval_chunks(space: IntervalSpace, mapping: SelfMap, x: float, max_iter: int):
+    """Chunks (iterates, step distances), a list and a float64 array, of an
+    interval orbit from x, for at most max_iter steps.  Each chunk's map calls run
+    under one np.errstate, closed before the chunk is yielded, and its step
+    distances come from one array call.  A map value outside [lo, hi] ends
+    its chunk; the DomainEscapeError naming it comes after the chunk, so a
+    caller that stops inside it never sees it."""
     lo, hi = space.lo, space.hi
+    low, high = lo - 1e-12, hi + 1e-12
+    at = mapping.at
     done, size = 0, CHUNK_FIRST
     while done < max_iter:
         chunk, escape = [x], None
-        for _ in range(min(size, max_iter - done)):
-            nxt = float(mapping(chunk[-1]))
-            if not (lo - 1e-12 <= nxt <= hi + 1e-12):
-                escape = nxt
-                break
-            chunk.append(min(max(nxt, lo), hi))
+        with np.errstate(all="ignore"):
+            for _ in range(min(size, max_iter - done)):
+                x = at(x)
+                if not lo <= x <= hi:  # clamp the 1e-12 slack; NaN escapes
+                    if not low <= x <= high:
+                        escape, x = x, chunk[-1]
+                        break
+                    x = lo if x < lo else hi
+                chunk.append(x)
         if len(chunk) > 1:
-            steps = space.d(np.array(chunk[:-1]), np.array(chunk[1:])).tolist()
-            yield from zip(chunk[1:], steps)
+            yield chunk[1:], space.d(np.array(chunk[:-1]), np.array(chunk[1:]))
         done += len(chunk) - 1
-        x = chunk[-1]
         if escape is not None:
             raise DomainEscapeError(
                 f"iterate {done + 1}: T({x!r}) = {escape!r} leaves [{lo}, {hi}]"
             )
         size = min(2 * size, CHUNK_CAP)
+
+
+def _cycle_in(points: list[float], step_dists: list[float], first: dict, base: int,
+              end: int) -> int | None:
+    """The first n in [base, end) where x_n comes back within CYCLE_PROXIMITY
+    of an earlier iterate (lag >= 2) while its step is at least
+    CYCLE_STEP_FLOOR, or None.  Iterates share a bucket when they share the
+    key round(x / CYCLE_PROXIMITY); `first` maps each key to the first
+    iterate in its bucket, and the iterates scanned are entered in it."""
+    for n in range(base, end):
+        x = points[n]
+        key = round(x / CYCLE_PROXIMITY)
+        if step_dists[n - 1] >= CYCLE_STEP_FLOOR:
+            for k in (key - 1, key, key + 1):
+                earlier = first.get(k)
+                if (earlier is not None and earlier <= n - 2
+                        and abs(x - points[earlier]) < CYCLE_PROXIMITY):
+                    return n
+        first.setdefault(key, n)
+    return None
+
+
+def _interval_orbit(space: IntervalSpace, mapping: SelfMap, x: float, max_iter: int,
+                    tol: float) -> tuple[list, list[float], str]:
+    """(points, step_dists, stop_reason) of an interval orbit from x, a chunk
+    at a time: the first step below tol and the first revisit (_cycle_in)
+    are found in the chunk's lists, and whichever comes first ends it."""
+    points, step_dists = [x], []
+    first = {round(x / CYCLE_PROXIMITY): 0}
+    for iterates, steps in _interval_chunks(space, mapping, x, max_iter):
+        base = len(points)
+        points += iterates
+        step_dists += steps.tolist()
+        below = np.flatnonzero(steps < tol)
+        end = base + int(below[0]) if len(below) else len(points)
+        cycle = _cycle_in(points, step_dists, first, base, end)
+        if cycle is not None or end < len(points):
+            stop = end if cycle is None else cycle
+            del points[stop + 1:], step_dists[stop:]
+            return points, step_dists, "converged" if cycle is None else "cycle_detected"
+    return points, step_dists, "max_iter"
 
 
 def picard_iterate(
@@ -172,48 +239,16 @@ def picard_iterate(
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     mapping.validate_for(space)
-    finite = isinstance(space, FiniteSemimetricSpace)
-    if finite:
+    if isinstance(space, FiniteSemimetricSpace):
         x = space.index_of(x0) if isinstance(x0, str) else int(x0)
         if not 0 <= x < space.size:
             raise ValueError(f"start index {x0!r} out of range")
+        points, step_dists, stop_reason = _finite_orbit(space, mapping, x, max_iter, tol)
     else:
         x = float(x0)
         if not space.contains(x):
             raise ValueError(f"start {x0!r} outside [{space.lo}, {space.hi}]")
-
-    points = [x]
-    step_dists: list[float] = []
-    stop_reason = "max_iter"
-    visited: set[int] = {x} if finite else set()
-    buckets: dict[int, int] = {}
-    if not finite:
-        buckets[round(x / CYCLE_PROXIMITY)] = 0
-
-    walk = _finite_steps if finite else _interval_steps
-    for nxt, step in walk(space, mapping, x, max_iter):
-        points.append(nxt)
-        step_dists.append(step)
-        if step < tol:
-            stop_reason = "converged"
-            break
-        if finite:
-            if nxt in visited:
-                stop_reason = "cycle_detected"
-                break
-            visited.add(nxt)
-        else:
-            key = round(nxt / CYCLE_PROXIMITY)
-            hit = None
-            for k in (key - 1, key, key + 1):
-                if k in buckets and buckets[k] <= len(points) - 3:
-                    if abs(nxt - points[buckets[k]]) < CYCLE_PROXIMITY:
-                        hit = buckets[k]
-                        break
-            if hit is not None and step >= CYCLE_STEP_FLOOR:
-                stop_reason = "cycle_detected"
-                break
-            buckets.setdefault(key, len(points) - 1)
+        points, step_dists, stop_reason = _interval_orbit(space, mapping, x, max_iter, tol)
 
     rate_max, rate_geo = _tail_rates(step_dists)
     return IterationTrace(
@@ -265,14 +300,30 @@ class BoundRow(NamedTuple):
     step_ok: bool
 
 
+def _json_column(values: tuple) -> list:
+    """A column of floats as JSON data: passed through when every value is
+    finite, else spelled value by value with _json_float."""
+    if np.all(np.isfinite(values)):
+        return list(values)
+    return [_json_float(v) for v in values]
+
+
 @dataclass(frozen=True)
 class BoundReport:
-    """Row-by-row audit of the a-priori bound along one orbit."""
+    """Audit of the a-priori bound along one orbit, held as columns: row n
+    is entry n of points, bounds, observed and slacks, and, for every row but
+    the last, of step_dists, step_bounds and step_flags."""
 
     alpha: float
     c_alpha: float
     d01: float
-    rows: tuple[BoundRow, ...]
+    points: tuple
+    step_dists: tuple[float, ...]
+    bounds: tuple[float, ...]
+    observed: tuple[float, ...]
+    slacks: tuple[float, ...]
+    step_bounds: tuple[float, ...]
+    step_flags: tuple[bool, ...]
     min_slack: float
     bounds_ok: bool
     steps_ok: bool
@@ -283,7 +334,24 @@ class BoundReport:
     def passed(self) -> bool:
         return self.bounds_ok and self.steps_ok
 
+    def _padded(self, column: list, fill) -> list:
+        """A step column with one entry per row: `fill` on the rows without
+        a step."""
+        return column + [fill] * (len(self.points) - len(column))
+
+    @functools.cached_property
+    def rows(self) -> tuple[BoundRow, ...]:
+        """The audit row by row, built from the columns on first use."""
+        return tuple(map(BoundRow._make, zip(
+            range(len(self.points)), self.points, self._padded(list(self.step_dists), None),
+            self.bounds, self.observed, self.slacks,
+            self._padded(list(self.step_bounds), None),
+            self._padded(list(self.step_flags), True))))
+
     def to_json(self) -> dict:
+        steps = self._padded(_json_column(self.step_dists), None)
+        columns = zip(range(len(self.points)), self.points, steps, _json_column(self.bounds),
+                      _json_column(self.observed), _json_column(self.slacks))
         return {
             "alpha": self.alpha,
             "c_alpha": self.c_alpha,
@@ -293,24 +361,18 @@ class BoundReport:
             "steps_ok": self.steps_ok,
             "certified": self.certified,
             "note": self.note,
-            "rows": [
-                {
-                    "n": r.n,
-                    "x_n": r.point,
-                    "step_dist": _json_float(r.step_dist),
-                    "bound": _json_float(r.bound),
-                    "observed": _json_float(r.observed),
-                    "slack": _json_float(r.slack),
-                }
-                for r in self.rows
-            ],
+            "rows": [{"n": n, "x_n": point, "step_dist": step, "bound": bound,
+                      "observed": seen, "slack": slack}
+                     for n, point, step, bound, seen, slack in columns],
         }
 
     def to_csv(self) -> str:
+        steps = self._padded(list(self.step_dists), "")
+        columns = zip(range(len(self.points)), self.points, steps, self.bounds,
+                      self.observed, self.slacks)
         lines = ["n,x_n,step_dist,bound,observed,slack"]
-        for r in self.rows:
-            step = "" if r.step_dist is None else r.step_dist
-            lines.append(f"{r.n},{r.point},{step},{r.bound},{r.observed},{r.slack}")
+        lines += [f"{n},{point},{step},{bound},{seen},{slack}"
+                  for n, point, step, bound, seen, slack in columns]
         return "\n".join(lines) + "\n"
 
 
@@ -325,31 +387,28 @@ def verify_bound(
 
     Also audits the per-step inequality d(x_n, x_{n+1}) <= alpha^n * d01.
     The report is certified only when the distance-continuity battery
-    passes for phi; otherwise it carries an explanatory note.
+    passes for phi; otherwise it carries an explanatory note.  The columns
+    take the operations a row-by-row audit takes, in its order: alpha^n is
+    Python's float power, row by row, and the rest are float64 array
+    operations, which round as Python's float operations do.
     """
     c = _chain_constant(phi, alpha)
     space = trace.space
-    finite = isinstance(space, FiniteSemimetricSpace)
-    if finite and isinstance(fixed_point, str):
+    if isinstance(space, FiniteSemimetricSpace) and isinstance(fixed_point, str):
         fixed_point = space.index_of(fixed_point)
-    steps = trace.step_dists
+    points = trace.points
+    steps = tuple(trace.step_dists[: len(points)])
     d01 = steps[0] if steps else 0.0
-    observed = space.d(np.array(trace.points), fixed_point).tolist()
-
-    rows: list[BoundRow] = []
-    min_slack = math.inf
-    for n, (point, seen) in enumerate(zip(trace.point_labels(), observed)):
-        scale = alpha**n
-        bound = scale * c * d01
-        slack = bound - seen
-        if slack < min_slack or math.isnan(slack):  # once a NaN, it stays
-            min_slack = slack
-        if n < len(steps):
-            step, step_bound = steps[n], scale * d01
-            step_ok = step <= step_bound * (1.0 + 1e-12) + 1e-12
-        else:
-            step, step_bound, step_ok = None, None, True
-        rows.append(BoundRow(n, point, step, bound, seen, slack, step_bound, step_ok))
+    observed = space.d(np.array(points), fixed_point)
+    scale = np.array([alpha**n for n in range(len(points))])
+    with np.errstate(all="ignore"):  # inf * 0 is a NaN slack, as in Python
+        bounds = scale * c * d01
+        slacks = bounds - observed
+        step_bounds = scale[: len(steps)] * d01
+        step_flags = np.array(steps) <= step_bounds * (1.0 + 1e-12) + 1e-12
+    # the first smallest slack, or NaN once one slack is NaN
+    slacks = slacks.tolist()
+    min_slack = math.nan if any(map(math.isnan, slacks)) else min(slacks, default=0.0)
 
     battery = trifun._deviation_report(phi).passed
     note = "" if battery else (
@@ -360,10 +419,16 @@ def verify_bound(
         alpha=alpha,
         c_alpha=c,
         d01=d01,
-        rows=tuple(rows),
-        min_slack=float(min_slack) if rows else 0.0,
+        points=tuple(trace.point_labels()),
+        step_dists=steps,
+        bounds=tuple(bounds.tolist()),
+        observed=tuple(observed.tolist()),
+        slacks=tuple(slacks),
+        step_bounds=tuple(step_bounds.tolist()),
+        step_flags=tuple(step_flags.tolist()),
+        min_slack=min_slack,
         bounds_ok=min_slack >= -slack_tol,  # a NaN slack fails too
-        steps_ok=all(row.step_ok for row in rows),
+        steps_ok=bool(np.all(step_flags)),
         certified=battery,
         note=note,
     )

@@ -10,7 +10,7 @@ import warnings
 
 import jsonschema
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from contraction_lab import cli
@@ -241,12 +241,9 @@ def argvs(draw, folder):
     return argv
 
 
-@settings(max_examples=200, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_cli_answers_every_argv_with_an_envelope(tmp_path, monkeypatch, data):
-    monkeypatch.delenv("CONTRACTION_LAB_SEED", raising=False)
-    argv = data.draw(argvs(tmp_path))
+def _answer(argv):
+    """The envelope run_command gives for argv, checked against main's exit
+    code and output, with every RuntimeWarning an error."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -257,3 +254,46 @@ def test_cli_answers_every_argv_with_an_envelope(tmp_path, monkeypatch, data):
     assert code == EXIT_CODES[envelope["status"]], (argv, envelope)
     if envelope["status"] == "error":
         assert out.getvalue() == "" and json.loads(err.getvalue()) == envelope, argv
+    return envelope
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_answers_every_argv_with_an_envelope(tmp_path, monkeypatch, data):
+    monkeypatch.delenv("CONTRACTION_LAB_SEED", raising=False)
+    _answer(data.draw(argvs(tmp_path)))
+
+
+TINY_POWERS = ({"kind": "power", "q": 1e-300}, {"kind": "power", "q": 1e-15})
+FITTING = ({"labels": ["p0", "p1"], "dist": [[0.0, 1.0], [1.0, 0.0]]}, {"images": [0, 0]})
+
+
+# Every argv here is complete and every document reads and fits, so every
+# example gets past the input boundary to the numbers of its triangle
+# function: the chain constant, the unit-profile inverse and the hypotheses.
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["classify", "bounds", "search"]), phi=FUZZ_PHIS,
+       kind=FUZZ_KINDS, documents=fitting_documents(), start=st.integers(0, 2),
+       budget=st.sampled_from(["1", "2", "3"]), seed=st.sampled_from(["0", "3"]))
+@example(command="classify", phi=TINY_POWERS[0], kind={"tag": "partial", "alpha": 0.3,
+                                                       "beta": 0.3},
+         documents=FITTING, start=0, budget="1", seed="0")
+@example(command="bounds", phi=TINY_POWERS[1], kind={"tag": "weak_dual", "alpha": 0.6,
+                                                     "delta": 0.0},
+         documents=FITTING, start=1, budget="1", seed="0")
+def test_valid_argvs_reach_the_numbers_of_their_phi(tmp_path, monkeypatch, command, phi, kind,
+                                                    documents, start, budget, seed):
+    monkeypatch.delenv("CONTRACTION_LAB_SEED", raising=False)
+    space, mapping = documents
+    argv = [command, "--phi", json.dumps(phi), "--kind", json.dumps(kind)]
+    if command == "search":
+        argv += ["--budget", budget, "--seed", seed]
+    else:
+        starts = ["p0", "1"] if "labels" in space else ["0", "0.5", "1"]
+        argv += ["--space", _write(tmp_path / "space.json", space), "--map", json.dumps(mapping)]
+        if command == "bounds":
+            argv += ["--x0", starts[start % len(starts)], "--max-iter", "40"]
+    envelope = _answer(argv)
+    assert envelope["status"] != "error", (argv, envelope)

@@ -199,6 +199,8 @@ class TestRoundTripProperty:
 # Bindings for the array-against-scalar property: zero, negatives, values
 # below and above one, and large ones, so that inf and nan arise too.
 _POINTS = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-3, 7.25, 1e200])
+# The scalar entry's points: both zeros, both infinities and nan as well.
+_EDGES = np.concatenate((_POINTS, [-1e200, math.inf, -math.inf, math.nan]))
 _XS, _YS = (grid.ravel() for grid in np.meshgrid(_POINTS, _POINTS[::-1], indexing="ij"))
 
 
@@ -224,6 +226,29 @@ class TestArrayCalls:
         assert all(type(value) is float for value in scalars)
         assert _same_bits(values, scalars)
         assert _same_bits(broadcast.ravel(), scalars)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=_trees(("x",)))
+    def test_scalar_entry_equals_keyword_and_array_calls(self, tree):
+        expr = parse_expression(unparse(tree))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = expr(x=_EDGES)
+            scalars = [expr(x=float(x)) for x in _EDGES]
+            with np.errstate(all="ignore"):
+                entries = [expr.at(float(x)) for x in _EDGES]
+        assert all(type(value) is float for value in entries)
+        assert _same_bits(entries, scalars)
+        assert _same_bits(entries, values)
+
+    def test_scalar_entry_runs_under_the_callers_error_state(self):
+        expr = parse_expression("1/x")
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            expr.at(0.0)
+        with np.errstate(divide="ignore"):
+            assert expr.at(0.0) == math.inf and expr.at(-0.0) == -math.inf
+        with pytest.raises(ValueError, match="'y'"):
+            parse_expression("x+y").at(1.0)
 
     def test_variable_exponent_takes_one_path(self):
         # numpy's constant-exponent fast path gives 0.1*0.1 = 0.010000000000000002

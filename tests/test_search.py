@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,13 @@ class TestGenerators:
                           random_self_map(rng, size).to_json()])
         digest = hashlib.sha256(json.dumps(draws).encode()).hexdigest()
         assert digest == "364889cd10c18ca0357a95e244abfe3ac1d4f81ef052b0f1aff85c36b555a11a"
+
+    def test_one_point_spaces_are_valid(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for make in (random_semimetric, random_metric):
+                space = make(np.random.default_rng(0), 1)
+                assert space.labels == ("p0",) and space.dist.tolist() == [[0.0]], make
 
     def test_self_map_stays_in_range(self):
         rng = np.random.default_rng(17)

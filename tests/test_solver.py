@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +10,14 @@ from hypothesis import strategies as st
 import contraction_lab as cl
 from contraction_lab.contraction import ContractionKind, SelfMap
 from contraction_lab.search import random_metric, random_self_map
-from contraction_lab.solver import BoundUnavailable, DomainEscapeError
+from contraction_lab import solver
+from contraction_lab.solver import BoundUnavailable, DomainEscapeError, IterationTrace
+from contraction_lab.trifun import _json_float
 
 from helpers import (
     bianchini_bound_instances,
     c_alpha_oracle,
+    line_space,
     reference_audit,
     reference_orbit,
     stretched_space,
@@ -73,6 +78,13 @@ class TestPicardIterate:
         assert trace.stop_reason == "cycle_detected"
         assert trace.points == (0.25, 0.75, 0.25)
 
+    def test_a_revisit_needs_a_lag_of_two(self):
+        # d(x, x) = 1: the orbit sits at its fixed point without converging
+        space = cl.IntervalSpace(0.0, 1.0, "abs(x-y) + 1")
+        trace = cl.picard_iterate(space, SelfMap(expr="0.5"), 0.25)
+        assert trace.points == (0.25, 0.5, 0.5, 0.5)
+        assert trace.stop_reason == "cycle_detected"
+
     def test_spiked_map_escapes_at_runtime(self):
         space = unit_interval()
         spiky = SelfMap(expr=f"x/2 + 4*max(0, 1 - 1000000*abs(x - {GAP_CENTER!r}))")
@@ -80,6 +92,34 @@ class TestPicardIterate:
         with pytest.raises(DomainEscapeError) as err:
             cl.picard_iterate(space, spiky, GAP_CENTER)
         assert "leaves [0.0, 1.0]" in str(err.value)
+
+    @pytest.mark.parametrize("blow_up", ["1e-300/abs(x - 0.25)*1e-300",  # inf at 0.25
+                                         "(1/(x - 0.25) - 1/(x - 0.25))"])  # nan at 0.25
+    def test_map_value_inf_or_nan_escapes_quietly(self, blow_up):
+        space, mapping = unit_interval(), SelfMap(expr=f"x/2 + {blow_up}")
+        mapping.validate_for(space)  # finite at every sampled point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainEscapeError) as chunked:
+                cl.picard_iterate(space, mapping, 1.0)
+            with pytest.raises(DomainEscapeError) as reference:
+                reference_orbit(space, mapping, 1.0)
+        assert str(chunked.value) == str(reference.value)
+        assert str(chunked.value).startswith("iterate 3: T(0.25) = ")
+
+    def test_chunks_leave_the_callers_error_state_alone(self):
+        space = unit_interval()
+        mapping = SelfMap(expr=f"x/2 + 1e-300/abs(x - {2.0**-40!r})*1e-300")  # inf at 2^-40
+        with np.errstate(divide="raise", over="warn", under="ignore", invalid="call"):
+            state = np.geterr()
+            chunks = solver._interval_chunks(space, mapping, 1.0, 10_000)
+            sizes = []
+            with pytest.raises(DomainEscapeError):
+                for iterates, steps in chunks:
+                    assert np.geterr() == state
+                    sizes.append(len(iterates))
+            assert np.geterr() == state
+        assert sizes == [16, 24]  # the second chunk ends at the escape, iterate 41
 
     def test_invalid_arguments(self):
         space, mapping = unit_interval(), SelfMap(expr="x/2")
@@ -245,6 +285,60 @@ class TestVerifyBound:
         }
         assert set(payload["rows"][0]) == {"n", "x_n", "step_dist", "bound", "observed", "slack"}
 
+    @pytest.mark.parametrize("case", ["nan slack", "one point", "finite", "half map", "lists"])
+    def test_columns_serialise_as_the_rows_would(self, case):
+        phi, alpha = cl.additive(), 0.5
+        if case == "nan slack":  # d(0, 0) = 0/0 and d(0, 0.5) = inf: an infinite first step
+            space = cl.IntervalSpace(0.0, 1.0, "abs(x-y)/x")
+            trace = cl.picard_iterate(space, SelfMap(expr="0.5"), 0.0)
+            fixed_point = 0.5
+        elif case == "one point":
+            trace = IterationTrace(unit_interval(), SelfMap(expr="x/2"), (0.0,), (), "converged",
+                                   1e-10, None, None)
+            fixed_point = 0.0
+        elif case == "finite":
+            trace = cl.picard_iterate(line_space(), SelfMap(images=(1, 2, 2)), "a")
+            fixed_point = "c"
+        elif case == "lists":  # a trace built by hand from lists, not tuples
+            trace = IterationTrace(unit_interval(), SelfMap(expr="x/2"), [1.0, 0.5, 0.25],
+                                   [0.5, 0.25], "max_iter", 1e-10, None, None)
+            fixed_point = 0.0
+        else:
+            trace = cl.picard_iterate(unit_interval(), SelfMap(expr="x/2"), 1.0)
+            fixed_point = 0.0
+        report = cl.verify_bound(trace, phi, alpha, fixed_point)
+        if isinstance(fixed_point, str):
+            fixed_point = trace.space.index_of(fixed_point)
+        rows, min_slack, bounds_ok, steps_ok = reference_audit(trace, phi, alpha, fixed_point)
+        payload = {
+            "alpha": alpha, "c_alpha": report.c_alpha,
+            "d01": _json_float(trace.step_dists[0] if trace.step_dists else 0.0),
+            "min_slack": _json_float(min_slack), "bounds_ok": bounds_ok, "steps_ok": steps_ok,
+            "certified": report.certified, "note": report.note,
+            "rows": [{"n": n, "x_n": point, "step_dist": _json_float(step),
+                      "bound": _json_float(bound), "observed": _json_float(seen),
+                      "slack": _json_float(slack)}
+                     for n, point, step, bound, seen, slack, _, _ in rows],
+        }
+        csv = "".join(f"{n},{point},{'' if step is None else step},{bound},{seen},{slack}\n"
+                      for n, point, step, bound, seen, slack, _, _ in rows)
+        assert json.dumps(report.to_json(), sort_keys=True) == json.dumps(payload, sort_keys=True)
+        assert report.to_csv() == "n,x_n,step_dist,bound,observed,slack\n" + csv
+        _same(tuple(map(tuple, report.rows)), rows)
+        if case == "nan slack":
+            assert payload["rows"][0]["slack"] == "nan" and payload["d01"] == "inf"
+            assert payload["min_slack"] == "nan" and not report.bounds_ok
+
+    def test_reports_compare_by_value(self):
+        """The orbit 0.25, 0.75, 0.25 audited against 0 and against 0.75:
+        the same min_slack, -0.25, and different rows."""
+        trace = cl.picard_iterate(unit_interval(), SelfMap(expr="1-x"), 0.25)
+        report = cl.verify_bound(trace, cl.additive(), 0.5, 0.0)
+        other = cl.verify_bound(trace, cl.additive(), 0.5, 0.75)
+        assert report.min_slack == other.min_slack == -0.25
+        assert report == cl.verify_bound(trace, cl.additive(), 0.5, 0.0)
+        assert report != other
+
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
             cl.verify_bound(self.half_trace(), cl.additive(), 1.0, 0.0)
@@ -321,6 +415,29 @@ class TestChunkedOrbitMatchesReference:
               reference_orbit(space, mapping, x0, max_iter=max_iter, tol=tol))
         assert all(type(step) is float for step in trace.step_dists)
         _audits_match(trace, phi, alpha, trace.points[-1])
+
+    @pytest.mark.parametrize("period", [3, 40])
+    @pytest.mark.parametrize("offset", [0.0, 7e-13, -7e-13, 2e-12])
+    @pytest.mark.parametrize("tail", [False, True])
+    def test_revisits_within_and_across_chunks(self, period, offset, tail):
+        """An orbit that walks `period` points of [0.25, 0.75] and comes
+        back `offset` away from the first; from 0.9 it enters the walk at
+        iterate 1.  The first visit and the revisit share a chunk at period 3
+        with the tail and lie in different chunks otherwise; at 7e-13 either
+        way the two keys differ by one."""
+        walk = [0.25 + k * 0.5 / period for k in range(period)]
+        table = dict(zip(walk, [*walk[1:], 0.25 + offset]))
+        table[0.9] = 0.25
+        width = 0.1 / period
+        mapping = SelfMap(expr=" + ".join(f"{image!r}*max(0, 1 - abs(x - {point!r})/{width!r})"
+                                         for point, image in table.items()))
+        x0 = 0.9 if tail else 0.25
+        trace = cl.picard_iterate(unit_interval(), mapping, x0, max_iter=3 * period)
+        _same((list(trace.points), list(trace.step_dists), trace.stop_reason),
+              reference_orbit(unit_interval(), mapping, x0, max_iter=3 * period))
+        if abs(offset) < 1e-12:
+            assert trace.stop_reason == "cycle_detected"
+            assert len(trace.points) == period + tail + 1
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), max_iter=st.integers(1, 10),
