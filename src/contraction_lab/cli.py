@@ -35,9 +35,9 @@ from .contraction import (
 from .search import SearchConfig, counterexample_search
 from .space import (
     FiniteSemimetricSpace,
-    minimal_b_constant,
     space_from_json,
     triangle_report,
+    triple_pass,
     validate_semimetric,
 )
 from .trifun import TriangleFunctionSpec, _json_float
@@ -171,15 +171,15 @@ def _orbit(args, space, mapping, x0):
 def _cmd_validate(args, space, phi):
     space_report = validate_semimetric(space)
     phi_report = trifun.check_axioms(phi)
-    triangle = triangle_report(space, phi, listed=MAX_LISTED_VIOLATIONS)
+    if isinstance(space, FiniteSemimetricSpace):
+        triangle, minimal_b = triple_pass(space, phi, MAX_LISTED_VIOLATIONS)
+    else:  # undefined on intervals, as on a single point
+        triangle, minimal_b = triangle_report(space, phi, listed=MAX_LISTED_VIOLATIONS), None
     payload = {
         "space": space_report.to_json(),
         "phi_axioms": phi_report.to_json(),
         "triangle": triangle.to_json(),
-        # undefined on intervals and on a single point
-        "minimal_b": _json_float(minimal_b_constant(space))
-        if isinstance(space, FiniteSemimetricSpace) and space.size >= 2
-        else None,
+        "minimal_b": _json_float(minimal_b),
     }
     ok = space_report.passed and phi_report.passed and triangle.count == 0
     return CommandResult("validate", "ok" if ok else "violation", payload), None

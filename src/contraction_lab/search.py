@@ -87,39 +87,6 @@ def random_semimetric(rng: np.random.Generator, size: int) -> FiniteSemimetricSp
     return FiniteSemimetricSpace(_labels(size), _semimetric(rng.random((size, size))))
 
 
-def random_metric(rng: np.random.Generator, size: int) -> FiniteSemimetricSpace:
-    """Euclidean distances of random points in R^3, rescaled to maximum 1."""
-    while True:
-        pts = rng.random((size, 3))
-        diff = pts[:, None, :] - pts[None, :, :]
-        matrix = np.sqrt(np.sum(diff * diff, axis=2))
-        if np.all(matrix + np.eye(size) > 1e-6):
-            if size > 1:
-                matrix /= matrix.max()
-            return FiniteSemimetricSpace(_labels(size), matrix)
-
-
-def random_ultrametric(rng: np.random.Generator, size: int) -> FiniteSemimetricSpace:
-    """Hierarchical split construction: pairs across a split sit at the
-    split's level, levels strictly decrease inward."""
-    matrix = np.zeros((size, size))
-
-    def fill(indices: list[int], level: float) -> None:
-        if len(indices) < 2:
-            return
-        cut = int(rng.integers(1, len(indices)))
-        left, right = indices[:cut], indices[cut:]
-        for i in left:
-            for j in right:
-                matrix[i, j] = matrix[j, i] = level
-        fill(left, level * rng.uniform(0.4, 0.9))
-        fill(right, level * rng.uniform(0.4, 0.9))
-
-    order = list(rng.permutation(size))
-    fill(order, 1.0)
-    return FiniteSemimetricSpace(_labels(size), matrix)
-
-
 def random_self_map(rng: np.random.Generator, size: int) -> SelfMap:
     """Mixture of constant, near-constant and uniform image tables."""
     return SelfMap(images=tuple(_draw_images(rng, size)))

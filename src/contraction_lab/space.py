@@ -7,11 +7,19 @@ separate generalized condition d(x,y) <= phi(d(x,z), d(z,y)), checked over
 all ordered triples on finite spaces (degenerate z included) and over seeded
 samples plus corner/midpoint combinations on intervals.
 
-The two O(N^3) kernels on finite spaces, the triangle check and the minimal
-b-metric constant, stream the triples in blocks of at most BLOCK_ELEMENTS,
-in (x, y, z) row-major order, so their memory grows as O(N^2).  The triangle
-check keeps the exact violation count and builds only the first violations
-a caller asks for (`triangle_report`'s `listed`).
+On finite spaces the triangle check and the minimal b-metric constant come
+from one O(N^3) kernel, `triple_pass`, which streams the triples in blocks
+of at most BLOCK_ELEMENTS, in (x, y, z) row-major order, so its memory
+grows as O(N^2).  Each block computes the sums d(x,z) + d(z,y) once.  Their
+minimum over z is the minimal-b denominator of each pair (x, y) and, under
+a triangle function that reads only u + v (additive, bscaled), the pair's
+least right-hand side, since rounding is monotone; other families evaluate
+phi on the block and take its minimum.  The violation test is monotone in
+the right-hand side and a NaN survives the minimum, so a pair that passes
+against its least right-hand side passes for every z: only a block with a
+pair that fails this screen is tested along z.  The triangle check keeps
+the exact violation count and builds only the first violations a caller
+asks for (`triangle_report`'s `listed`).
 """
 
 from __future__ import annotations
@@ -275,33 +283,6 @@ def _finite_triples(phi: TriangleFunctionSpec, D: np.ndarray, xs: slice, ys: sli
     return D[..., xs, ys, None], trifun._eval_raw(phi, D[..., xs, None, :], Dt[..., None, ys, :])
 
 
-def _triangle_blocks(space: Space, phi: TriangleFunctionSpec, seed: int, samples: int):
-    """Yield (bad, violation) per block of checked triples, in checking
-    order: bad is the block's violation mask and violation(idx) the
-    TriangleViolation at index tuple idx of the block."""
-    if isinstance(space, FiniteSemimetricSpace):
-        D, labels, n = space.dist, space.labels, space.size
-        for xs, ys in _triple_blocks(n):
-            lhs, rhs = _finite_triples(phi, D, xs, ys)
-
-            def violation(idx, x0=xs.start, y0=ys.start, rhs=rhs):
-                x, y, z = x0 + idx[0], y0 + idx[1], idx[2]
-                return TriangleViolation(labels[x], labels[y], labels[z],
-                                         float(D[x, y]), float(rhs[idx]))
-            yield violates(lhs, rhs), violation
-        return
-
-    xs, ys, zs = _interval_points(space, 3, samples, seed)
-    lhs = space.d(xs, ys)
-    rhs = trifun._eval_raw(phi, space.d(xs, zs), space.d(zs, ys))
-
-    def violation(idx):
-        (k,) = idx
-        return TriangleViolation(float(xs[k]), float(ys[k]), float(zs[k]),
-                                 float(lhs[k]), float(rhs[k]))
-    yield violates(lhs, rhs), violation
-
-
 def triangle_report(
     space: Space,
     phi: TriangleFunctionSpec,
@@ -313,20 +294,79 @@ def triangle_report(
     the first `listed` of them (all of them when `listed` is None).
 
     Finite spaces are checked over every ordered triple, including the
-    degenerate ones with z = x or z = y, streamed in blocks of at most
-    BLOCK_ELEMENTS triples in (x, y, z) row-major order, so memory stays
-    O(N^2).  Interval spaces are sampled: corner/midpoint combinations
-    first, then `samples` seeded triples.
+    degenerate ones with z = x or z = y, by `triple_pass`.  Interval spaces
+    are sampled: corner/midpoint combinations first, then `samples` seeded
+    triples.
     """
-    count, violations = 0, []
+    if isinstance(space, FiniteSemimetricSpace):
+        return triple_pass(space, phi, listed, minimal_b=False)[0]
+    xs, ys, zs = _interval_points(space, 3, samples, seed)
     with np.errstate(all="ignore"):
-        for bad, violation in _triangle_blocks(space, phi, seed, samples):
+        lhs = space.d(xs, ys)
+        rhs = trifun._eval_raw(phi, space.d(xs, zs), space.d(zs, ys))
+        bad = np.flatnonzero(violates(lhs, rhs))
+    return TriangleReport(len(bad), tuple(
+        TriangleViolation(float(xs[k]), float(ys[k]), float(zs[k]), float(lhs[k]), float(rhs[k]))
+        for k in bad[:listed]))
+
+
+def triple_pass(
+    space: FiniteSemimetricSpace,
+    phi: TriangleFunctionSpec | None = None,
+    listed: int | None = None,
+    minimal_b: bool = True,
+) -> tuple[TriangleReport | None, float | None]:
+    """The streamed pass of the module docstring: the report of
+    `triangle_report(space, phi, listed=listed)` (None without a phi) and,
+    if asked, `minimal_b_constant(space)` (None on fewer than two points)."""
+    D, labels, n = space.dist, space.labels, space.size
+    of_sum = None if phi is None else trifun._KINDS[phi.kind].of_sum
+    Dt = np.ascontiguousarray(D.T)  # sums are exact in any layout; contiguous ones are faster
+    count, violations, best = 0, [], 0.0
+    with np.errstate(all="ignore"):
+        for xs, ys in _triple_blocks(n):
+            lhs = D[xs, ys]
+            if minimal_b or of_sum is not None:
+                # shaped (z, x, y), so that the minimum over z reduces whole slabs
+                sums = Dt[:, xs, None] + D[:, None, ys]
+                least = np.min(sums, axis=0)
+                if of_sum is not None:  # before _largest_ratio writes to least
+                    suspects = violates(lhs, of_sum(phi, least))
+                if minimal_b:
+                    best = max(best, _largest_ratio(lhs, sums, least, xs, ys))
+            if phi is None:
+                continue
+            if of_sum is None:
+                sums = None  # free the block's sums before phi is evaluated on it
+                rhs = _finite_triples(phi, D, xs, ys)[1]
+                suspects = violates(lhs, np.min(rhs, axis=2))
+            if not suspects.any():
+                continue
+            if of_sum is not None:
+                rhs = np.moveaxis(of_sum(phi, sums), 0, -1)
+            bad = violates(lhs[..., None], rhs)
             hits = int(np.count_nonzero(bad))
             count += hits
             room = None if listed is None else listed - len(violations)
             if hits and (room is None or room > 0):
-                violations.extend(violation(tuple(idx)) for idx in np.argwhere(bad)[:room])
-    return TriangleReport(count, tuple(violations))
+                violations.extend(
+                    TriangleViolation(labels[xs.start + x], labels[ys.start + y], labels[z],
+                                      float(lhs[x, y]), float(rhs[x, y, z]))
+                    for x, y, z in np.argwhere(bad)[:room].tolist())
+    triangle = None if phi is None else TriangleReport(count, tuple(violations))
+    return triangle, best if minimal_b and n >= 2 else None
+
+
+def _largest_ratio(lhs, sums, least, xs: slice, ys: slice) -> float:
+    """The largest d(x,y) / (d(x,z) + d(z,y)) of a block with x != y, from
+    its sums shaped (z, x, y) and their minimum over z, which it
+    overwrites; see `minimal_b_constant`."""
+    distinct = np.arange(xs.start, xs.stop)[:, None] != np.arange(ys.start, ys.stop)[None, :]
+    redo = distinct & (least <= 0.0)
+    if np.any(redo):  # some denominator <= 0: take the least positive one
+        below = sums[:, redo]
+        least[redo] = np.min(np.where(below > 0.0, below, np.inf), axis=0)
+    return float(np.max(np.where(distinct & (lhs > 0.0), lhs / least, 0.0)))
 
 
 def minimal_b_constant(space: FiniteSemimetricSpace) -> float:
@@ -334,9 +374,9 @@ def minimal_b_constant(space: FiniteSemimetricSpace) -> float:
     d(x,y) / (d(x,z) + d(z,y)) over ordered triples with x != y.
 
     Degenerate chains through z = x or z = y participate, so the result is
-    at least 1 on any space with two or more points, with equality exactly
-    when the space is metric.  The triples are streamed in the blocks of
-    `triangle_report`, with a running maximum.  Per pair the largest ratio
+    at least 1 on any semimetric space with two or more points, with
+    equality exactly when the space is metric.  The triples are streamed
+    by `triple_pass`, with a running maximum.  Per pair the largest ratio
     sits at the smallest positive denominator, and rounded division keeps
     that order, so dividing once by that denominator is exact.  Triples
     with x = y or a denominator <= 0 count as ratio 0, which pairs with
@@ -344,20 +384,4 @@ def minimal_b_constant(space: FiniteSemimetricSpace) -> float:
     """
     if space.size < 2:
         raise ValueError("need at least two points")
-    D = space.dist
-    Dt = np.ascontiguousarray(D.T)  # sums are exact in any layout; contiguous ones are faster
-    best = 0.0
-    with np.errstate(all="ignore"):
-        for xs, ys in _triple_blocks(space.size):
-            denom = D[xs, None, :] + Dt[None, ys, :]
-            closest = np.min(denom, axis=2)
-            distinct = (np.arange(xs.start, xs.stop)[:, None]
-                        != np.arange(ys.start, ys.stop)[None, :])
-            redo = distinct & (closest <= 0.0)
-            if np.any(redo):  # some denominator <= 0: take the least positive one
-                rows = denom[redo]
-                closest[redo] = np.min(np.where(rows > 0.0, rows, np.inf), axis=1)
-            lhs = D[xs, ys]
-            ratios = np.where(distinct & (lhs > 0.0), lhs / closest, 0.0)
-            best = max(best, float(np.max(ratios)))
-    return best
+    return triple_pass(space)[1]

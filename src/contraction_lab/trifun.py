@@ -21,7 +21,8 @@ continuity is established), and the generalized inverse of the unit profile
 Psi(t) = Phi(t, 1).
 
 Everything that tells the families apart lives in one table, `_KINDS`: the
-parameter and its validity rule, the formula, the closed forms of C(a) and
+parameter and its validity rule, the formula (as a function of u + v alone
+where it reads only the sum), the closed forms of C(a) and
 of the unit-profile inverse, and the closed-form verdicts on the hypotheses
 the applicability checklist asks about phi (`check_hypothesis`).  A missing
 closed form means the fact is probed instead and the result is not
@@ -143,6 +144,7 @@ class _Kind:
     spec first."""
 
     formula: Callable[..., object]  # (phi, u, v) under the caller's numpy error state
+    of_sum: Callable[..., object] | None = None  # (phi, u + v) when the formula reads only the sum
     param: str | None = None  # the one field the kind takes
     valid: Callable[[object], bool] | None = None  # the parameter's validity rule
     requirement: str = ""  # the error when `valid` fails
@@ -152,6 +154,12 @@ class _Kind:
     inverse: Callable[..., float] | None = None  # (phi, tau) -> inf{t : Phi(t, 1) >= tau}
     verdicts: dict = field(default_factory=dict)  # hypothesis -> phi -> (passed, detail)
     chain_detail: Callable[..., str] = lambda phi, rate: ""  # suffix of the chain check
+
+
+def _sum_kind(of_sum, **fields) -> _Kind:
+    """A family whose formula reads only u + v: the formula is `of_sum`
+    applied to the float64 sum."""
+    return _Kind(lambda phi, u, v: of_sum(phi, np.add(u, v, dtype=np.float64)), of_sum, **fields)
 
 
 def _holds(detail: str):
@@ -192,8 +200,8 @@ _VANISHING = {"zero_slot_bound": _holds("phi(0, v) = v"),
               "distance_continuity": _holds("vanishing-deviation route")}
 
 _KINDS = {
-    "additive": _Kind(
-        lambda phi, u, v: np.add(u, v, dtype=np.float64),
+    "additive": _sum_kind(
+        lambda phi, s: s,
         c_alpha=lambda phi, a: 1.0 / (1.0 - a),
         inverse=lambda phi, tau: max(tau - 1.0, 0.0),
         verdicts={**_CLOSED_FORM, **_VANISHING, "bounded_by_sum": _holds("equality")},
@@ -204,8 +212,8 @@ _KINDS = {
         inverse=lambda phi, tau: tau if tau > 1.0 else 0.0,
         verdicts={**_CLOSED_FORM, **_VANISHING, "bounded_by_sum": _holds("max <= sum")},
     ),
-    "bscaled": _Kind(
-        lambda phi, u, v: phi.K * np.add(u, v, dtype=np.float64),
+    "bscaled": _sum_kind(
+        lambda phi, s: phi.K * s,
         param="K",
         valid=lambda K: _real(K) and math.isfinite(K) and K >= 1.0,
         requirement="bscaled requires a finite scale K >= 1",

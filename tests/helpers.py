@@ -13,8 +13,8 @@ import numpy as np
 
 import contraction_lab as cl
 from contraction_lab import solver
-from contraction_lab.search import (SIZE_RANGE, Finding, SearchResult, random_metric,
-                                    random_self_map, random_semimetric, random_ultrametric)
+from contraction_lab.search import (SIZE_RANGE, Finding, SearchResult, _labels, random_self_map,
+                                    random_semimetric)
 from contraction_lab.space import INEQ_ABS_TOL, INEQ_REL_TOL
 
 # ---------------------------------------------------------------------------
@@ -89,13 +89,13 @@ def minimal_b_oracle(dist: np.ndarray) -> float:
 def triangle_oracle(triples, d, phi) -> list[tuple]:
     """Every violation (x, y, z, lhs, rhs) of d(x,y) <= phi(d(x,z), d(z,y)),
     by a plain loop over `triples` in order, with the package's documented
-    slack: lhs > rhs*(1 + 1e-12) + 1e-12.  `d` and `phi` are plain Python
-    functions."""
+    slack: lhs > rhs*(1 + 1e-12) + 1e-12, where a NaN on either side
+    violates.  `d` and `phi` are plain Python functions."""
     found = []
     for x, y, z in triples:
         lhs = d(x, y)
         rhs = phi(d(x, z), d(z, y))
-        if lhs > rhs * (1.0 + INEQ_REL_TOL) + INEQ_ABS_TOL:
+        if not lhs <= rhs * (1.0 + INEQ_REL_TOL) + INEQ_ABS_TOL:
             found.append((x, y, z, lhs, rhs))
     return found
 
@@ -235,6 +235,39 @@ def line_space() -> cl.FiniteSemimetricSpace:
 
 def unit_interval() -> cl.IntervalSpace:
     return cl.IntervalSpace(0.0, 1.0)
+
+
+def random_metric(rng: np.random.Generator, size: int) -> cl.FiniteSemimetricSpace:
+    """Euclidean distances of random points in R^3, rescaled to maximum 1."""
+    while True:
+        pts = rng.random((size, 3))
+        diff = pts[:, None, :] - pts[None, :, :]
+        matrix = np.sqrt(np.sum(diff * diff, axis=2))
+        if np.all(matrix + np.eye(size) > 1e-6):
+            if size > 1:
+                matrix /= matrix.max()
+            return cl.FiniteSemimetricSpace(_labels(size), matrix)
+
+
+def random_ultrametric(rng: np.random.Generator, size: int) -> cl.FiniteSemimetricSpace:
+    """Hierarchical split construction: pairs across a split sit at the
+    split's level, levels strictly decrease inward."""
+    matrix = np.zeros((size, size))
+
+    def fill(indices: list[int], level: float) -> None:
+        if len(indices) < 2:
+            return
+        cut = int(rng.integers(1, len(indices)))
+        left, right = indices[:cut], indices[cut:]
+        for i in left:
+            for j in right:
+                matrix[i, j] = matrix[j, i] = level
+        fill(left, level * rng.uniform(0.4, 0.9))
+        fill(right, level * rng.uniform(0.4, 0.9))
+
+    order = list(rng.permutation(size))
+    fill(order, 1.0)
+    return cl.FiniteSemimetricSpace(_labels(size), matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 from contraction_lab import trifun
 from contraction_lab.cli import MAX_LISTED_VIOLATIONS, main, run_command
 from contraction_lab.contraction import TAG_CONSTANTS, TAGS
+from contraction_lab.search import random_semimetric
 from contraction_lab.schemas import (
     KIND_SCHEMA,
     MAP_SCHEMA,
@@ -17,9 +19,23 @@ from contraction_lab.schemas import (
     SPACE_SCHEMA,
 )
 
-from helpers import triangle_oracle
+from helpers import random_metric, triangle_oracle
 
 ADDITIVE = '{"kind":"additive"}'
+# every power on numpy's fast paths (sqrt, square), whose rounding does not
+# depend on the machine's SIMD loops
+PIN_PHIS = ({"kind": "additive"}, {"kind": "max"}, {"kind": "bscaled", "K": 1.5},
+            {"kind": "power", "q": 0.5}, {"kind": "power", "q": 2},
+            {"kind": "custom", "expr": "u+v"})
+# SHA-256 of the sorted-key validate envelopes under PIN_PHIS, in order
+PINNED_REPLIES = {
+    (random_semimetric, 13): "c1277fc8070f18f866195c37dec6a5419dfb19682de5b1aedf4accb927301599",
+    (random_metric, 13): "e9d319c291ed326a11f34f9d8dfccd17d55f81a0c930be5f02c5ab86ae4d355b",
+    (random_semimetric, 60): "7710e9241e8c0a79e2e31420214b08b2b9b757367505cb92e9bf4077c385d69b",
+    (random_metric, 60): "d8282dd72b3170709ef68e13f9d42f64c7796bf779caaf6eb2d8e2e418aa45b7",
+    (random_semimetric, 100): "b00512e34deccef3d7f7c88634b869594229e4f0cec8440b0caae3a78780f2e4",
+    (random_metric, 100): "654186f2795fb76207880e8bfcffd45490315a88d87c5e7e09ef75bbf2ccceca",
+}
 MAX = '{"kind":"max"}'
 PARTIAL_33 = '{"tag":"partial","alpha":0.3,"beta":0.3}'
 
@@ -113,6 +129,19 @@ class TestValidate:
         checks = {c["name"]: c for c in json.loads(out)["payload"]["space"]["checks"]}
         assert [name for name, c in checks.items() if not c["passed"]] == ["identity_zero_self"]
         assert checks["identity_zero_self"]["witness"] == [0.0, 0.5]
+
+    @pytest.mark.parametrize(("make", "size"), list(PINNED_REPLIES),
+                             ids=lambda value: getattr(value, "__name__", value))
+    def test_replies_are_pinned(self, tmp_path, make, size):
+        # digests recorded from the separate triangle and minimal-b kernels
+        space = make(np.random.default_rng([size, int(make is random_metric)]), size)
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(space.to_json()))
+        digest = hashlib.sha256()
+        for phi in PIN_PHIS:
+            reply = run_command(["validate", "--space", str(path), "--phi", json.dumps(phi)])
+            digest.update(json.dumps(reply.to_json(), sort_keys=True).encode() + b"\n")
+        assert digest.hexdigest() == PINNED_REPLIES[make, size]
 
     def test_interval_space(self, capsys, unit_file):
         code, out, _ = run_main(capsys, ["validate", "--space", unit_file,

@@ -14,12 +14,10 @@ from contraction_lab.search import (
     BATCH_CAP,
     SearchConfig,
     counterexample_search,
-    random_metric,
     random_self_map,
     random_semimetric,
-    random_ultrametric,
 )
-from helpers import reference_search
+from helpers import random_metric, random_ultrametric, reference_search
 
 SEARCH_PHIS = st.sampled_from([
     cl.additive(), cl.maximum(), cl.bscaled(1.5), cl.bscaled(2.0),

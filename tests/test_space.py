@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +11,15 @@ from hypothesis import strategies as st
 
 import contraction_lab as cl
 from contraction_lab import space as space_module
+from contraction_lab.cli import MAX_LISTED_VIOLATIONS, run_command
 from contraction_lab.search import random_semimetric
+from contraction_lab.trifun import _json_float
 
 from helpers import (
     line_space,
     minimal_b_oracle,
+    random_metric,
+    random_ultrametric,
     stretched_space,
     triangle_oracle,
     unit_interval,
@@ -242,8 +248,8 @@ def assert_report_matches(space, phi, found, name, **options):
         wanted = found if listed is None else found[:listed]
         assert [(v.x, v.y, v.z, v.lhs) for v in report.violations] == [
             (name(x), name(y), name(z), lhs) for x, y, z, lhs, _ in wanted], (phi, listed)
-        assert np.allclose([v.rhs for v in report.violations],
-                           [rhs for *_, rhs in wanted], rtol=1e-14, atol=0.0), (phi, listed)
+        assert np.allclose([v.rhs for v in report.violations], [rhs for *_, rhs in wanted],
+                           rtol=1e-14, atol=0.0, equal_nan=True), (phi, listed)
 
 
 def finite_oracle(space, fn):
@@ -294,20 +300,167 @@ class TestStreamedTriangle:
         listed = cl.triangle_report(space, cl.additive(), listed=5)
         assert report.violations[:5] == listed.violations
 
-    def test_memory_stays_quadratic(self):
+    @pytest.mark.parametrize("kernel", ["separate", "additive", "power"])
+    def test_memory_stays_quadratic(self, kernel):
         n = 300
         space = random_semimetric(np.random.default_rng(300), n)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            report = cl.triangle_report(space, cl.additive(), listed=5)
-            best = cl.minimal_b_constant(space)
+            if kernel == "separate":
+                report = cl.triangle_report(space, cl.additive(), listed=5)
+                best = cl.minimal_b_constant(space)
+            else:  # validate's one pass
+                phi = cl.additive() if kernel == "additive" else cl.power(0.5)
+                report, best = space_module.triple_pass(space, phi, listed=5)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert report.count > 0 and len(report.violations) == 5 and best > 1.0
         # one N^3 float64 temporary alone would be 216 MB
         assert peak < 16 * n * n * 8, f"peak {peak / (n * n * 8):.1f} N^2 float64"
+
+
+def _blocks(block: int | None):
+    """BLOCK_ELEMENTS set to `block` inside a with statement (None keeps it)."""
+    return mock.patch.object(space_module, "BLOCK_ELEMENTS", block or space_module.BLOCK_ELEMENTS)
+
+
+def _power_half(u, v):
+    """Power 1/2 in plain Python as numpy evaluates it: NaN for a negative
+    argument, inf where the result overflows."""
+    if u < 0.0 or v < 0.0:
+        return math.nan
+    try:
+        return (u**0.5 + v**0.5) ** 2.0
+    except OverflowError:
+        return math.inf
+
+
+EDGE_PHIS = {**ORACLE_PHIS, "power": (cl.power(0.5), _power_half)}
+
+
+def _edge_spaces():
+    """Spaces at the edges of the one pass, as (name, matrix) params."""
+    rng = np.random.default_rng(20261019)
+    huge = 1.7e308 * np.triu(rng.uniform(0.5, 1.0, (13, 13)), 1)
+    huge[:4, :4] = np.triu(rng.uniform(0.5, 1.0, (4, 4)), 1)  # some ratios near 1e308
+    signed = np.triu(rng.choice([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0], (13, 13)), 1)
+    signed[0, 1] = 1.0  # a positive entry, so that minimal_b >= 1
+    cases = {
+        "huge": huge + huge.T,
+        "signed": signed + signed.T,
+        # pair (p0, p1): its least sum -0.5 (through p2) violates additive Phi,
+        # and minimal_b repairs it to its least positive sum 1 in the same block
+        "repair": np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 0.5], [-1.0, 0.5, 0.0]]),
+        "one-point": np.zeros((1, 1)),
+        "two-point": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    }
+    return [pytest.param(name, dist, id=name) for name, dist in cases.items()]
+
+
+class TestOnePassEdges:
+    """The one pass against the triple loops at the edges of its screen and
+    of the minimal-b repair, on every family, across block edges."""
+
+    @pytest.mark.parametrize("block", [None, 60, 400])
+    @pytest.mark.parametrize(("name", "dist"), _edge_spaces())
+    def test_matches_triple_loops(self, name, dist, block):
+        space = cl.FiniteSemimetricSpace(tuple(f"p{i}" for i in range(len(dist))), dist)
+        with _blocks(block):
+            for phi, fn in EDGE_PHIS.values():
+                assert_report_matches(space, phi, finite_oracle(space, fn),
+                                      lambda i: space.labels[i])
+            if space.size < 2:
+                with pytest.raises(ValueError):
+                    cl.minimal_b_constant(space)
+            else:
+                with np.errstate(over="ignore"):  # the oracle's numpy sums overflow too
+                    expected = minimal_b_oracle(space.dist)
+                assert cl.minimal_b_constant(space) == expected
+        if name == "repair":
+            assert ("p0", "p1", "p2") in _violations(space, cl.additive())
+
+    # blocks of one pair: the repair case's pair is then the only one its screen sees
+    @pytest.mark.parametrize("block", [None, 1])
+    @pytest.mark.parametrize(("name", "dist"), _edge_spaces())
+    def test_validate_payload_is_the_two_reports(self, tmp_path, name, dist, block):
+        space = cl.FiniteSemimetricSpace(tuple(f"p{i}" for i in range(len(dist))), dist)
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(space.to_json()))
+        for phi, _ in EDGE_PHIS.values():
+            with _blocks(block):
+                payload = run_command(["validate", "--space", str(path),
+                                       "--phi", json.dumps(phi.to_json())]).payload
+            report = cl.triangle_report(space, phi, listed=MAX_LISTED_VIOLATIONS)
+            assert payload["triangle"] == report.to_json()
+            assert payload["minimal_b"] == (
+                _json_float(cl.minimal_b_constant(space)) if space.size >= 2 else None)
+
+
+def _space(kind: str, size: int, seed: int) -> cl.FiniteSemimetricSpace:
+    rng = np.random.default_rng(seed)
+    if kind == "semimetric":
+        return random_semimetric(rng, size)
+    if kind == "metric":
+        return random_metric(rng, size)
+    if kind == "ultrametric":
+        return random_ultrametric(rng, size)
+    # entries on a grid of quarters, so that many triples are exactly tight
+    upper = np.triu(rng.integers(1, 9, (size, size)) / 4.0, 1)
+    return cl.FiniteSemimetricSpace(tuple(f"p{i}" for i in range(size)), upper + upper.T)
+
+
+SPACES = st.builds(_space, st.sampled_from(["semimetric", "metric", "ultrametric", "grid"]),
+                   st.integers(2, 40), st.integers(0, 2**32 - 1))
+SCALES = st.floats(1.0, 4.0)
+
+
+def _violations(space, phi) -> set:
+    return {(v.x, v.y, v.z) for v in cl.triangle_report(space, phi).violations}
+
+
+class TestCorollaries:
+    """Relations the paper's corollaries give, exact in float64, checked on
+    spaces of up to 40 points and across block edges."""
+
+    @pytest.mark.parametrize("block", [None, 60, 400])
+    @settings(max_examples=25, deadline=None)
+    @given(space=SPACES, scales=st.tuples(SCALES, SCALES))
+    def test_violation_sets_nest_in_phi_order(self, block, space, scales):
+        # fl(max(u,v)) <= fl(u+v) <= fl(K1*(u+v)) <= fl(K2*(u+v)) on non-negative floats
+        k1, k2 = sorted(scales)
+        with _blocks(block):
+            chain = [_violations(space, phi) for phi in
+                     (cl.bscaled(k2), cl.bscaled(k1), cl.additive(), cl.maximum())]
+        assert all(inner <= outer for inner, outer in zip(chain, chain[1:]))
+
+    @pytest.mark.parametrize("block", [None, 60, 400])
+    @settings(max_examples=25, deadline=None)
+    @given(space=SPACES)
+    def test_space_is_a_b_metric_at_minimal_b(self, block, space):
+        with _blocks(block):
+            best = cl.minimal_b_constant(space)
+            assert cl.triangle_report(space, cl.bscaled(best), listed=0).count == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(size=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+    def test_metrics_and_ultrametrics_have_no_violations(self, size, seed):
+        assert cl.triangle_report(_space("metric", size, seed), cl.additive(), listed=0).count == 0
+        assert cl.triangle_report(_space("ultrametric", size, seed), cl.maximum(),
+                                  listed=0).count == 0
+
+    @pytest.mark.parametrize("block", [None, 60, 400])
+    @settings(max_examples=25, deadline=None)
+    @given(space=SPACES, scale=SCALES, seed=st.integers(0, 2**32 - 1))
+    def test_relabelling_permutes_the_violations(self, block, space, scale, seed):
+        perm = np.random.default_rng(seed).permutation(space.size)
+        moved = cl.FiniteSemimetricSpace(tuple(space.labels[i] for i in perm),
+                                         space.dist[np.ix_(perm, perm)])
+        with _blocks(block):
+            for phi in (cl.additive(), cl.maximum(), cl.bscaled(scale)):
+                assert _violations(moved, phi) == _violations(space, phi)
+            assert cl.minimal_b_constant(moved) == cl.minimal_b_constant(space)
 
 
 class TestMinimalB:
