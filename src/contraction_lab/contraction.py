@@ -61,65 +61,77 @@ class _Family:
 
     constants: tuple[str, ...]
     kernel: tuple[str, ...]
-    rate: Callable[..., float]  # per-step Picard factor (phi = max for chatterjea_bianchini)
+    factor: Callable[..., tuple]  # (phi, *constants): (factor, "") or (None, why there is none)
     gate: Callable[..., tuple[bool, str]]  # the "constants" hypothesis and its detail
     principle: str
     # hypotheses on phi after the chain bound, checked at the kind's beta: the
     # continuity the principle needs, then the family's side conditions
     phi_checks: tuple[str, ...]
     unique: Callable[..., bool] = lambda *constants: True  # granted once applicable
-    rate_needs_secondary_below_one: bool = False  # the rate divides by 1 - s
-    caveats: tuple[str, ...] = ()
+    # the conditions a derived factor rests on
+    caveats: Callable[..., tuple[str, ...]] = lambda *constants: ()
+
+
+def _inverse_factor(phi: TriangleFunctionSpec, beta: float) -> tuple[float | None, str]:
+    """The chatterjea_bianchini factor: 1 / (the unit-profile inverse at
+    1/beta), which is beta only for phi = max; 0 when beta = 0."""
+    if beta == 0.0:
+        return 0.0, ""
+    threshold = trifun.unit_profile_inverse(phi, 1.0 / beta)
+    if not threshold > 1.0:
+        return None, f"unit profile inverse at 1/beta is {threshold:g}, needs > 1"
+    return 0.0 if math.isinf(threshold) else 1.0 / threshold, ""
 
 
 _FAMILIES = {
     "partial": _Family(
         ("alpha", "beta"), ("x_tx",),
-        rate=lambda a, b: a + b,
+        factor=lambda phi, a, b: (a + b, ""),
         gate=lambda a, b: (a + b < 1.0, f"alpha + beta = {a + b:g}"),
         principle="partial_contraction", phi_checks=("origin_continuity",),
     ),
     "partial_dual": _Family(
         ("alpha", "beta"), ("y_ty",),
-        rate=lambda a, b: a / (1.0 - b),
+        factor=lambda phi, a, b: (a / (1.0 - b), "") if b < 1.0 else (None, "needs beta < 1"),
         gate=lambda a, b: (b < 1.0 and a + b < 1.0,
                            f"alpha/(1-beta) = {a / (1.0 - b) if b < 1 else math.inf:g}"),
         principle="partial_contraction_dual_variant",
         phi_checks=("origin_continuity", "zero_slot_bound"),
-        rate_needs_secondary_below_one=True,
     ),
     "weak": _Family(
         ("alpha", "delta"), ("x_ty",),
-        rate=lambda a, d: (a + d) / (1.0 - d),
+        factor=lambda phi, a, d: ((a + d) / (1.0 - d), "") if d < 1.0 else
+        (None, "needs delta < 1"),
         gate=lambda a, d: (a + 2.0 * d < 1.0, f"alpha + 2*delta = {a + 2.0 * d:g}"),
         principle="weak_contraction_primal_variant",
         phi_checks=("full_continuity", "bounded_by_sum"),
         unique=lambda a, d: d == 0.0,
-        rate_needs_secondary_below_one=True,
-        caveats=("valid only when phi is bounded by u+v on the orbit pairs",),
+        caveats=lambda a, d: ("valid only when phi is bounded by u+v on the orbit pairs",),
     ),
     "weak_dual": _Family(
         ("alpha", "delta"), ("y_tx",),
-        rate=lambda a, d: a,
+        factor=lambda phi, a, d: (a, ""),
         gate=lambda a, d: (a < 1.0, f"alpha = {a:g}"),
         principle="weak_contraction", phi_checks=("origin_continuity",),
         unique=lambda a, d: d == 0.0,
     ),
     "bianchini": _Family(
         ("beta",), ("x_tx", "y_ty"),
-        rate=lambda b: b,
+        factor=lambda phi, b: (b, ""),
         gate=lambda b: (b < 1.0, f"beta = {b:g}"),
         principle="bianchini_contraction", phi_checks=("full_continuity", "zero_slot_bound"),
     ),
     "chatterjea_bianchini": _Family(
         ("beta",), ("x_ty", "y_tx"),
-        rate=lambda b: b,
+        factor=_inverse_factor,
         gate=lambda b: (True, f"beta = {b:g} (uniqueness needs beta < 1)"),
         principle="chatterjea_bianchini_contraction",
         phi_checks=("full_continuity", "zero_slot_at_beta", "inverse_gap",
                     "distance_continuity"),
         unique=lambda b: b < 1.0,
-        caveats=("relies on homogeneity of phi and on positive step distances",),
+        # beta = 0 makes every d(Tx, Ty) zero, which needs neither
+        caveats=lambda b: ("relies on homogeneity of phi and on positive step distances",)
+        if b > 0.0 else (),
     ),
 }
 
@@ -315,10 +327,7 @@ def defining_rhs(kind: ContractionKind, space: Space, mapping: SelfMap, x, y) ->
     if isinstance(space, FiniteSemimetricSpace):
         x = space.index_of(x) if isinstance(x, str) else x
         y = space.index_of(y) if isinstance(y, str) else y
-    tx, ty = mapping(x), mapping(y)
-    d = space.d
-    components = {"dxy": d(x, y), "x_tx": d(x, tx), "y_ty": d(y, ty),
-                  "x_ty": d(x, ty), "y_tx": d(y, tx)}
+    components = _components(space.d, x, y, mapping(x), mapping(y))
     with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is nan, which violates
         return float(_rhs(kind, components))
 
@@ -403,9 +412,10 @@ class ConstantsEstimate:
     witness: PairWitness | None = None
     frontier: tuple[FrontierPoint, ...] = ()
 
-    def best_rate(self) -> tuple[float, "ContractionKind | None"]:
-        """Smallest per-step factor available on the estimate, with a kind
-        realizing it (None when nothing lies below 1)."""
+    def best_rate(self, phi: TriangleFunctionSpec) -> tuple[float, "ContractionKind | None"]:
+        """Smallest per-step factor under phi available on the estimate, as
+        `step_contraction_factor` derives it, with a kind realizing it;
+        (inf, None) when no candidate has a factor below 1."""
         family = _FAMILIES[self.tag]
         if len(family.constants) == 1:
             bounded = not self.unbounded and self.beta_star is not None
@@ -414,9 +424,9 @@ class ConstantsEstimate:
             candidates = [(point.alpha_min, point.secondary) for point in self.frontier]
         best, best_kind = math.inf, None
         for values in candidates:
-            rate = family.rate(*values)
-            if rate < best:
-                best = rate
+            factor = _step_factor(family, phi, values)
+            if factor.derivable and factor.value < best:
+                best = factor.value
                 best_kind = ContractionKind(self.tag, **dict(zip(family.constants, values)))
         return best, best_kind
 
@@ -486,25 +496,17 @@ def step_contraction_factor(kind: ContractionKind, phi: TriangleFunctionSpec) ->
     generalized inverse of the unit profile at 1/beta; 0 when beta = 0.
     Factors at or above 1 are reported as not derivable.
     """
-    family = _FAMILIES[kind.tag]
-    values = tuple(kind.constants().values())
-    if kind.tag == "chatterjea_bianchini":
-        if kind.beta == 0.0:
-            return StepFactorResult(0.0, True)
-        threshold = trifun.unit_profile_inverse(phi, 1.0 / kind.beta)
-        if not threshold > 1.0:
-            return StepFactorResult(
-                None, False,
-                f"unit profile inverse at 1/beta is {threshold:g}, needs > 1",
-            )
-        value = 0.0 if math.isinf(threshold) else 1.0 / threshold
-    elif family.rate_needs_secondary_below_one and values[-1] >= 1.0:
-        return StepFactorResult(None, False, f"needs {family.constants[-1]} < 1")
-    else:
-        value = family.rate(*values)
+    return _step_factor(_FAMILIES[kind.tag], phi, tuple(kind.constants().values()))
+
+
+def _step_factor(family: _Family, phi: TriangleFunctionSpec, values: tuple) -> StepFactorResult:
+    value, reason = family.factor(phi, *values)
+    if value is None:
+        return StepFactorResult(None, False, reason)
+    caveats = family.caveats(*values)
     if not value < 1.0:
-        return StepFactorResult(None, False, f"factor {value:g} is not below 1", family.caveats)
-    return StepFactorResult(float(value), True, "", family.caveats)
+        return StepFactorResult(None, False, f"factor {value:g} is not below 1", caveats)
+    return StepFactorResult(float(value), True, "", caveats)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ Numbers are decimal with an optional exponent.  Identifiers are limited to
 the variables x, y, u, v and the functions abs, min, max, sqrt.  Parsing
 compiles the tree once into a closure; calling an Expression converts each
 keyword binding to C-ordered float64 and evaluates in double precision
-throughout.
+throughout.  Replies echo an expression's source text; no tree is printed.
 Division by zero and fractional powers of negatives produce inf/nan rather
 than raising; callers that need finite non-negative values check the result.
 
@@ -232,45 +232,6 @@ class _Parser:
         return Call(name.text, tuple(args))
 
 
-# Grammar slots, loosest to tightest.  A node prints bare in a slot when its
-# own rank is at least the slot's; otherwise it gets wrapped in parentheses.
-_RANK_EXPR, _RANK_TERM, _RANK_FACTOR, _RANK_UNARY, _RANK_ATOM = range(5)
-
-
-def _rank(node: Node) -> int:
-    if isinstance(node, (Num, Var, Call)):
-        return _RANK_ATOM
-    if isinstance(node, Neg):
-        return _RANK_UNARY
-    if isinstance(node, BinOp):
-        if node.op == "^":
-            return _RANK_FACTOR
-        if node.op in "*/":
-            return _RANK_TERM
-        return _RANK_EXPR
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def unparse(node: Node, slot: int = _RANK_EXPR) -> str:
-    """Render a tree back to text that reparses to an identical tree."""
-    if _rank(node) < slot:
-        return "(" + unparse(node, _RANK_EXPR) + ")"
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return "-" + unparse(node.operand, _RANK_UNARY)
-    if isinstance(node, Call):
-        args = ", ".join(unparse(a, _RANK_EXPR) for a in node.args)
-        return f"{node.func}({args})"
-    if node.op == "^":
-        return unparse(node.left, _RANK_UNARY) + "^" + unparse(node.right, _RANK_FACTOR)
-    if node.op in "*/":
-        return unparse(node.left, _RANK_TERM) + node.op + unparse(node.right, _RANK_FACTOR)
-    return unparse(node.left, _RANK_EXPR) + node.op + unparse(node.right, _RANK_TERM)
-
-
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": np.divide, "^": np.power}
 _CALLS = {"abs": np.abs, "sqrt": np.sqrt,
@@ -348,10 +309,6 @@ class Expression:
             return float(self.compiled({"x": np.float64(x)}))
         except KeyError as exc:
             raise ValueError(f"no value supplied for variable {exc.args[0]!r}") from None
-
-    def text(self) -> str:
-        """Canonical rendering; reparsing it reproduces the same tree."""
-        return unparse(self.tree)
 
 
 def parse_expression(text: str, allowed: Iterable[str] | None = None) -> Expression:

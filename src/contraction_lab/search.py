@@ -7,10 +7,11 @@ satisfies the configured contraction inequality while some hypothesis of the
 matching fixed-point principle fails, and records what Picard iteration and
 the a-priori bound did anyway.
 
-The search runs in three stages.  Draw: each instance takes the size, the
-matrix and the map from the seeded stream in the order that
-`random_semimetric` and `random_self_map` take them, and at most BATCH_CAP
-instances are buffered at a time, so memory does not grow with the budget.
+The search runs in three stages.  Draw: each instance takes from the
+seeded stream its size, then its matrix draws (one uniform (n, n) block,
+`_semimetric`), then its image table (`_draw_images`), and at most
+BATCH_CAP instances are buffered at a time, so memory does not grow with
+the budget.
 Check: the buffered instances of one size are stacked into a (B, n, n)
 matrix stack and a (B, n) image table, checked against the family
 inequality in one call of the finite pair kernel in `contraction`.
@@ -79,17 +80,6 @@ def _draw_images(rng: np.random.Generator, size: int) -> list[int]:
         return [target if rng.random() < 0.7 else int(rng.integers(0, size))
                 for _ in range(size)]
     return [int(rng.integers(0, size)) for _ in range(size)]
-
-
-def random_semimetric(rng: np.random.Generator, size: int) -> FiniteSemimetricSpace:
-    """Symmetric matrix with off-diagonal entries in (0, 1], rescaled to
-    maximum 1."""
-    return FiniteSemimetricSpace(_labels(size), _semimetric(rng.random((size, size))))
-
-
-def random_self_map(rng: np.random.Generator, size: int) -> SelfMap:
-    """Mixture of constant, near-constant and uniform image tables."""
-    return SelfMap(images=tuple(_draw_images(rng, size)))
 
 
 @dataclass(frozen=True)

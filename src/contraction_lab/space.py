@@ -278,9 +278,10 @@ def _finite_triples(phi: TriangleFunctionSpec, D: np.ndarray, xs: slice, ys: sli
     xs, y in ys and every z, shaped (..., x, y, z) for a matrix D with any
     leading axes, such as a stack of spaces.  phi reads d(x,z) as a row
     view of D and d(z,y) as a transposed one: numpy's power loop rounds by
-    operand layout, so every caller gets this one."""
+    operand layout, so every caller gets this one.  It runs under the
+    caller's numpy error state."""
     Dt = np.swapaxes(D, -1, -2)
-    return D[..., xs, ys, None], trifun._eval_raw(phi, D[..., xs, None, :], Dt[..., None, ys, :])
+    return D[..., xs, ys, None], trifun._eval(phi, D[..., xs, None, :], Dt[..., None, ys, :])
 
 
 def triangle_report(
@@ -303,7 +304,7 @@ def triangle_report(
     xs, ys, zs = _interval_points(space, 3, samples, seed)
     with np.errstate(all="ignore"):
         lhs = space.d(xs, ys)
-        rhs = trifun._eval_raw(phi, space.d(xs, zs), space.d(zs, ys))
+        rhs = trifun._eval(phi, space.d(xs, zs), space.d(zs, ys))
         bad = np.flatnonzero(violates(lhs, rhs))
     return TriangleReport(len(bad), tuple(
         TriangleViolation(float(xs[k]), float(ys[k]), float(zs[k]), float(lhs[k]), float(rhs[k]))

@@ -143,12 +143,11 @@ class _Kind:
     """What sets one triangle-function family apart; the callables take the
     spec first."""
 
-    formula: Callable[..., object]  # (phi, u, v) under the caller's numpy error state
+    formula: Callable[..., object]  # (phi, u, v); see _eval
     of_sum: Callable[..., object] | None = None  # (phi, u + v) when the formula reads only the sum
     param: str | None = None  # the one field the kind takes
     valid: Callable[[object], bool] | None = None  # the parameter's validity rule
     requirement: str = ""  # the error when `valid` fails
-    quiet: bool = False  # evaluation ignores numpy errors (power overflows for small q)
     checked: bool = False  # evaluate() rejects negative or non-finite values
     c_alpha: Callable[..., float] | None = None  # (phi, alpha) -> C(alpha)
     inverse: Callable[..., float] | None = None  # (phi, tau) -> inf{t : Phi(t, 1) >= tau}
@@ -234,7 +233,6 @@ _KINDS = {
         param="q",
         valid=lambda q: _real(q) and math.isfinite(q) and q > 0.0,
         requirement="power requires a finite exponent q > 0",
-        quiet=True,
         c_alpha=_power_c_alpha,
         inverse=_power_inverse,
         verdicts={**_CLOSED_FORM, **_VANISHING,
@@ -313,27 +311,23 @@ def _parsed_phi(expr: str) -> Expression:
     return parse_expression(expr, allowed=("u", "v"))
 
 
-def _eval_raw(phi: TriangleFunctionSpec, u, v):
-    """Evaluate without the non-negativity guard; arrays broadcast."""
-    row = _KINDS[phi.kind]
-    if row.quiet:
-        with np.errstate(all="ignore"):
-            return row.formula(phi, u, v)
-    return row.formula(phi, u, v)
-
-
-def _eval_formula(phi: TriangleFunctionSpec, u, v):
-    """The family's formula under the caller's numpy error state."""
+def _eval(phi: TriangleFunctionSpec, u, v):
+    """Phi(u, v) by the family's formula, without the custom guard; arrays
+    broadcast.  It runs under the caller's numpy error state: every caller
+    enters np.errstate(all="ignore") once around all its calls, since
+    entering one costs about as much as a power-family evaluation."""
     return _KINDS[phi.kind].formula(phi, u, v)
 
 
 def evaluate(phi: TriangleFunctionSpec, u, v):
-    """Phi(u, v) for scalars or arrays.
+    """Phi(u, v) for scalars or arrays, without numpy warnings: an overflow
+    gives inf.
 
     For custom expressions a negative or non-finite result raises
     EvaluationError naming the offending inputs.
     """
-    result = _eval_raw(phi, u, v)
+    with np.errstate(all="ignore"):
+        result = _eval(phi, u, v)
     if _KINDS[phi.kind].checked:
         arr = np.asarray(result, dtype=np.float64)
         bad = ~np.isfinite(arr) | (arr < 0.0)
@@ -352,7 +346,8 @@ def evaluate(phi: TriangleFunctionSpec, u, v):
 
 def unit_profile(phi: TriangleFunctionSpec, t: float) -> float:
     """Psi(t) = Phi(t, 1), the slice used by the generalized inverse."""
-    return float(_eval_raw(phi, t, 1.0))
+    with np.errstate(all="ignore"):
+        return float(_eval(phi, t, 1.0))
 
 
 @dataclass(frozen=True)
@@ -402,7 +397,7 @@ def check_axioms(
     axis = np.linspace(0.0, u_max, points)
     uu, vv = np.meshgrid(axis, axis, indexing="ij")
     with np.errstate(all="ignore"):
-        values = _eval_raw(phi, uu, vv)
+        values = _eval(phi, uu, vv)
         # differences of infinite values are nan, which flags nothing
         gap = np.abs(values - values.T)
         slot_diffs = (np.diff(values, axis=0), np.diff(values, axis=1))
@@ -452,11 +447,12 @@ def check_homogeneity(
     """Check Phi(k*u, k*v) = k*Phi(u, v) on sample triples (k, u, v)."""
     if samples is None:
         samples = _HOMOGENEITY_SAMPLES
-    for k, u, v in samples:
-        scaled = float(_eval_raw(phi, k * u, k * v))
-        direct = k * float(_eval_raw(phi, u, v))
-        if abs(scaled - direct) > tol * max(1.0, abs(direct)):
-            return HomogeneityReport(False, (k, u, v, scaled, direct), tol)
+    with np.errstate(all="ignore"):
+        for k, u, v in samples:
+            scaled = float(_eval(phi, k * u, k * v))
+            direct = k * float(_eval(phi, u, v))
+            if abs(scaled - direct) > tol * max(1.0, abs(direct)):
+                return HomogeneityReport(False, (k, u, v, scaled, direct), tol)
     return HomogeneityReport(True, None, tol)
 
 
@@ -467,11 +463,9 @@ def chain_value(phi: TriangleFunctionSpec, alpha: float, p: int) -> float:
     if p < 1:
         raise ValueError("depth p must be at least 1")
     value = alpha**p
-    # entering an error state costs about as much as a power-family level,
-    # so the whole nest runs under one
     with np.errstate(all="ignore"):
         for i in range(p - 1, -1, -1):
-            value = float(_eval_formula(phi, alpha**i, value))
+            value = float(_eval(phi, alpha**i, value))
     return value
 
 
@@ -518,7 +512,7 @@ def _chain_sweep(
     values = np.array([alpha**p for p in range(1, p_max + 1)], dtype=np.float64)
     with np.errstate(all="ignore"):
         for i in range(p_max - 1, -1, -1):
-            values[i:] = _eval_formula(phi, alpha**i, values[i:])
+            values[i:] = _eval(phi, alpha**i, values[i:])
     return tuple(values.tolist())
 
 
@@ -588,14 +582,14 @@ class LimitDeviationReport:
     `passed` means every pair (x-sequence -> 0, bounded y-sequence) kept the
     tail of |Phi(x_n, y_n) - y_n| below tol on the index window; it is the
     empirical route by which a semimetric built on phi is shown continuous.
-    A False verdict is a falsification witness, not a proof of failure:
-    slowly decaying families can miss the fixed window.
+    A False verdict is a falsification witness, the first failing pair in
+    battery order, not a proof of failure: slowly decaying families can
+    miss the fixed window.
     """
 
     passed: bool
     tol: float
     window: tuple[int, int]
-    pairs: tuple[PairDeviation, ...]
     witness: PairDeviation | None
     origin_continuous: bool
     origin_tail: float
@@ -625,27 +619,24 @@ def check_limit_deviation(
         yv = rng.uniform(0.0, 2.0, n.size)
         pairs.append((f"rand_x{i}", xv, f"rand_y{i}", yv))
 
-    results: list[PairDeviation] = []
     witness: PairDeviation | None = None
     with np.errstate(all="ignore"):
         for x_name, xv, y_name, yv in pairs:
-            deviation = float(np.max(np.abs(_eval_raw(phi, xv, yv) - yv)))
-            entry = PairDeviation(x_name, y_name, deviation)
-            results.append(entry)
-            if witness is None and not deviation < tol:
-                witness = entry
+            deviation = float(np.max(np.abs(_eval(phi, xv, yv) - yv)))
+            if not deviation < tol:
+                witness = PairDeviation(x_name, y_name, deviation)
+                break
 
         t = np.power(2.0, -np.arange(0, 48, dtype=np.float64))
         origin_tail = 0.0
         for a, b in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.37)):
-            ray = _eval_raw(phi, t * a, t * b)
+            ray = _eval(phi, t * a, t * b)
             origin_tail = max(origin_tail, float(np.abs(ray[-1])))
 
     return LimitDeviationReport(
         passed=witness is None,
         tol=tol,
         window=_BATTERY_WINDOW,
-        pairs=tuple(results),
         witness=witness,
         origin_continuous=origin_tail < tol,
         origin_tail=origin_tail,
@@ -684,8 +675,8 @@ def _sampled_full_continuity(phi: TriangleFunctionSpec):
     base = np.concatenate([np.linspace(0.0, 4.0, 30), rng.uniform(0.0, 4.0, 70)])
     uu, vv = np.meshgrid(base, base, indexing="ij")
     with np.errstate(all="ignore"):
-        lo = _eval_raw(phi, np.maximum(uu - h, 0.0), np.maximum(vv - h, 0.0))
-        hi = _eval_raw(phi, uu + h, vv + h)
+        lo = _eval(phi, np.maximum(uu - h, 0.0), np.maximum(vv - h, 0.0))
+        hi = _eval(phi, uu + h, vv + h)
         osc = np.abs(hi - lo)
         jump = osc > 1e-6 * np.maximum(1.0, np.abs(hi))
     if np.any(jump):
@@ -697,7 +688,7 @@ def _sampled_full_continuity(phi: TriangleFunctionSpec):
 def _sampled_zero_slot_bound(phi: TriangleFunctionSpec, at):
     """phi(0, v) < 1 for all 0 <= v < 1, on a grid."""
     with np.errstate(all="ignore"):
-        values = _eval_raw(phi, 0.0, _ZERO_SLOT_GRID)
+        values = _eval(phi, 0.0, _ZERO_SLOT_GRID)
     bad = ~(values < 1.0)
     if np.any(bad):
         k = int(np.argwhere(bad)[0][0])
@@ -711,7 +702,7 @@ def _sampled_bounded_by_sum(phi: TriangleFunctionSpec, at):
     a = np.concatenate([np.linspace(0.0, 5.0, 40), rng.uniform(0.0, 5.0, 200)])
     b = np.concatenate([np.linspace(5.0, 0.0, 40), rng.uniform(0.0, 5.0, 200)])
     with np.errstate(all="ignore"):
-        values = _eval_raw(phi, a, b)
+        values = _eval(phi, a, b)
     bad = violates(values, a + b)
     if np.any(bad):
         k = int(np.argwhere(bad)[0][0])
@@ -738,24 +729,26 @@ def unit_profile_inverse(phi: TriangleFunctionSpec, tau: float) -> float:
         return closed_form(phi, tau)
     if unit_profile(phi, 0.0) >= tau:
         return 0.0
-    lo, hi = 0.0, 1.0
-    while unit_profile(phi, hi) < tau:
-        hi *= 2.0
-        if hi > BRACKET_CAP:
-            return math.inf
-    return _bisect_profile(phi, tau, lo, hi)
+    hi = 1.0
+    with np.errstate(all="ignore"):
+        while float(_eval(phi, hi, 1.0)) < tau:
+            hi *= 2.0
+            if hi > BRACKET_CAP:
+                return math.inf
+    return _bisect_profile(phi, tau, 0.0, hi)
 
 
 def _bisect_profile(phi: TriangleFunctionSpec, tau: float, lo: float, hi: float) -> float:
     """The least t in (lo, hi] with Phi(t, 1) >= tau, to float resolution,
     by bisection on the non-decreasing unit profile; the profile must stay
     below tau at lo and reach it at hi."""
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if unit_profile(phi, mid) >= tau:
-            hi = mid
-        else:
-            lo = mid
+    with np.errstate(all="ignore"):
+        for _ in range(BISECTION_STEPS):
+            mid = 0.5 * (lo + hi)
+            if float(_eval(phi, mid, 1.0)) >= tau:
+                hi = mid
+            else:
+                lo = mid
     return hi
 
 
@@ -773,7 +766,8 @@ def _chain_bound_finite(phi: TriangleFunctionSpec, rate: float | None):
 
 
 def _zero_slot_at_beta(phi: TriangleFunctionSpec, beta: float):
-    value = float(_eval_raw(phi, 0.0, beta))
+    with np.errstate(all="ignore"):
+        value = float(_eval(phi, 0.0, beta))
     return value < 1.0, True, f"phi(0, beta) = {value:g}"
 
 

@@ -1,4 +1,5 @@
-"""Shared test fixtures: hand-rolled oracles and seeded instance builders.
+"""Shared test fixtures: hand-rolled oracles, seeded instance builders and
+expression trees.
 
 The oracles here are deliberately independent of the package internals:
 plain-Python loops and closed formulas recomputed from scratch, used to
@@ -10,11 +11,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 import contraction_lab as cl
 from contraction_lab import solver
-from contraction_lab.search import (SIZE_RANGE, Finding, SearchResult, _labels, random_self_map,
-                                    random_semimetric)
+from contraction_lab.expressions import BinOp, Call, Neg, Node, Num, Var
+from contraction_lab.search import (SIZE_RANGE, Finding, SearchResult, _draw_images, _labels,
+                                    _semimetric)
 from contraction_lab.space import INEQ_ABS_TOL, INEQ_REL_TOL
 
 # ---------------------------------------------------------------------------
@@ -237,6 +240,18 @@ def unit_interval() -> cl.IntervalSpace:
     return cl.IntervalSpace(0.0, 1.0)
 
 
+def random_semimetric(rng: np.random.Generator, size: int) -> cl.FiniteSemimetricSpace:
+    """Symmetric matrix with off-diagonal entries in (0, 1], rescaled to
+    maximum 1: one search instance's matrix, from the same draws."""
+    return cl.FiniteSemimetricSpace(_labels(size), _semimetric(rng.random((size, size))))
+
+
+def random_self_map(rng: np.random.Generator, size: int) -> cl.SelfMap:
+    """Mixture of constant, near-constant and uniform image tables: one
+    search instance's map, from the same draws."""
+    return cl.SelfMap(images=tuple(_draw_images(rng, size)))
+
+
 def random_metric(rng: np.random.Generator, size: int) -> cl.FiniteSemimetricSpace:
     """Euclidean distances of random points in R^3, rescaled to maximum 1."""
     while True:
@@ -338,3 +353,73 @@ def bianchini_bound_instances(beta: float, count: int, seed: int) -> list[tuple]
         if cl.verify_contraction(space, mapping, kind).passed:
             out.append((space, mapping))
     return out
+
+
+# ---------------------------------------------------------------------------
+# expression trees and their text
+
+
+# Grammar slots, loosest to tightest.  A node prints bare in a slot when its
+# own rank is at least the slot's; otherwise it gets wrapped in parentheses.
+_RANK_EXPR, _RANK_TERM, _RANK_FACTOR, _RANK_UNARY, _RANK_ATOM = range(5)
+
+
+def _rank(node: Node) -> int:
+    if isinstance(node, (Num, Var, Call)):
+        return _RANK_ATOM
+    if isinstance(node, Neg):
+        return _RANK_UNARY
+    if isinstance(node, BinOp):
+        if node.op == "^":
+            return _RANK_FACTOR
+        if node.op in "*/":
+            return _RANK_TERM
+        return _RANK_EXPR
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def unparse(node: Node, slot: int = _RANK_EXPR) -> str:
+    """Render a tree back to text that reparses to an identical tree."""
+    if _rank(node) < slot:
+        return "(" + unparse(node, _RANK_EXPR) + ")"
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Neg):
+        return "-" + unparse(node.operand, _RANK_UNARY)
+    if isinstance(node, Call):
+        args = ", ".join(unparse(a, _RANK_EXPR) for a in node.args)
+        return f"{node.func}({args})"
+    if node.op == "^":
+        return unparse(node.left, _RANK_UNARY) + "^" + unparse(node.right, _RANK_FACTOR)
+    if node.op in "*/":
+        return unparse(node.left, _RANK_TERM) + node.op + unparse(node.right, _RANK_FACTOR)
+    return unparse(node.left, _RANK_EXPR) + node.op + unparse(node.right, _RANK_TERM)
+
+
+def expression_trees(allowed):
+    """Hypothesis trees over the variables `allowed`: numbers in [0, 9],
+    the four operations and '^', negation and every function."""
+    leaves = st.one_of(
+        st.floats(min_value=0.0, max_value=9.0, allow_nan=False).map(
+            lambda f: Num(float(f))
+        ),
+        st.sampled_from([Var(v) for v in allowed]),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*/^"), children, children).map(
+                lambda t: BinOp(t[0], t[1], t[2])
+            ),
+            children.map(Neg),
+            st.tuples(st.sampled_from(["abs", "sqrt"]), children).map(
+                lambda t: Call(t[0], (t[1],))
+            ),
+            st.tuples(st.sampled_from(["min", "max"]), children, children).map(
+                lambda t: Call(t[0], (t[1], t[2]))
+            ),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)

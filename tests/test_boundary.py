@@ -18,8 +18,10 @@ from contraction_lab.cli import EXIT_CODES, main, run_command
 from contraction_lab.contraction import TAG_CONSTANTS, ContractionKind, SelfMap
 from contraction_lab.expressions import parse_expression
 from contraction_lab.schemas import KIND_SCHEMA, MAP_SCHEMA, PHI_SCHEMA, RESULT_SCHEMA, SPACE_SCHEMA
-from contraction_lab.space import space_from_json
+from contraction_lab.space import IntervalSpace, StructuralError, space_from_json
 from contraction_lab.trifun import TriangleFunctionSpec
+
+from helpers import expression_trees, unparse
 
 NUMBERS = st.one_of(st.integers(-3, 10**6), st.floats(allow_nan=True, allow_infinity=True))
 SMALL = st.one_of(st.integers(-1, 3), st.floats(-0.5, 3.0))
@@ -28,6 +30,23 @@ ODD = st.one_of(st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 2), 
                 NUMBERS)
 FIELD_NAMES = ("foo", "kind", "K", "q", "expr", "tag", "alpha", "beta", "delta",
                "labels", "dist", "lo", "hi", "images")
+# custom triangle functions and interval maps from generated expression trees
+PHI_TREES = expression_trees(("u", "v")).map(lambda tree: {"kind": "custom",
+                                                          "expr": unparse(tree)})
+MAP_TREES = expression_trees(("x",)).map(unparse)
+
+
+def _fits_unit_interval(expr: str) -> bool:
+    try:
+        SelfMap(expr=expr).validate_for(IntervalSpace(0.0, 1.0))
+    except StructuralError:
+        return False
+    return True
+
+
+# clamped into [0, 1]; a map that gives NaN somewhere still leaves it
+FITTING_MAP_TREES = MAP_TREES.map(lambda expr: f"min(max({expr}, 0), 1)").filter(
+    _fits_unit_interval)
 
 PHI_DOCS = st.one_of(
     st.just({"kind": "additive"}),
@@ -36,6 +55,7 @@ PHI_DOCS = st.one_of(
     st.builds(lambda q: {"kind": "power", "q": q}, SMALL),
     st.builds(lambda expr: {"kind": "custom", "expr": expr},
               st.sampled_from(["u+v", "max(u,v)", "(sqrt(u)+sqrt(v))^2", "u+", "x+y", ""])),
+    PHI_TREES,
 )
 KIND_DOCS = st.sampled_from(sorted(TAG_CONSTANTS.items())).flatmap(
     lambda item: st.fixed_dictionaries({"tag": st.just(item[0]),
@@ -43,7 +63,8 @@ KIND_DOCS = st.sampled_from(sorted(TAG_CONSTANTS.items())).flatmap(
 MAP_DOCS = st.one_of(
     st.fixed_dictionaries({"images": st.lists(st.one_of(st.integers(-1, 3), st.just(1.0)),
                                               max_size=4)}),
-    st.fixed_dictionaries({"expr": st.sampled_from(["x/2", "0.5", "1-x", "x*x", "5", "y", "x+"])}),
+    st.fixed_dictionaries({"expr": st.one_of(
+        st.sampled_from(["x/2", "0.5", "1-x", "x*x", "5", "y", "x+"]), MAP_TREES)}),
 )
 FINITE_DOCS = st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries({
     "labels": st.one_of(st.just(list("abc"[:n])),
@@ -173,7 +194,7 @@ COMMANDS = {name: tuple(f"--{flag}" for flag in command.inputs)
 def fitting_documents(draw):
     """A space document and a self-map document that fits it: a symmetric
     matrix with an image table, or [0, 1] with an expression."""
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 12))
     if draw(st.booleans()):
         upper = draw(st.lists(st.floats(0.1, 3.0), min_size=n * n, max_size=n * n))
         dist = [[0.0 if i == j else upper[min(i, j) * n + max(i, j)] for j in range(n)]
@@ -181,18 +202,19 @@ def fitting_documents(draw):
         images = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
         return {"labels": [f"p{i}" for i in range(n)], "dist": dist}, {"images": images}
     dist = draw(st.sampled_from(["abs(x-y)", "(x-y)^2", "abs(x-y)/x", "1/abs(x-y)"]))
-    expr = draw(st.sampled_from(["x/2", "0.5", "1-x", "x*x", "sqrt(x)", "x/2+0.25"]))
+    expr = draw(st.one_of(st.sampled_from(["x/2", "0.5", "1-x", "x*x", "sqrt(x)", "x/2+0.25"]),
+                          FITTING_MAP_TREES))
     return {"lo": 0, "hi": 1, "dist": dist}, {"expr": expr}
 
 
 # the extreme parameters put C(alpha) and the profile inverse at the edge
 # of the float64 range
-FUZZ_PHIS = st.sampled_from([{"kind": "additive"}, {"kind": "max"}, {"kind": "bscaled", "K": 2},
-                             {"kind": "power", "q": 0.5}, {"kind": "custom", "expr": "u+v"},
-                             {"kind": "custom", "expr": "1/(u*v)"},
-                             {"kind": "custom", "expr": "u/v"},
-                             {"kind": "power", "q": 1e-300}, {"kind": "power", "q": 1e-15},
-                             {"kind": "power", "q": 1e300}, {"kind": "bscaled", "K": 1e308}])
+FUZZ_PHIS = st.one_of(st.sampled_from([
+    {"kind": "additive"}, {"kind": "max"}, {"kind": "bscaled", "K": 2},
+    {"kind": "power", "q": 0.5}, {"kind": "custom", "expr": "u+v"},
+    {"kind": "custom", "expr": "1/(u*v)"}, {"kind": "custom", "expr": "u/v"},
+    {"kind": "power", "q": 1e-300}, {"kind": "power", "q": 1e-15},
+    {"kind": "power", "q": 1e300}, {"kind": "bscaled", "K": 1e308}]), PHI_TREES)
 FUZZ_KINDS = st.sampled_from(sorted(TAG_CONSTANTS.items())).flatmap(
     lambda item: st.fixed_dictionaries({"tag": st.just(item[0]),
                                         **{name: st.sampled_from([0, 0.3, 0.6, 0.999, 1.2])

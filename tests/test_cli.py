@@ -10,7 +10,6 @@ import pytest
 from contraction_lab import trifun
 from contraction_lab.cli import MAX_LISTED_VIOLATIONS, main, run_command
 from contraction_lab.contraction import TAG_CONSTANTS, TAGS
-from contraction_lab.search import random_semimetric
 from contraction_lab.schemas import (
     KIND_SCHEMA,
     MAP_SCHEMA,
@@ -19,7 +18,7 @@ from contraction_lab.schemas import (
     SPACE_SCHEMA,
 )
 
-from helpers import random_metric, triangle_oracle
+from helpers import random_metric, random_semimetric, triangle_oracle
 
 ADDITIVE = '{"kind":"additive"}'
 # every power on numpy's fast paths (sqrt, square), whose rounding does not
@@ -397,6 +396,77 @@ class TestSearch:
         envelope = json.loads(err)
         assert envelope["status"] == "error"
         assert "budget" in envelope["payload"]["error"]
+
+
+# one setting per tag with a factor below 1, then one per way the step
+# factor can fail or fall back: beta = 0, a secondary constant at 1, a
+# factor above 1, and a unit-profile inverse at 1/beta that is not above 1
+PIN_KINDS = ({"tag": "partial", "alpha": 0.3, "beta": 0.3},
+             {"tag": "partial_dual", "alpha": 0.3, "beta": 0.4},
+             {"tag": "weak", "alpha": 0.3, "delta": 0.2},
+             {"tag": "weak_dual", "alpha": 0.4, "delta": 0.2},
+             {"tag": "bianchini", "beta": 0.6},
+             {"tag": "chatterjea_bianchini", "beta": 0.4},
+             {"tag": "chatterjea_bianchini", "beta": 0.0},
+             {"tag": "partial_dual", "alpha": 0.3, "beta": 1.0},
+             {"tag": "weak", "alpha": 0.3, "delta": 1.0},
+             {"tag": "bianchini", "beta": 1.3},
+             {"tag": "chatterjea_bianchini", "beta": 0.9})
+# SHA-256 of each command's exit codes and stdout, argv by argv
+PINNED_COMMANDS = {
+    "classify": "f9b9cc165df5e914e6cb628d64b5dfdd35a36feddc7ef395a96ba970270c3f77",
+    "iterate": "76cd3b1bfbaa5f44f6748821160905c149ed8ae676728d6e50e4a2358777e982",
+    "bounds": "a3e7eb648de8de70ceb21a208bfac9c560db002c515c36b15f67d5b1fd075f83",
+    "search": "17083dc0147dd17c910fc9590ecde7bccef9721b74d019d5bb97300e9fb57b65",
+}
+
+
+class TestPinnedReplies:
+    @pytest.fixture
+    def spaces(self, tmp_path):
+        """Two five-point spaces and the unit interval, each with three maps
+        (one fixed point, constant, cycling) and its start points."""
+        finite = ({"images": [0, 0, 1, 2, 3]}, {"images": [2, 2, 2, 2, 2]},
+                  {"images": [1, 0, 1, 2, 3]})
+        docs = [(random_metric(np.random.default_rng(5), 5).to_json(), finite, ["p4", "2"]),
+                (random_semimetric(np.random.default_rng(6), 5).to_json(), finite, ["p3"]),
+                ({"lo": 0, "hi": 1, "dist": "abs(x-y)"},
+                 ({"expr": "x/2+0.25"}, {"expr": "0.5"}, {"expr": "1-x"}), ["0", "0.9"])]
+        out = []
+        for k, (doc, maps, starts) in enumerate(docs):
+            path = tmp_path / f"space{k}.json"
+            path.write_text(json.dumps(doc))
+            out.append((str(path), [json.dumps(m) for m in maps], starts))
+        return out
+
+    @staticmethod
+    def argvs(command, spaces):
+        phis, kinds = [json.dumps(phi) for phi in PIN_PHIS], [json.dumps(k) for k in PIN_KINDS]
+        if command == "search":
+            return [["search", "--phi", phi, "--kind", kind, "--budget", "6", "--seed", "3"]
+                    for phi, kind in itertools.product(phis, kinds)]
+        out = []
+        for space, maps, starts in spaces:
+            if command == "iterate":
+                out += [["iterate", "--space", space, "--map", m, "--x0", x0, "--format", form]
+                        for m, x0, form in itertools.product(maps, starts, ("json", "csv"))]
+                continue
+            # an odd number of kinds: each tag and phi gets both bounds formats
+            for k, (m, phi, kind) in enumerate(itertools.product(maps[:2], phis, kinds)):
+                argv = [command, "--space", space, "--map", m, "--phi", phi, "--kind", kind]
+                if command == "bounds":
+                    argv += ["--x0", starts[0], "--format", ("json", "csv")[k % 2]]
+                out.append(argv)
+        return out
+
+    @pytest.mark.parametrize("command", list(PINNED_COMMANDS))
+    def test_replies_are_pinned(self, capsys, monkeypatch, spaces, command):
+        monkeypatch.delenv("CONTRACTION_LAB_SEED", raising=False)
+        digest = hashlib.sha256()
+        for argv in self.argvs(command, spaces):
+            code = main(argv)
+            digest.update(f"{code}\n{capsys.readouterr().out}\n".encode())
+        assert digest.hexdigest() == PINNED_COMMANDS[command]
 
 
 class TestErrorsAndUsage:

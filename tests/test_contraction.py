@@ -4,12 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contraction_lab as cl
+from contraction_lab import solver
 from contraction_lab.contraction import ContractionKind, PairWitness, SelfMap
 from contraction_lab.space import INEQ_ABS_TOL, INEQ_REL_TOL
 
-from helpers import line_space, stretched_space, unit_interval
+from helpers import (line_space, random_metric, random_self_map, random_semimetric,
+                     stretched_space, unit_interval)
 
 ALL_TAGS = (
     "partial",
@@ -243,9 +247,21 @@ class TestEstimateMinConstants:
         at_zero = est.frontier[0]
         assert at_zero.secondary == 0.0
         assert at_zero.alpha_min == pytest.approx(0.5, abs=1e-9)
-        rate, kind = est.best_rate()
+        rate, kind = est.best_rate(cl.additive())
         assert rate <= 0.5 + 1e-9
         assert kind is not None and kind.tag == "partial"
+
+    def test_best_rate_reads_the_factor_under_phi(self):
+        est = cl.ConstantsEstimate("chatterjea_bianchini", "all-pairs", beta_star=0.5)
+        # under additive phi the unit-profile inverse at 1/0.5 is 1: no factor
+        assert est.best_rate(cl.additive()) == (math.inf, None)
+        assert est.best_rate(cl.maximum()) == (0.5, ContractionKind("chatterjea_bianchini",
+                                                                    beta=0.5))
+        est = cl.ConstantsEstimate("chatterjea_bianchini", "all-pairs", beta_star=0.3)
+        kind = ContractionKind("chatterjea_bianchini", beta=0.3)
+        factor = cl.step_contraction_factor(kind, cl.additive()).value
+        assert factor == pytest.approx(0.3 / 0.7)
+        assert est.best_rate(cl.additive()) == (factor, kind)
 
     def test_frontier_alpha_never_negative(self):
         est = cl.estimate_min_constants(stretched_space(), SelfMap(images=(0, 0, 1)), "weak")
@@ -265,7 +281,7 @@ class TestEstimateMinConstants:
             est = cl.estimate_min_constants(unit_interval(), const, tag)
             assert len(est.frontier) == cl.contraction.ESTIMATE_GRID
             assert all(pt.alpha_min == 0.0 for pt in est.frontier), tag
-            assert est.best_rate()[0] == 0.0
+            assert est.best_rate(cl.additive())[0] == 0.0
 
 
 class TestStepContractionFactor:
@@ -622,3 +638,66 @@ class TestOracleParity:
                 assert est.unbounded == (expected is None), tag
                 if expected is not None:
                     assert est.beta_star == pytest.approx(expected, rel=1e-12), tag
+
+
+def _instance(kind: str, size: int, seed: int):
+    """A finite space with a seeded self-map."""
+    rng = np.random.default_rng(seed)
+    if kind == "metric":
+        space = random_metric(rng, size)
+    elif kind == "semimetric":
+        space = random_semimetric(rng, size)
+    else:  # entries on a grid of quarters, so that many pairs are exactly tight
+        upper = np.triu(rng.integers(1, 9, (size, size)) / 4.0, 1)
+        space = cl.FiniteSemimetricSpace(tuple(f"p{i}" for i in range(size)), upper + upper.T)
+    return space, random_self_map(rng, size)
+
+
+INSTANCES = st.builds(_instance, st.sampled_from(["metric", "semimetric", "grid"]),
+                      st.integers(2, 12), st.integers(0, 2**32 - 1))
+RATES = st.floats(0.0, 1.0, exclude_max=True)
+
+
+class TestCorollaries:
+    """Relations the paper's corollaries give on the contraction side, exact
+    in float64."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(instance=INSTANCES, alpha=RATES)
+    def test_banach_corollary(self, instance, alpha):
+        # with secondary constant 0 every right-hand side is exactly alpha*d(x,y)
+        space, mapping = instance
+        kinds = [kind_for(tag, alpha, 0.0) for tag in ALL_TAGS[:4]]
+        certificates = [cl.verify_contraction(space, mapping, kind).to_json() for kind in kinds]
+        assert all({**c, "kind": None} == {**certificates[0], "kind": None} for c in certificates)
+        for kind in kinds:
+            for phi in (cl.additive(), cl.maximum(), cl.power(0.5)):
+                assert cl.step_contraction_factor(kind, phi).value == alpha
+            assert cl.applicability(kind, cl.additive()).applicable, kind
+
+    @settings(max_examples=40, deadline=None)
+    @given(instance=INSTANCES, constants=st.tuples(RATES, RATES),
+           seed=st.integers(0, 2**32 - 1))
+    def test_relabelling_permutes_certificates_and_orbits(self, instance, constants, seed):
+        space, mapping = instance
+        perm = np.random.default_rng(seed).permutation(space.size)  # new point k is perm[k]
+        where = np.argsort(perm)
+        moved = cl.FiniteSemimetricSpace(tuple(space.labels[i] for i in perm),
+                                         space.dist[np.ix_(perm, perm)])
+        conjugate = SelfMap(images=tuple(int(where[mapping.images[i]]) for i in perm))
+        for tag in ALL_TAGS:
+            kind = kind_for(tag, *constants)
+            before = cl.verify_contraction(space, mapping, kind)
+            after = cl.verify_contraction(moved, conjugate, kind)
+            assert after.violation_count == before.violation_count, tag
+            assert after.margin == before.margin, tag
+            # witnesses carry labels, which move with their points
+            assert set(after.violations) == set(before.violations), tag
+        assert ({moved.labels[i] for i in solver.brute_force_fixed_points(moved, conjugate)}
+                == {space.labels[i] for i in solver.brute_force_fixed_points(space, mapping)})
+        for start in range(space.size):
+            trace = solver.picard_iterate(space, mapping, start)
+            again = solver.picard_iterate(moved, conjugate, int(where[start]))
+            assert again.point_labels() == trace.point_labels()
+            assert again.step_dists == trace.step_dists
+            assert again.stop_reason == trace.stop_reason

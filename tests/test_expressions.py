@@ -16,8 +16,9 @@ from contraction_lab.expressions import (
     UnknownIdentifierError,
     Var,
     parse_expression,
-    unparse,
 )
+
+from helpers import expression_trees, unparse
 
 
 class TestParsing:
@@ -158,39 +159,14 @@ class TestRoundTrip:
             "x/(y/2)",
         ):
             expr = parse_expression(source)
-            again = parse_expression(expr.text())
+            again = parse_expression(unparse(expr.tree))
             assert again.tree == expr.tree, source
-            assert again.text() == expr.text(), source
-
-
-def _trees(allowed):
-    leaves = st.one_of(
-        st.floats(min_value=0.0, max_value=9.0, allow_nan=False).map(
-            lambda f: Num(float(f))
-        ),
-        st.sampled_from([Var(v) for v in allowed]),
-    )
-
-    def extend(children):
-        return st.one_of(
-            st.tuples(st.sampled_from("+-*/^"), children, children).map(
-                lambda t: BinOp(t[0], t[1], t[2])
-            ),
-            children.map(Neg),
-            st.tuples(st.sampled_from(["abs", "sqrt"]), children).map(
-                lambda t: Call(t[0], (t[1],))
-            ),
-            st.tuples(st.sampled_from(["min", "max"]), children, children).map(
-                lambda t: Call(t[0], (t[1], t[2]))
-            ),
-        )
-
-    return st.recursive(leaves, extend, max_leaves=12)
+            assert unparse(again.tree) == unparse(expr.tree), source
 
 
 class TestRoundTripProperty:
     @settings(max_examples=200, deadline=None)
-    @given(tree=_trees(("x", "y", "u", "v")))
+    @given(tree=expression_trees(("x", "y", "u", "v")))
     def test_print_parse_identity(self, tree):
         text = unparse(tree)
         assert parse_expression(text).tree == tree
@@ -214,7 +190,7 @@ def _same_bits(a, b):
 
 class TestArrayCalls:
     @settings(max_examples=300, deadline=None)
-    @given(tree=_trees(("x", "y")))
+    @given(tree=expression_trees(("x", "y")))
     def test_array_call_equals_scalar_calls(self, tree):
         expr = parse_expression(unparse(tree))
         with warnings.catch_warnings():
@@ -228,7 +204,7 @@ class TestArrayCalls:
         assert _same_bits(broadcast.ravel(), scalars)
 
     @settings(max_examples=300, deadline=None)
-    @given(tree=_trees(("x",)))
+    @given(tree=expression_trees(("x",)))
     def test_scalar_entry_equals_keyword_and_array_calls(self, tree):
         expr = parse_expression(unparse(tree))
         with warnings.catch_warnings():

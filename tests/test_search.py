@@ -14,10 +14,9 @@ from contraction_lab.search import (
     BATCH_CAP,
     SearchConfig,
     counterexample_search,
-    random_self_map,
-    random_semimetric,
 )
-from helpers import random_metric, random_ultrametric, reference_search
+from helpers import (random_metric, random_self_map, random_semimetric, random_ultrametric,
+                     reference_search)
 
 SEARCH_PHIS = st.sampled_from([
     cl.additive(), cl.maximum(), cl.bscaled(1.5), cl.bscaled(2.0),

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import contraction_lab as cl
 from contraction_lab.contraction import ContractionKind, SelfMap
-from contraction_lab.search import random_self_map
 from contraction_lab import solver
 from contraction_lab.solver import BoundUnavailable, DomainEscapeError, IterationTrace
 from contraction_lab.trifun import _json_float
@@ -19,6 +18,7 @@ from helpers import (
     c_alpha_oracle,
     line_space,
     random_metric,
+    random_self_map,
     reference_audit,
     reference_orbit,
     stretched_space,

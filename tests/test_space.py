@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 import contraction_lab as cl
 from contraction_lab import space as space_module
 from contraction_lab.cli import MAX_LISTED_VIOLATIONS, run_command
-from contraction_lab.search import random_semimetric
 from contraction_lab.trifun import _json_float
 
 from helpers import (
     line_space,
     minimal_b_oracle,
     random_metric,
+    random_semimetric,
     random_ultrametric,
     stretched_space,
     triangle_oracle,
@@ -472,8 +472,6 @@ class TestMinimalB:
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(20260814)
-        from contraction_lab.search import random_semimetric
-
         for _ in range(10):
             space = random_semimetric(rng, int(rng.integers(3, 7)))
             assert cl.minimal_b_constant(space) == pytest.approx(
@@ -486,8 +484,6 @@ class TestMinimalB:
 
     def test_tightness(self):
         rng = np.random.default_rng(42)
-        from contraction_lab.search import random_semimetric
-
         for _ in range(10):
             space = random_semimetric(rng, int(rng.integers(3, 7)))
             k_star = cl.minimal_b_constant(space)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,12 @@ class TestEvaluate:
             vec = cl.evaluate(phi, u, v)
             scalar = [phi_oracle(phi, float(a), float(b)) for a, b in zip(u, v)]
             assert np.allclose(vec, scalar, rtol=1e-12, atol=0.0)
+
+    def test_overflow_gives_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cl.evaluate(cl.additive(), 1e308, 1e308) == math.inf
+            assert cl.unit_profile(cl.bscaled(2.0), 1e308) == math.inf
 
     def test_custom_negative_guard(self):
         with pytest.raises(cl.EvaluationError) as err:
@@ -267,10 +274,8 @@ class TestChainConstant:
 
     def test_report_evaluates_phi_once_per_level(self, monkeypatch):
         calls = []
-        raw = trifun._eval_formula
-        monkeypatch.setattr(
-            trifun, "_eval_formula", lambda phi, u, v: calls.append(u) or raw(phi, u, v)
-        )
+        raw = trifun._eval
+        monkeypatch.setattr(trifun, "_eval", lambda phi, u, v: calls.append(u) or raw(phi, u, v))
         report = cl.chain_report(cl.custom("u+v"), 0.5, p_max=100)
         assert len(report.values) == 100
         assert len(calls) == 100
