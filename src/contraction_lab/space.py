@@ -11,15 +11,23 @@ On finite spaces the triangle check and the minimal b-metric constant come
 from one O(N^3) kernel, `triple_pass`, which streams the triples in blocks
 of at most BLOCK_ELEMENTS, in (x, y, z) row-major order, so its memory
 grows as O(N^2).  Each block computes the sums d(x,z) + d(z,y) once.  Their
-minimum over z is the minimal-b denominator of each pair (x, y) and, under
-a triangle function that reads only u + v (additive, bscaled), the pair's
-least right-hand side, since rounding is monotone; other families evaluate
-phi on the block and take its minimum.  The violation test is monotone in
-the right-hand side and a NaN survives the minimum, so a pair that passes
-against its least right-hand side passes for every z: only a block with a
-pair that fails this screen is tested along z.  The triangle check keeps
-the exact violation count and builds only the first violations a caller
-asks for (`triangle_report`'s `listed`).
+minimum over z is the minimal-b denominator of each pair (x, y), and the
+family's sum floor c (`trifun._KINDS`) turns it into a screen: c times it
+bounds the pair's least right-hand side from below.  Under a triangle
+function that reads only u + v (additive, bscaled) the bound is exact,
+since rounding is monotone.  Under power phi with q <= 1 on a matrix with
+no negative entry, phi(u, v) >= u + v, and c = 1 - 2^-43/q absorbs the
+rounding of the evaluated phi (derived in `trifun._power_floor`).  Other
+families, power with q > 1 and power on a matrix with a negative entry,
+whose phi is NaN there, evaluate phi on the block and take its minimum
+instead.  The violation test is monotone in the right-hand side and a NaN
+survives the minimum, so a pair that passes against a lower bound on its
+least right-hand side passes for every z: only a block with a pair that
+fails this screen is tested along z.  Power phi splits into operands d^q
+and their combination, and the pass raises each distance to q once, not
+once per block.  The triangle check keeps the exact violation count and
+builds only the first violations a caller asks for (`triangle_report`'s
+`listed`).
 """
 
 from __future__ import annotations
@@ -278,8 +286,8 @@ def _finite_triples(phi: TriangleFunctionSpec, D: np.ndarray, xs: slice, ys: sli
     xs, y in ys and every z, shaped (..., x, y, z) for a matrix D with any
     leading axes, such as a stack of spaces.  phi reads d(x,z) as a row
     view of D and d(z,y) as a transposed one: numpy's power loop rounds by
-    operand layout, so every caller gets this one.  It runs under the
-    caller's numpy error state."""
+    operand layout, so these are the views `triple_pass` maps once per
+    pass.  It runs under the caller's numpy error state."""
     Dt = np.swapaxes(D, -1, -2)
     return D[..., xs, ys, None], trifun._eval(phi, D[..., xs, None, :], Dt[..., None, ys, :])
 
@@ -321,30 +329,38 @@ def triple_pass(
     `triangle_report(space, phi, listed=listed)` (None without a phi) and,
     if asked, `minimal_b_constant(space)` (None on fewer than two points)."""
     D, labels, n = space.dist, space.labels, space.size
-    of_sum = None if phi is None else trifun._KINDS[phi.kind].of_sum
     Dt = np.ascontiguousarray(D.T)  # sums are exact in any layout; contiguous ones are faster
-    count, violations, best = 0, [], 0.0
+    count, violations, best, floor = 0, [], 0.0, None
     with np.errstate(all="ignore"):
+        if phi is not None:
+            kind = trifun._KINDS[phi.kind]
+            floor = kind.sum_floor(phi, bool(np.any(D < 0.0)))
+            # phi(d(x,z), d(z,y)) = combine(rows[x, z], cols[z, y]), over the
+            # views _finite_triples reads, each operand mapped once per pass
+            rows, cols, combine = D, np.swapaxes(D, -1, -2), kind.combine or kind.formula
+            if kind.operand is not None:
+                rows, cols = kind.operand(phi, rows), kind.operand(phi, cols)
         for xs, ys in _triple_blocks(n):
             lhs = D[xs, ys]
-            if minimal_b or of_sum is not None:
+            if minimal_b or floor is not None:
                 # shaped (z, x, y), so that the minimum over z reduces whole slabs
                 sums = Dt[:, xs, None] + D[:, None, ys]
                 least = np.min(sums, axis=0)
-                if of_sum is not None:  # before _largest_ratio writes to least
-                    suspects = violates(lhs, of_sum(phi, least))
+                if floor is not None:  # before _largest_ratio writes to least
+                    suspects = violates(lhs, least * floor)
                 if minimal_b:
                     best = max(best, _largest_ratio(lhs, sums, least, xs, ys))
             if phi is None:
                 continue
-            if of_sum is None:
+            if floor is None:  # screen by the least phi over z instead
                 sums = None  # free the block's sums before phi is evaluated on it
-                rhs = _finite_triples(phi, D, xs, ys)[1]
+                rhs = combine(phi, rows[xs, None, :], cols[None, ys, :])
                 suspects = violates(lhs, np.min(rhs, axis=2))
             if not suspects.any():
                 continue
-            if of_sum is not None:
-                rhs = np.moveaxis(of_sum(phi, sums), 0, -1)
+            if floor is not None:
+                rhs = (np.moveaxis(kind.of_sum(phi, sums), 0, -1) if kind.of_sum is not None
+                       else combine(phi, rows[xs, None, :], cols[None, ys, :]))
             bad = violates(lhs[..., None], rhs)
             hits = int(np.count_nonzero(bad))
             count += hits

@@ -22,7 +22,9 @@ Psi(t) = Phi(t, 1).
 
 Everything that tells the families apart lives in one table, `_KINDS`: the
 parameter and its validity rule, the formula (as a function of u + v alone
-where it reads only the sum), the closed forms of C(a) and
+where it reads only the sum, split into per-slot operands and their
+combination for power), the factor by which u + v bounds it from below on a
+finite space's triangle screen (the sum floor), the closed forms of C(a) and
 of the unit-profile inverse, and the closed-form verdicts on the hypotheses
 the applicability checklist asks about phi (`check_hypothesis`).  A missing
 closed form means the fact is probed instead and the result is not
@@ -48,6 +50,9 @@ REL_TOL = 1e-9
 # A violation of lhs <= rhs is declared only beyond this slack.
 INEQ_REL_TOL = 1e-12
 INEQ_ABS_TOL = 1e-12
+
+# The power family's sum floor gives up this much times 1/q; see _power_floor.
+SCREEN_MARGIN = 2.0**-43
 
 CHAIN_DEPTH_LIMIT = 64
 CHAIN_CONVERGENCE_TOL = 1e-12
@@ -145,6 +150,14 @@ class _Kind:
 
     formula: Callable[..., object]  # (phi, u, v); see _eval
     of_sum: Callable[..., object] | None = None  # (phi, u + v) when the formula reads only the sum
+    # a formula combine(operand(u), operand(v)) split in two, so that a pass
+    # over a matrix maps each entry once: operand (phi, d), combine (phi, a, b)
+    operand: Callable[..., object] | None = None
+    combine: Callable[..., object] | None = None
+    # (phi, signed) -> a factor c whose c * fl(u + v) screens phi(u, v): what
+    # passes `violates` against it passes against phi; signed when an operand
+    # may be negative; None when there is none
+    sum_floor: Callable[..., float | None] = lambda phi, signed: None
     param: str | None = None  # the one field the kind takes
     valid: Callable[[object], bool] | None = None  # the parameter's validity rule
     requirement: str = ""  # the error when `valid` fails
@@ -161,6 +174,12 @@ def _sum_kind(of_sum, **fields) -> _Kind:
     return _Kind(lambda phi, u, v: of_sum(phi, np.add(u, v, dtype=np.float64)), of_sum, **fields)
 
 
+def _split_kind(operand, combine, **fields) -> _Kind:
+    """A family whose formula is combine(operand(u), operand(v))."""
+    return _Kind(lambda phi, u, v: combine(phi, operand(phi, u), operand(phi, v)),
+                 operand=operand, combine=combine, **fields)
+
+
 def _holds(detail: str):
     return lambda phi: (True, detail)
 
@@ -171,6 +190,49 @@ def _power_c_alpha(phi, alpha: float) -> float:
     # beyond the float64 range, or alpha**q rounded to 1 (tiny q): no usable bound
     except (OverflowError, ZeroDivisionError):
         return math.inf
+
+
+def _power_floor(phi, signed: bool) -> float | None:
+    """The power family's sum floor: c = 1 - SCREEN_MARGIN/q for q <= 1 on
+    operands that are not negative, else None (for q > 1 phi lies below
+    u + v, and a negative operand gives a NaN phi against a finite sum).
+
+    For q <= 1 and u, v >= 0 the exact phi(u, v) = (u^q + v^q)^(1/q) is at
+    least u + v, since t -> t^(1/q) is superadditive.  It is evaluated as
+    pow(pow(u, q) + pow(v, q), r) with r = fl(1/q).  Let eps = 2^-53 and let
+    each pow lie within k*eps of its exact value, relatively, where that
+    value is a normal float.  Then, to first order:
+
+    - the operand sum is at least (u^q + v^q)(1 - (k+1)*eps), so raising
+      it to 1/q gives at least phi(u, v)(1 - (k+1)*eps/q) (Bernoulli);
+    - r = (1 + delta)/q with |delta| <= eps scales that power by
+      exp(delta * ln(result)), at least 1 - 745*eps while the result is
+      finite (|ln| <= 745 down to the least subnormal);
+    - the outer pow loses k*eps, and fl(u + v) <= (u + v)(1 + eps).
+
+    So fl(phi) >= fl(u + v)(1 - eta) with eta = (k+1)*eps/q + (k+746)*eps:
+    751*eps at q = 1 for a pow within one ulp (k = 2).  The margin is
+    1024*eps/q, which covers any pow within 69 ulps (k <= 138, checked at
+    q = 1, the worst case), with room for second-order terms and for the
+    rounding of c and of c * fl(u + v): rounding is monotone, so
+    fl(c * s) <= fl(phi) once c * s <= fl(phi).  Shortfalls measured with
+    libm and with numpy's AVX-512 loop reach 675*eps/q, near q = 1.
+
+    Two ranges fall outside that argument, and `violates` covers both.
+    Where fl(u + v) < 2^-94, its absolute slack INEQ_ABS_TOL swallows
+    c * fl(u + v) and the non-negative fl(phi) alike, so the screen's
+    threshold is the exact one.  Where fl(u + v) is inf, so is the
+    screen's threshold; fl(phi) then lies within eta of the overflow
+    threshold or above it, which its relative slack INEQ_REL_TOL carries
+    to inf as long as eta < INEQ_REL_TOL (q >= 1e-3); below that q both
+    operands are at least 2^970 there, so phi(u, v) >= 2^(1/q + 970)
+    overflows with room to spare.  At small q the margin grows until the
+    screen passes only pairs that hold at lhs <= INEQ_ABS_TOL; the result
+    is unchanged.
+    """
+    if signed or phi.q > 1.0:
+        return None
+    return 1.0 - SCREEN_MARGIN / phi.q
 
 
 def _power_inverse(phi, tau: float) -> float:
@@ -201,6 +263,7 @@ _VANISHING = {"zero_slot_bound": _holds("phi(0, v) = v"),
 _KINDS = {
     "additive": _sum_kind(
         lambda phi, s: s,
+        sum_floor=lambda phi, signed: 1.0,
         c_alpha=lambda phi, a: 1.0 / (1.0 - a),
         inverse=lambda phi, tau: max(tau - 1.0, 0.0),
         verdicts={**_CLOSED_FORM, **_VANISHING, "bounded_by_sum": _holds("equality")},
@@ -216,6 +279,7 @@ _KINDS = {
         param="K",
         valid=lambda K: _real(K) and math.isfinite(K) and K >= 1.0,
         requirement="bscaled requires a finite scale K >= 1",
+        sum_floor=lambda phi, signed: phi.K,
         c_alpha=lambda phi, a: phi.K / (1.0 - a * phi.K) if a * phi.K < 1.0 else math.inf,
         inverse=lambda phi, tau: max(tau / phi.K - 1.0, 0.0),
         verdicts={
@@ -228,8 +292,10 @@ _KINDS = {
         },
         chain_detail=lambda phi, rate: f", rate*K = {rate * phi.K:g}",
     ),
-    "power": _Kind(
-        lambda phi, u, v: np.power(np.power(u, phi.q) + np.power(v, phi.q), 1.0 / phi.q),
+    "power": _split_kind(
+        lambda phi, d: np.power(d, phi.q),
+        lambda phi, a, b: np.power(a + b, 1.0 / phi.q),
+        sum_floor=_power_floor,
         param="q",
         valid=lambda q: _real(q) and math.isfinite(q) and q > 0.0,
         requirement="power requires a finite exponent q > 0",
@@ -727,6 +793,16 @@ def unit_profile_inverse(phi: TriangleFunctionSpec, tau: float) -> float:
     closed_form = _KINDS[phi.kind].inverse
     if closed_form is not None:
         return closed_form(phi, tau)
+    return _probed_inverse(phi, tau)
+
+
+@lru_cache(maxsize=256)
+def _probed_inverse(phi: TriangleFunctionSpec, tau: float) -> float:
+    """unit_profile_inverse for a profile with no closed form, cached per
+    (phi, tau): it costs a bracketing plus BISECTION_STEPS evaluations, and
+    a chatterjea_bianchini classify asks for the one at 1/beta three times
+    (its step factor, the rate of its applicability and the inverse_gap
+    probe)."""
     if unit_profile(phi, 0.0) >= tau:
         return 0.0
     hi = 1.0

@@ -240,6 +240,27 @@ class TestClassify:
         assert code in (0, 1) and err == ""
         assert json.loads(out)["payload"]["step_factor"]["value"] == pytest.approx(1e-3)
 
+    def test_custom_inverse_runs_once_per_request(self, monkeypatch, line_file):
+        # a chatterjea_bianchini classify reads the unit-profile inverse at 1/beta
+        # in its step factor, in its applicability's rate and in inverse_gap
+        phi = trifun.custom("(sqrt(u)+sqrt(v))^2")
+        calls, evaluate = [], trifun._eval
+
+        def counted(phi, u, v):
+            calls.append((u, v) if np.ndim(u) == np.ndim(v) == 0 else None)
+            return evaluate(phi, u, v)
+
+        monkeypatch.setattr(trifun, "_eval", counted)
+        trifun._probed_inverse.cache_clear()
+        trifun.unit_profile_inverse(phi, 1.0 / 0.4)
+        inverse, calls[:] = list(calls), []
+        trifun._probed_inverse.cache_clear()
+        run_command(["classify", "--space", line_file, "--map", '{"images":[0,0,0]}',
+                     "--kind", '{"tag":"chatterjea_bianchini","beta":0.4}',
+                     "--phi", json.dumps(phi.to_json())])
+        runs = sum(calls[i:i + len(inverse)] == inverse for i in range(len(calls)))
+        assert len(inverse) > trifun.BISECTION_STEPS and runs == 1
+
     def test_blocked_principle_is_not_applicable(self, capsys, stretched_file):
         code, out, _ = run_main(capsys, [
             "classify", "--space", stretched_file, "--map", '{"images":[0,0,0]}',

@@ -676,6 +676,20 @@ class TestCorollaries:
             assert cl.applicability(kind, cl.additive()).applicable, kind
 
     @settings(max_examples=40, deadline=None)
+    @given(instance=INSTANCES, constants=st.tuples(RATES, RATES), k=st.integers(0, 60))
+    def test_scaling_by_a_power_of_two_keeps_every_violation(self, instance, constants, k):
+        # the six right-hand sides scale exactly by 2^k, and the absolute slack does not
+        space, mapping = instance
+        scaled = cl.FiniteSemimetricSpace(space.labels, np.ldexp(space.dist, k))
+        for tag in ALL_TAGS:
+            kind = kind_for(tag, *constants)
+            before = cl.verify_contraction(space, mapping, kind)
+            after = cl.verify_contraction(scaled, mapping, kind)
+            assert after.violation_count >= before.violation_count, tag
+            assert ({(v.x, v.y) for v in before.violations}
+                    <= {(v.x, v.y) for v in after.violations}), tag
+
+    @settings(max_examples=40, deadline=None)
     @given(instance=INSTANCES, constants=st.tuples(RATES, RATES),
            seed=st.integers(0, 2**32 - 1))
     def test_relabelling_permutes_certificates_and_orbits(self, instance, constants, seed):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import contraction_lab as cl
 from contraction_lab import space as space_module
 from contraction_lab.cli import MAX_LISTED_VIOLATIONS, run_command
-from contraction_lab.trifun import _json_float
+from contraction_lab import trifun
+from contraction_lab.trifun import INEQ_ABS_TOL, INEQ_REL_TOL, _json_float, violates
 
 from helpers import (
     line_space,
@@ -326,18 +327,23 @@ def _blocks(block: int | None):
     return mock.patch.object(space_module, "BLOCK_ELEMENTS", block or space_module.BLOCK_ELEMENTS)
 
 
-def _power_half(u, v):
-    """Power 1/2 in plain Python as numpy evaluates it: NaN for a negative
+def _power(q: float):
+    """Power q in plain Python as numpy evaluates it: NaN for a negative
     argument, inf where the result overflows."""
-    if u < 0.0 or v < 0.0:
-        return math.nan
-    try:
-        return (u**0.5 + v**0.5) ** 2.0
-    except OverflowError:
-        return math.inf
+    def phi(u, v):
+        if u < 0.0 or v < 0.0:
+            return math.nan
+        try:
+            return (u**q + v**q) ** (1.0 / q)
+        except OverflowError:
+            return math.inf
+    return phi
 
 
-EDGE_PHIS = {**ORACLE_PHIS, "power": (cl.power(0.5), _power_half)}
+# power 0.3 is off numpy's fast paths and takes the power screen, which the
+# signed space's negative entries turn off
+EDGE_PHIS = {**ORACLE_PHIS, "power": (cl.power(0.5), _power(0.5)),
+             "power 0.3": (cl.power(0.3), _power(0.3))}
 
 
 def _edge_spaces():
@@ -363,7 +369,9 @@ class TestOnePassEdges:
     """The one pass against the triple loops at the edges of its screen and
     of the minimal-b repair, on every family, across block edges."""
 
-    @pytest.mark.parametrize("block", [None, 60, 400])
+    # blocks of one pair: a screen that passes a pair wrongly cannot hide
+    # behind another pair of its block that fails
+    @pytest.mark.parametrize("block", [None, 1, 60, 400])
     @pytest.mark.parametrize(("name", "dist"), _edge_spaces())
     def test_matches_triple_loops(self, name, dist, block):
         space = cl.FiniteSemimetricSpace(tuple(f"p{i}" for i in range(len(dist))), dist)
@@ -396,6 +404,102 @@ class TestOnePassEdges:
             assert payload["triangle"] == report.to_json()
             assert payload["minimal_b"] == (
                 _json_float(cl.minimal_b_constant(space)) if space.size >= 2 else None)
+
+
+def _bits(value: float) -> str:
+    return float(value).hex()
+
+
+def _per_block(space, phi, listed: int):
+    """The triangle count and the first `listed` violations, with their
+    sides' bits, from phi evaluated by `_finite_triples` on each of
+    `triple_pass`'s blocks and every triple tested, with no screen and no
+    operand mapped ahead of its block."""
+    D, labels = space.dist, space.labels
+    count, found = 0, []
+    with np.errstate(all="ignore"):
+        for xs, ys in space_module._triple_blocks(space.size):
+            lhs, rhs = space_module._finite_triples(phi, D, xs, ys)
+            bad = violates(lhs, rhs)
+            count += int(np.count_nonzero(bad))
+            found += [(labels[xs.start + x], labels[ys.start + y], labels[z],
+                       _bits(lhs[x, y, 0]), _bits(rhs[x, y, z]))
+                      for x, y, z in np.argwhere(bad)[:listed - len(found)].tolist()]
+    return count, found
+
+
+def _plane(size: int, seed: int) -> cl.FiniteSemimetricSpace:
+    """Euclidean distances between points of the plane with a few pairs
+    stretched, so that under power q <= 1 most blocks pass the screen and
+    some do not."""
+    rng = np.random.default_rng(seed)
+    points = rng.random((size, 2))
+    dist = np.sqrt(np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2))
+    for x, y in rng.integers(0, size, (max(2, size // 10), 2)):
+        if x != y:
+            dist[x, y] = dist[y, x] = 10.0 * dist[x, y]
+    return cl.FiniteSemimetricSpace(tuple(f"p{i}" for i in range(size)), dist)
+
+
+POWERS = (0.3, 0.5, 0.9, 1.0, 1.7, 2.0)
+# from zero through the subnormals to near overflow, in both sign bits of zero
+MAGNITUDES = st.one_of(st.just(0.0), st.just(-0.0), st.just(5e-324),
+                       st.floats(0.0, 2.0**-1022), st.floats(0.0, 1e-290),
+                       st.floats(0.0, 1e-20), st.floats(0.0, 1e6),
+                       st.floats(1e290, np.finfo(np.float64).max))
+
+
+class TestPowerScreen:
+    """The one pass under power phi against its old per-block evaluation,
+    bit for bit, and the margin of its screen by the least sum."""
+
+    @pytest.mark.parametrize("q", POWERS)
+    @pytest.mark.parametrize("block", [None, 60, 400])
+    @pytest.mark.parametrize("size", [13, 60])
+    def test_matches_the_per_block_evaluation(self, size, block, q):
+        self._check(_plane(size, size), cl.power(q), block)
+
+    @pytest.mark.parametrize("q", POWERS)
+    def test_matches_the_per_block_evaluation_split_along_y(self, q):
+        # above 256 points a block is one x row split along y
+        space = _plane(300, 300)
+        assert len(list(space_module._triple_blocks(300))) > 300
+        self._check(space, cl.power(q), None)
+
+    @staticmethod
+    def _check(space, phi, block):
+        with _blocks(block):
+            count, found = _per_block(space, phi, 50)
+            triangle, best = space_module.triple_pass(space, phi, 50)
+            assert best == cl.minimal_b_constant(space)
+        assert triangle.count == count > 0
+        assert [(v.x, v.y, v.z, _bits(v.lhs), _bits(v.rhs)) for v in triangle.violations] == found
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(MAGNITUDES, MAGNITUDES), min_size=1, max_size=16),
+           q=st.one_of(st.floats(1e-6, 1.0), st.sampled_from([0.3, 0.5, 0.999, 1.0])))
+    def test_screen_passes_only_what_phi_passes(self, pairs, q):
+        phi = cl.power(q)
+        floor = trifun._KINDS["power"].sum_floor(phi, False)
+        u, v = np.array(pairs).T
+        with np.errstate(all="ignore"):  # sums near the top overflow, as in the pass
+            sums = u + v
+            screen = sums * floor
+            largest_passed = screen * (1.0 + INEQ_REL_TOL) + INEQ_ABS_TOL
+            assert not np.any(violates(largest_passed, screen))
+            # contiguous operands and reversed views, which numpy may give to different loops
+            for rhs in (trifun._eval(phi, u, v), trifun._eval(phi, u[::-1], v[::-1])[::-1]):
+                # whatever lhs passes against the screen passes against phi
+                assert not np.any(violates(largest_passed, rhs)), (u, v, q)
+                # and above violates' absolute slack phi itself is no lower
+                normal = sums >= 2.0**-94
+                assert np.all(rhs[normal] >= screen[normal]), (u, v, q)
+
+    def test_no_floor_above_one_or_on_negative_operands(self):
+        power = trifun._KINDS["power"]
+        assert power.sum_floor(cl.power(1.7), False) is None
+        assert power.sum_floor(cl.power(0.5), True) is None
+        assert power.sum_floor(cl.power(0.5), False) == 1.0 - 2.0**-42
 
 
 def _space(kind: str, size: int, seed: int) -> cl.FiniteSemimetricSpace:
@@ -449,6 +553,16 @@ class TestCorollaries:
         assert cl.triangle_report(_space("metric", size, seed), cl.additive(), listed=0).count == 0
         assert cl.triangle_report(_space("ultrametric", size, seed), cl.maximum(),
                                   listed=0).count == 0
+
+    @pytest.mark.parametrize("block", [None, 60, 400])
+    @settings(max_examples=25, deadline=None)
+    @given(space=SPACES, scale=SCALES, k=st.integers(0, 60))
+    def test_scaling_by_a_power_of_two_keeps_every_violation(self, block, space, scale, k):
+        # additive, max and bscaled scale exactly by 2^k, and the absolute slack does not
+        scaled = cl.FiniteSemimetricSpace(space.labels, np.ldexp(space.dist, k))
+        with _blocks(block):
+            for phi in (cl.additive(), cl.maximum(), cl.bscaled(scale)):
+                assert _violations(space, phi) <= _violations(scaled, phi), phi
 
     @pytest.mark.parametrize("block", [None, 60, 400])
     @settings(max_examples=25, deadline=None)
