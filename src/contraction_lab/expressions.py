@@ -11,9 +11,13 @@ Grammar ('^' is right-associative and binds a unary base):
 
 Numbers are decimal with an optional exponent.  Identifiers are limited to
 the variables x, y, u, v and the functions abs, min, max, sqrt.  Parsing
-compiles the tree once into a closure; calling an Expression converts each
-keyword binding to C-ordered float64 and evaluates in double precision
-throughout.  Replies echo an expression's source text; no tree is printed.
+emits the tree as straight-line Python (`_emit`): numbers are np.float64,
++ - * Python operators, and / ^ abs sqrt min max the numpy ufuncs.  The
+numbers are parameters of a generated factory, never text, which is
+compiled once per operator skeleton (`_skeleton`), so expressions that
+differ only in their numbers share compiled code.  Calling an Expression
+converts each keyword binding to C-ordered float64 and evaluates in
+double precision throughout.  Replies echo an expression's source text; no tree is printed.
 Division by zero and fractional powers of negatives produce inf/nan rather
 than raising; callers that need finite non-negative values check the result.
 
@@ -26,17 +30,17 @@ call gives at the same point.
 
 A keyword call converts its bindings and enters np.errstate on every call.
 Expression.at is the entry for a caller that evaluates one float at a time,
-such as a Picard orbit: it binds x as np.float64 and runs the same closure,
-so '^' is still the np.power ufunc and the value has the keyword call's
-bits.  It leaves the error state to its caller, who enters np.errstate
-once around many calls; outside one, a division by zero warns or raises
-as numpy's current settings say.
+such as a Picard orbit: the emitter's second function, which binds x as
+np.float64 and runs the same operations with no dict of bindings, so '^'
+is still the np.power ufunc and the value has the keyword call's bits.
+It leaves the error state to its caller, who enters np.errstate once
+around many calls; outside one, a division by zero warns or raises as
+numpy's current settings say.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Union
@@ -232,13 +236,6 @@ class _Parser:
         return Call(name.text, tuple(args))
 
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": np.divide, "^": np.power}
-_CALLS = {"abs": np.abs, "sqrt": np.sqrt,
-          "min": lambda *args: functools.reduce(np.minimum, args),
-          "max": lambda *args: functools.reduce(np.maximum, args)}
-
-
 def _power(base, exponent):
     """base^exponent for an exponent that reads a variable, element by
     element whatever the shapes of the bindings.  numpy's power loop takes
@@ -251,38 +248,106 @@ def _power(base, exponent):
     return np.power(base, exponent).reshape(shape)
 
 
-def _compile(node: Node) -> tuple[Callable[[dict], object], frozenset[str]]:
-    """The tree as one closure over a dict of float64 bindings, and the
-    variables it reads.  Numbers are np.float64; the operations are applied
-    depth first, left operand first, and a power whose exponent reads a
-    variable goes through _power."""
-    if isinstance(node, Num):
-        value = np.float64(node.value)
-        return (lambda env: value), frozenset()
-    if isinstance(node, Var):
-        name = node.name
-        return (lambda env: env[name]), frozenset((name,))
-    if isinstance(node, Neg):
-        operand, names = _compile(node.operand)
-        return (lambda env: -operand(env)), names
-    if isinstance(node, BinOp):
-        (left, lnames), (right, rnames) = _compile(node.left), _compile(node.right)
-        op = _power if node.op == "^" and rnames else _BINARY[node.op]
-        return (lambda env: op(left(env), right(env))), lnames | rnames
-    args, names = zip(*(_compile(arg) for arg in node.args))
-    fn = _CALLS[node.func]
-    return (lambda env: fn(*[arg(env) for arg in args])), frozenset().union(*names)
+def _unbound(name: str):
+    raise ValueError(f"no value supplied for variable {name!r}")
+
+
+# The emitter's whole vocabulary.  Generated code names only these globals,
+# its parameters env and x, and the locals c<k> (constants), v_<name>
+# (variables) and t<k> (operation results).
+_NAMESPACE = {"_f64": np.float64, "_divide": np.divide, "_pow": np.power, "_power": _power,
+              "_abs": np.abs, "_sqrt": np.sqrt, "_minimum": np.minimum,
+              "_maximum": np.maximum, "_unbound": _unbound,
+              **{f"k_{name}": name for name in VARIABLES}}
+# variable -> its read into v_<name> in call(env), and in at(x)
+_ENV_READS = {name: f"env[k_{name}]" for name in VARIABLES}
+_FLOAT_READS = {name: "_f64(x)" if name == "x" else f"_unbound(k_{name})" for name in VARIABLES}
+_INFIX = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_divide({}, {})",
+          "^": "_pow({}, {})"}
+_FUNCS = {"abs": "_abs", "sqrt": "_sqrt", "min": "_minimum", "max": "_maximum"}
+
+
+def _emit(tree: Node) -> tuple[str, list, frozenset[str]]:
+    """The source of a factory for the tree, the constants it takes and the
+    variables the tree reads.  The factory returns two straight-line
+    functions, the keyword entry call(env) and the float entry at(x), with
+    one local per operation, applied depth first, left operand first.  A
+    variable is read at its first use, so a missing one is named in
+    evaluation order; n-ary min and max fold left once all their arguments
+    are evaluated, and a power whose exponent reads a variable goes through
+    _power."""
+    constants: list = []
+    body: list = []  # statements, with a variable's first read as its Var node
+    read: list[str] = []
+
+    def assign(expression: str) -> str:
+        local = f"t{len(body)}"
+        body.append(f"{local} = {expression}")
+        return local
+
+    def operand(node: Node) -> tuple[str, bool]:  # its text, and whether it reads a variable
+        if isinstance(node, Num):
+            constants.append(np.float64(node.value))
+            return f"c{len(constants) - 1}", False
+        if isinstance(node, Var):
+            if node.name not in read:
+                read.append(node.name)
+                body.append(node)
+            return f"v_{node.name}", True
+        if isinstance(node, Neg):
+            text, reads = operand(node.operand)
+            return assign(f"-{text}"), reads
+        if isinstance(node, BinOp):
+            (left, lreads), (right, rreads) = operand(node.left), operand(node.right)
+            form = "_power({}, {})" if node.op == "^" and rreads else _INFIX[node.op]
+            return assign(form.format(left, right)), lreads or rreads
+        args = [operand(arg) for arg in node.args]
+        func = _FUNCS[node.func]
+        text = assign(f"{func}({args[0][0]})") if len(args) == 1 else args[0][0]
+        for arg, _ in args[1:]:
+            text = assign(f"{func}({text}, {arg})")
+        return text, any(reads for _, reads in args)
+
+    result, _ = operand(tree)
+
+    def function(head: str, reads: dict, value: str) -> list[str]:
+        lines = [f"v_{line.name} = {reads[line.name]}" if isinstance(line, Var) else line
+                 for line in body]
+        return [f"    def {head}:", *(f"        {line}" for line in lines),
+                f"        return {value}"]
+
+    params = ", ".join(f"c{k}" for k in range(len(constants)))
+    source = "\n".join([f"def _factory({params}):",
+                         *function("call(env)", _ENV_READS, result),
+                         *function("at(x)", _FLOAT_READS, f"float({result})"),
+                         "    return call, at\n"])
+    return source, constants, frozenset(read)
+
+
+@functools.lru_cache(maxsize=256)
+def _skeleton(source: str) -> Callable:
+    """The factory that `_emit`'s source defines, compiled once per
+    operator skeleton.  The source holds only the emitter's vocabulary,
+    never an expression's text or numbers."""
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, "<expression>", "exec"), namespace)
+    return namespace["_factory"]
 
 
 @dataclass(frozen=True)
 class Expression:
     """A parsed expression: source text, tree, the variables it reads and
-    its compiled closure."""
+    its two generated entries.  `compiled(env)` evaluates the tree on a
+    dict of float64 bindings.  `at(x)` is the float entry of the module
+    docstring: the value at one float x as a float, for an expression that
+    reads at most x (another variable raises the keyword call's
+    ValueError), under the caller's error state."""
 
     source: str
     tree: Node
     variables: frozenset[str]
     compiled: Callable[[dict], object] = field(repr=False, compare=False)
+    at: Callable[[float], float] = field(repr=False, compare=False)
 
     def __call__(self, **env):
         """Evaluate with keyword bindings; see the module docstring for the
@@ -300,20 +365,11 @@ class Expression:
                 result = np.full(shape, result)
         return float(result) if result.ndim == 0 else result
 
-    def at(self, x: float) -> float:
-        """The value at x as a float, for an expression that reads at most
-        x: the closure bound to one np.float64 under the caller's error
-        state, so a caller that makes many calls enters np.errstate once.
-        It gives the bits that the keyword call gives at the same x."""
-        try:
-            return float(self.compiled({"x": np.float64(x)}))
-        except KeyError as exc:
-            raise ValueError(f"no value supplied for variable {exc.args[0]!r}") from None
-
 
 def parse_expression(text: str, allowed: Iterable[str] | None = None) -> Expression:
     """Parse ``text``; ``allowed`` restricts which variables may appear."""
     allowed_vars = frozenset(VARIABLES if allowed is None else allowed)
     tree = _Parser(_tokenize(text), allowed_vars).parse()
-    compiled, variables = _compile(tree)
-    return Expression(text, tree, variables, compiled)
+    source, constants, variables = _emit(tree)
+    compiled, at = _skeleton(source)(*constants)
+    return Expression(text, tree, variables, compiled, at)

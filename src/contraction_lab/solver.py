@@ -13,15 +13,15 @@ established through the vanishing-deviation battery, and reports where the
 battery fails are flagged as not certified.
 
 Each map call needs the value of the one before, so the map is called once
-per iterate, through SelfMap.at: one float in, one float out, with no
-array built.  The distances are not: an interval orbit collects its
-iterates in chunks of CHUNK_FIRST, doubling up to CHUNK_CAP.  Each chunk's
-map calls share one np.errstate, which closes before the chunk is handed
-on, so the caller's error state holds outside it.  Each chunk's step
-distances come from one array call of the distance; the chunk is then
-searched for the first step below tol and walked a step at a time for the
-first revisit.  A finite orbit walks one step at a time, so that it makes
-one image lookup per step.
+per iterate, through SelfMap.at, the expression's generated float entry:
+one float in, one float out, with no array or dict built.  The distances
+are not: an interval orbit collects its iterates in chunks of CHUNK_FIRST,
+doubling up to CHUNK_CAP.  Each chunk's map calls share one np.errstate,
+which closes before the chunk is handed on, so the caller's error state
+holds outside it.  Each chunk's step distances come from one array call
+of the distance; the chunk is then searched for the first step below tol
+and walked a step at a time for the first revisit.  A finite orbit walks
+one step at a time, so that it makes one image lookup per step.
 
 verify_bound builds its report as columns: the observed distances
 d(x_n, x*) in one call, alpha^n as Python's float power row by row, and
@@ -157,7 +157,7 @@ def _interval_chunks(space: IntervalSpace, mapping: SelfMap, x: float, max_iter:
     caller that stops inside it never sees it."""
     lo, hi = space.lo, space.hi
     low, high = lo - 1e-12, hi + 1e-12
-    at = mapping.at
+    at = mapping.at  # the expression's generated float entry itself
     done, size = 0, CHUNK_FIRST
     while done < max_iter:
         chunk, escape = [x], None

@@ -398,9 +398,64 @@ def unparse(node: Node, slot: int = _RANK_EXPR) -> str:
     return unparse(node.left, _RANK_EXPR) + node.op + unparse(node.right, _RANK_TERM)
 
 
+def _reads_a_variable(node: Node) -> bool:
+    if isinstance(node, Num):
+        return False
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, Neg):
+        return _reads_a_variable(node.operand)
+    if isinstance(node, BinOp):
+        return _reads_a_variable(node.left) or _reads_a_variable(node.right)
+    return any(_reads_a_variable(arg) for arg in node.args)
+
+
+def reference_eval(node: Node, env: dict):
+    """The value of a tree on float64 bindings by a plain tree walk, depth
+    first and left operand first, with the numpy operation the language
+    names for each node: numbers as np.float64, + - * as Python operators,
+    np.divide, np.abs, np.sqrt, min and max folded left over np.minimum and
+    np.maximum once all their arguments are evaluated, and np.power, on an
+    exponent materialised element by element at the broadcast shape (at
+    least one element) when the exponent reads a variable.  A variable
+    missing from env raises KeyError naming it at its first use."""
+    if isinstance(node, Num):
+        return np.float64(node.value)
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Neg):
+        return -reference_eval(node.operand, env)
+    if isinstance(node, BinOp):
+        left, right = reference_eval(node.left, env), reference_eval(node.right, env)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if node.op == "/":
+            return np.divide(left, right)
+        if not _reads_a_variable(node.right):
+            return np.power(left, right)
+        shape = np.broadcast(left, right).shape
+        exponent = np.array(np.broadcast_to(right, shape), ndmin=1)
+        return np.power(left, exponent).reshape(shape)
+    args = [reference_eval(arg, env) for arg in node.args]
+    if node.func == "abs":
+        return np.abs(args[0])
+    if node.func == "sqrt":
+        return np.sqrt(args[0])
+    fold = np.minimum if node.func == "min" else np.maximum
+    value = args[0]
+    for arg in args[1:]:
+        value = fold(value, arg)
+    return value
+
+
 def expression_trees(allowed):
     """Hypothesis trees over the variables `allowed`: numbers in [0, 9],
-    the four operations and '^', negation and every function."""
+    the four operations and '^', negation and every function, min and max
+    with two to four arguments."""
     leaves = st.one_of(
         st.floats(min_value=0.0, max_value=9.0, allow_nan=False).map(
             lambda f: Num(float(f))
@@ -417,9 +472,36 @@ def expression_trees(allowed):
             st.tuples(st.sampled_from(["abs", "sqrt"]), children).map(
                 lambda t: Call(t[0], (t[1],))
             ),
-            st.tuples(st.sampled_from(["min", "max"]), children, children).map(
-                lambda t: Call(t[0], (t[1], t[2]))
+            st.tuples(st.sampled_from(["min", "max"]),
+                      st.lists(children, min_size=2, max_size=4)).map(
+                lambda t: Call(t[0], tuple(t[1]))
             ),
         )
 
     return st.recursive(leaves, extend, max_leaves=12)
+
+
+def deep_trees(allowed, depth: int):
+    """Hypothesis trees `depth` nodes deep over the variables `allowed`: a
+    variable wrapped `depth` times, each time in a negation, abs or sqrt, a
+    binary operation with a leaf on either side, or a min or max of three
+    with leaves around it."""
+    leaves = st.one_of(st.sampled_from([Var(v) for v in allowed]),
+                       st.sampled_from([0.0, 0.5, 1.5, 2.0, 3.0]).map(Num))
+    steps = st.tuples(st.sampled_from(["neg", "abs", "sqrt", "min", "max", "+", "-", "*", "/", "^"]),
+                      st.booleans(), leaves)
+
+    def build(chain):
+        node = Var(allowed[0])
+        for op, first, leaf in chain:
+            if op == "neg":
+                node = Neg(node)
+            elif op in ("abs", "sqrt"):
+                node = Call(op, (node,))
+            elif op in ("min", "max"):
+                node = Call(op, (leaf, node, leaf) if first else (node, leaf, leaf))
+            else:
+                node = BinOp(op, node, leaf) if first else BinOp(op, leaf, node)
+        return node
+
+    return st.lists(steps, min_size=depth, max_size=depth).map(build)

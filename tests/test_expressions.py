@@ -1,4 +1,7 @@
+import io
 import math
+import re
+import tokenize
 import warnings
 
 import numpy as np
@@ -15,10 +18,13 @@ from contraction_lab.expressions import (
     Num,
     UnknownIdentifierError,
     Var,
+    _NAMESPACE,
+    _emit,
+    _skeleton,
     parse_expression,
 )
 
-from helpers import expression_trees, unparse
+from helpers import deep_trees, expression_trees, reference_eval, unparse
 
 
 class TestParsing:
@@ -250,3 +256,119 @@ class TestArrayCalls:
         assert _same_bits(parse_expression("1")(x=column, y=row), np.ones((3, 4)))
         assert _same_bits(parse_expression("x")(x=column, y=row), np.repeat(column, 4, axis=1))
         assert type(parse_expression("1")()) is float
+
+
+def _entries(tree):
+    """The generated call and at of a tree, as parse_expression builds them,
+    for trees too deep to print and parse again."""
+    source, constants, _ = _emit(tree)
+    return _skeleton(source)(*constants)
+
+
+def _outcome(evaluate):
+    """A value, or the kind of error that evaluation raised: a missing
+    variable (KeyError or ValueError) by the variable it names."""
+    try:
+        return evaluate()
+    except KeyError as exc:
+        return ("missing", exc.args[0])
+    except ValueError as exc:
+        return ("missing", re.search(r"variable '(\w)'", str(exc)).group(1))
+    except FloatingPointError:
+        return ("floating point error",)
+
+
+def _same_outcome(a, b):
+    return a == b if isinstance(a, tuple) or isinstance(b, tuple) else _same_bits(a, b)
+
+
+class TestEmitter:
+    """The generated entries against an independent tree walk, bit for bit."""
+
+    @staticmethod
+    def _check(tree, call, at):
+        grid = {"x": _XS, "y": _YS}
+        with np.errstate(all="ignore"):
+            assert _same_bits(call(grid), reference_eval(tree, grid))
+            for x, y in zip(_XS, _YS):
+                point = {"x": np.asarray(x), "y": np.asarray(y)}
+                assert _same_bits(call(point), reference_eval(tree, point))
+            for x in _EDGES:
+                value = _outcome(lambda: at(float(x)))
+                assert type(value) in (float, tuple)
+                assert _same_outcome(value, _outcome(
+                    lambda: float(reference_eval(tree, {"x": np.float64(x)}))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=expression_trees(("x", "y")))
+    def test_parsed_entries_match_a_tree_walk(self, tree):
+        expr = parse_expression(unparse(tree))
+        self._check(tree, expr.compiled, expr.at)
+
+    @settings(max_examples=25, deadline=None)
+    @given(tree=deep_trees(("x", "y"), 300))
+    def test_entries_of_trees_300_deep_match_a_tree_walk(self, tree):
+        self._check(tree, *_entries(tree))
+
+    def test_variable_exponents_and_unary_minus_chains(self):
+        for text in ("x^y", "2^x", "x^(y-1)", "(-x)^-y", "x^y^0.5", "--x", "-(-(-x))^2",
+                     "-x^--y", "min(x, y, 0.5, -x)", "max(x, 1, y, x^y)"):
+            expr = parse_expression(text)
+            self._check(expr.tree, expr.compiled, expr.at)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree=expression_trees(("x", "y", "u", "v")),
+           bound=st.sets(st.sampled_from("xyuv")))
+    def test_a_missing_variable_is_the_one_a_tree_walk_names(self, tree, bound):
+        expr = parse_expression(unparse(tree))
+        env = {name: 0.5 for name in bound}
+        with np.errstate(all="ignore"):
+            walked = _outcome(lambda: reference_eval(
+                tree, {name: np.asarray(value) for name, value in env.items()}))
+        assert _same_outcome(_outcome(lambda: np.float64(expr(**env))),
+                             walked if isinstance(walked, tuple) else np.float64(walked))
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree=expression_trees(("x", "y")), x=st.sampled_from(list(_EDGES)))
+    def test_float_entry_raises_in_a_tree_walks_order(self, tree, x):
+        # under numpy's raise state a floating-point error that comes before
+        # the first read of y is raised instead of the missing y
+        expr = parse_expression(unparse(tree))
+        with np.errstate(all="raise"):
+            entry = _outcome(lambda: expr.at(float(x)))
+            walked = _outcome(lambda: float(reference_eval(tree, {"x": np.float64(x)})))
+        assert _same_outcome(entry, walked)
+
+
+    @pytest.mark.parametrize("text, x", [("x*x", 1e200), ("x-x", math.inf), ("x+x", 1e308)])
+    def test_float_entry_binds_x_as_float64(self, text, x):
+        # Python float arithmetic would give inf or nan here without consulting numpy
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            parse_expression(text).at(x)
+
+
+class TestSkeletonCache:
+    def test_maps_that_differ_only_in_numbers_share_one_entry(self):
+        first = parse_expression("0.25*sqrt(x^2+0.5)-min(x, 0.125, 3)/7e-3")
+        before = _skeleton.cache_info()
+        second = parse_expression("0.75*sqrt(x^2+1.5)-min(x, 0.375, 9)/2e-2")
+        after = _skeleton.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (
+            before.hits + 1, before.misses, before.currsize)
+        assert _emit(first.tree)[0] == _emit(second.tree)[0]
+        for expr in (first, second):
+            TestEmitter._check(expr.tree, expr.compiled, expr.at)
+        assert first.at(0.5) != second.at(0.5)
+        assert first(x=np.array([0.5, 1.0])).tolist() != second(x=np.array([0.5, 1.0])).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree=expression_trees(("x", "y", "u", "v")))
+    def test_generated_source_holds_only_the_emitters_vocabulary(self, tree):
+        source = _emit(parse_expression(unparse(tree)).tree)[0]
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        assert not [token for token in tokens if token.type in (tokenize.NUMBER, tokenize.STRING)]
+        vocabulary = set(_NAMESPACE) | {"def", "return", "float", "_factory", "call", "env",
+                                        "at", "x"}
+        names = {token.string for token in tokens if token.type == tokenize.NAME}
+        assert all(name in vocabulary or re.fullmatch(r"[ct]\d+|v_[xyuv]", name)
+                   for name in names), names
