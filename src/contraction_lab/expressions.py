@@ -17,7 +17,8 @@ numbers are parameters of a generated factory, never text, which is
 compiled once per operator skeleton (`_skeleton`), so expressions that
 differ only in their numbers share compiled code.  Calling an Expression
 converts each keyword binding to C-ordered float64 and evaluates in
-double precision throughout.  Replies echo an expression's source text; no tree is printed.
+double precision throughout.  Replies echo an expression's source text;
+no tree is printed.
 Division by zero and fractional powers of negatives produce inf/nan rather
 than raising; callers that need finite non-negative values check the result.
 
@@ -269,9 +270,10 @@ _FUNCS = {"abs": "_abs", "sqrt": "_sqrt", "min": "_minimum", "max": "_maximum"}
 
 def _emit(tree: Node) -> tuple[str, list, frozenset[str]]:
     """The source of a factory for the tree, the constants it takes and the
-    variables the tree reads.  The factory returns two straight-line
-    functions, the keyword entry call(env) and the float entry at(x), with
-    one local per operation, applied depth first, left operand first.  A
+    variables the tree reads.  The factory returns the keyword entry
+    call(env), with the float entry at(x) as its attribute call.at: two
+    straight-line functions with one local per operation, applied depth
+    first, left operand first.  A
     variable is read at its first use, so a missing one is named in
     evaluation order; n-ary min and max fold left once all their arguments
     are evaluated, and a power whose exponent reads a variable goes through
@@ -320,7 +322,8 @@ def _emit(tree: Node) -> tuple[str, list, frozenset[str]]:
     source = "\n".join([f"def _factory({params}):",
                          *function("call(env)", _ENV_READS, result),
                          *function("at(x)", _FLOAT_READS, f"float({result})"),
-                         "    return call, at\n"])
+                         "    call.at = at",
+                         "    return call\n"])
     return source, constants, frozenset(read)
 
 
@@ -337,17 +340,13 @@ def _skeleton(source: str) -> Callable:
 @dataclass(frozen=True)
 class Expression:
     """A parsed expression: source text, tree, the variables it reads and
-    its two generated entries.  `compiled(env)` evaluates the tree on a
-    dict of float64 bindings.  `at(x)` is the float entry of the module
-    docstring: the value at one float x as a float, for an expression that
-    reads at most x (another variable raises the keyword call's
-    ValueError), under the caller's error state."""
+    its generated function, which evaluates the tree on a dict of float64
+    bindings."""
 
     source: str
     tree: Node
     variables: frozenset[str]
     compiled: Callable[[dict], object] = field(repr=False, compare=False)
-    at: Callable[[float], float] = field(repr=False, compare=False)
 
     def __call__(self, **env):
         """Evaluate with keyword bindings; see the module docstring for the
@@ -365,11 +364,18 @@ class Expression:
                 result = np.full(shape, result)
         return float(result) if result.ndim == 0 else result
 
+    @property
+    def at(self) -> Callable[[float], float]:
+        """The float entry of the module docstring, generated with
+        `compiled`: the value at one float x as a float, for an expression
+        that reads at most x (another variable raises the keyword call's
+        ValueError), under the caller's error state."""
+        return self.compiled.at  # type: ignore[attr-defined]
+
 
 def parse_expression(text: str, allowed: Iterable[str] | None = None) -> Expression:
     """Parse ``text``; ``allowed`` restricts which variables may appear."""
     allowed_vars = frozenset(VARIABLES if allowed is None else allowed)
     tree = _Parser(_tokenize(text), allowed_vars).parse()
     source, constants, variables = _emit(tree)
-    compiled, at = _skeleton(source)(*constants)
-    return Expression(text, tree, variables, compiled, at)
+    return Expression(text, tree, variables, _skeleton(source)(*constants))

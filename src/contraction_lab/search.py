@@ -263,7 +263,7 @@ def _findings(phi: TriangleFunctionSpec, failed: tuple[str, ...], rate: float | 
             in enumerate(zip(reasons[k].tolist(), limits[k].tolist(), steps[k].tolist())))
         found.append(Finding(
             index=index,
-            space=FiniteSemimetricSpace._built(labels, dist[k]),
+            space=FiniteSemimetricSpace(labels, dist[k]),
             mapping=SelfMap(images=tuple(images)),
             failed_hypotheses=failed,
             space_compatible=bool(compatible[k]),

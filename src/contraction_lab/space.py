@@ -25,10 +25,9 @@ survives the minimum, so a pair that passes against a lower bound on its
 least right-hand side passes for every z: only a block with a pair that
 fails this screen is tested along z.  Power phi splits into operands d^q
 and their combination, and the pass raises each distance to q once, not
-once per block, on the first block that evaluates phi: a pass whose every
-block passes the sum screen raises none.  The triangle check keeps the
-exact violation count and builds only the first violations a caller asks
-for (`triangle_report`'s `listed`).
+once per block.  The triangle check keeps the exact violation count and
+builds only the first violations a caller asks for (`triangle_report`'s
+`listed`).
 """
 
 from __future__ import annotations
@@ -93,15 +92,6 @@ class FiniteSemimetricSpace:
         if not np.all(np.isfinite(matrix)):
             raise StructuralError("distances must be finite")
         object.__setattr__(self, "dist", matrix)
-
-    @classmethod
-    def _built(cls, labels: tuple[str, ...], dist: np.ndarray) -> "FiniteSemimetricSpace":
-        """A space whose builder made its labels and float64 matrix itself
-        (the search's instances), without the constructor's checks."""
-        space = object.__new__(cls)
-        object.__setattr__(space, "labels", labels)
-        object.__setattr__(space, "dist", dist)
-        return space
 
     @property
     def size(self) -> int:
@@ -341,23 +331,15 @@ def triple_pass(
     D, labels, n = space.dist, space.labels, space.size
     Dt = np.ascontiguousarray(D.T)  # sums are exact in any layout; contiguous ones are faster
     count, violations, best, floor = 0, [], 0.0, None
-    operands = None
-
-    def phi_block(xs: slice, ys: slice) -> np.ndarray:
-        """phi(d(x,z), d(z,y)) on a block, shaped (x, y, z), over the views
-        _finite_triples reads, their operands mapped on the first call."""
-        nonlocal operands
-        if operands is None:
-            operands = (D, np.swapaxes(D, -1, -2))
-            if kind.operand is not None:
-                operands = tuple(kind.operand(phi, view) for view in operands)
-        rows, cols = operands
-        return (kind.combine or kind.formula)(phi, rows[xs, None, :], cols[None, ys, :])
-
     with np.errstate(all="ignore"):
         if phi is not None:
             kind = trifun._KINDS[phi.kind]
             floor = kind.sum_floor(phi, bool(np.any(D < 0.0)))
+            # phi(d(x,z), d(z,y)) = combine(rows[x, z], cols[z, y]), over the
+            # views _finite_triples reads, each operand mapped once per pass
+            rows, cols, combine = D, np.swapaxes(D, -1, -2), kind.combine or kind.formula
+            if kind.operand is not None:
+                rows, cols = kind.operand(phi, rows), kind.operand(phi, cols)
         for xs, ys in _triple_blocks(n):
             lhs = D[xs, ys]
             if minimal_b or floor is not None:
@@ -372,13 +354,13 @@ def triple_pass(
                 continue
             if floor is None:  # screen by the least phi over z instead
                 sums = None  # free the block's sums before phi is evaluated on it
-                rhs = phi_block(xs, ys)
+                rhs = combine(phi, rows[xs, None, :], cols[None, ys, :])
                 suspects = violates(lhs, np.min(rhs, axis=2))
             if not suspects.any():
                 continue
             if floor is not None:
                 rhs = (np.moveaxis(kind.of_sum(phi, sums), 0, -1) if kind.of_sum is not None
-                       else phi_block(xs, ys))
+                       else combine(phi, rows[xs, None, :], cols[None, ys, :]))
             bad = violates(lhs[..., None], rhs)
             hits = int(np.count_nonzero(bad))
             count += hits

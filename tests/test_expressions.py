@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import re
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from contraction_lab.expressions import (
     BinOp,
     Call,
+    Expression,
     ExpressionError,
     ExpressionSyntaxError,
     Neg,
@@ -262,7 +264,8 @@ def _entries(tree):
     """The generated call and at of a tree, as parse_expression builds them,
     for trees too deep to print and parse again."""
     source, constants, _ = _emit(tree)
-    return _skeleton(source)(*constants)
+    call = _skeleton(source)(*constants)
+    return call, call.at
 
 
 def _outcome(evaluate):
@@ -339,6 +342,14 @@ class TestEmitter:
             walked = _outcome(lambda: float(reference_eval(tree, {"x": np.float64(x)})))
         assert _same_outcome(entry, walked)
 
+
+    def test_float_entry_follows_the_keyword_entry(self):
+        # the constructor takes the four fields it always took, and a copy
+        # with another keyword entry evaluates with that entry's float entry
+        first, second = parse_expression("x/2"), parse_expression("x/4")
+        rebuilt = Expression(first.source, first.tree, first.variables, first.compiled)
+        assert rebuilt == first and rebuilt.at(1.0) == 0.5
+        assert dataclasses.replace(first, compiled=second.compiled).at(1.0) == 0.25
 
     @pytest.mark.parametrize("text, x", [("x*x", 1e200), ("x-x", math.inf), ("x+x", 1e308)])
     def test_float_entry_binds_x_as_float64(self, text, x):

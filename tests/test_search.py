@@ -117,17 +117,6 @@ class TestCounterexampleSearch:
             for outcome in finding.picard:
                 assert set(outcome) == {"start", "stop_reason", "limit", "steps"}
 
-    def test_finding_spaces_pass_the_constructors_checks(self):
-        # the search builds its findings' spaces without the constructor's
-        # checks; each would pass them, with the same labels and matrix
-        result = counterexample_search(self.blocked_config())
-        assert result.findings
-        for finding in result.findings:
-            space = finding.space
-            checked = cl.FiniteSemimetricSpace(space.labels, space.dist)
-            assert checked.labels == space.labels and checked.dist is space.dist
-            assert space.dist.dtype == np.float64 and space.dist.ndim == 2
-
     def test_finding_indices_strictly_increase(self):
         result = counterexample_search(self.blocked_config())
         indices = [f.index for f in result.findings]

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -495,23 +494,6 @@ class TestPowerScreen:
                 # and above violates' absolute slack phi itself is no lower
                 normal = sums >= 2.0**-94
                 assert np.all(rhs[normal] >= screen[normal]), (u, v, q)
-
-    def test_operands_are_mapped_on_the_first_block_that_evaluates_phi(self, monkeypatch):
-        power, mapped = trifun._KINDS["power"], []
-
-        def operand(phi, d):
-            mapped.append(d.shape)
-            return power.operand(phi, d)
-
-        monkeypatch.setitem(trifun._KINDS, "power", dataclasses.replace(power, operand=operand))
-        metric = random_metric(np.random.default_rng(5), 60)
-        with _blocks(400):
-            assert space_module.triple_pass(metric, cl.power(0.5), 5)[0].count == 0
-            assert mapped == []  # every block passed the sum screen
-            assert space_module.triple_pass(_plane(60, 60), cl.power(0.5), 5)[0].count > 0
-            assert mapped == [(60, 60)] * 2
-            space_module.triple_pass(metric, cl.power(2.0), 5)  # no sum floor above q = 1
-            assert mapped == [(60, 60)] * 4
 
     def test_no_floor_above_one_or_on_negative_operands(self):
         power = trifun._KINDS["power"]
