@@ -273,11 +273,10 @@ def _emit(tree: Node) -> tuple[str, list, frozenset[str]]:
     variables the tree reads.  The factory returns the keyword entry
     call(env), with the float entry at(x) as its attribute call.at: two
     straight-line functions with one local per operation, applied depth
-    first, left operand first.  A
-    variable is read at its first use, so a missing one is named in
-    evaluation order; n-ary min and max fold left once all their arguments
-    are evaluated, and a power whose exponent reads a variable goes through
-    _power."""
+    first, left operand first.  A variable is read at its first use, so a
+    missing one is named in evaluation order; n-ary min and max fold left
+    once all their arguments are evaluated, and a power whose exponent
+    reads a variable goes through _power."""
     constants: list = []
     body: list = []  # statements, with a variable's first read as its Var node
     read: list[str] = []
