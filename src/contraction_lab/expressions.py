@@ -10,9 +10,12 @@ Grammar ('^' is right-associative and binds a unary base):
     atom   := number | ident | ident "(" expr ("," expr)* ")" | "(" expr ")"
 
 Numbers are decimal with an optional exponent.  Identifiers are limited to
-the variables x, y, u, v and the functions abs, min, max, sqrt.  Parsing
-emits the tree as straight-line Python (`_emit`): numbers are np.float64,
-+ - * Python operators, and / ^ abs sqrt min max the numpy ufuncs.  The
+the variables x, y, u, v and the functions abs, min, max, sqrt.  Nesting
+(parentheses, function arguments, unary minus and '^' together) may go
+MAX_NESTING levels deep; a deeper level is a syntax error at its token.
+Parsing emits the tree as straight-line Python (`_emit`): numbers are
+np.float64, + - * Python operators, and / ^ abs sqrt min max the numpy
+ufuncs.  The
 numbers are parameters of a generated factory, never text, which is
 compiled once per operator skeleton (`_skeleton`), so expressions that
 differ only in their numbers share compiled code.  Calling an Expression
@@ -52,6 +55,12 @@ VARIABLES = ("x", "y", "u", "v")
 
 # function name -> (min arity, max arity or None for unbounded)
 FUNCTIONS = {"abs": (1, 1), "sqrt": (1, 1), "min": (2, None), "max": (2, None)}
+
+# Levels of parentheses, function arguments, unary minus and '^', counted
+# together.  The parser recurses at each level, up to seven frames a level
+# for function arguments, so this many stay well inside Python's default
+# recursion limit of 1,000 frames, also under a test runner's own frames.
+MAX_NESTING = 100
 
 
 class ExpressionError(ValueError):
@@ -138,6 +147,7 @@ class _Parser:
         self.tokens = tokens
         self.index = 0
         self.allowed_vars = allowed_vars
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.index]
@@ -152,6 +162,16 @@ class _Parser:
         if token.kind != "op" or token.text != text:
             raise ExpressionSyntaxError(f"expected {text!r}", token.pos)
         return self.advance()
+
+    def nested(self, token: Token, parse: Callable[[], Node]) -> Node:
+        """parse() one nesting level below `token`, which is named when the
+        levels pass MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ExpressionSyntaxError("expression nests too deeply", token.pos)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self) -> Node:
         node = self.expr()
@@ -177,15 +197,13 @@ class _Parser:
     def factor(self) -> Node:
         base = self.unary()
         if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            return BinOp("^", base, self.factor())
+            return BinOp("^", base, self.nested(self.advance(), self.factor))
         return base
 
     def unary(self) -> Node:
         token = self.peek()
         if token.kind == "op" and token.text == "-":
-            self.advance()
-            return Neg(self.unary())
+            return Neg(self.nested(self.advance(), self.unary))
         return self.atom()
 
     def atom(self) -> Node:
@@ -214,7 +232,7 @@ class _Parser:
                 )
             return Var(token.text)
         if token.kind == "op" and token.text == "(":
-            node = self.expr()
+            node = self.nested(token, self.expr)
             self.expect_op(")")
             return node
         raise ExpressionSyntaxError("expected a value", token.pos)
@@ -222,11 +240,11 @@ class _Parser:
     def call(self, name: Token) -> Node:
         if name.text not in FUNCTIONS:
             raise UnknownIdentifierError(f"unknown function {name.text!r}", name.pos)
-        self.expect_op("(")
-        args = [self.expr()]
+        opening = self.expect_op("(")
+        args = [self.nested(opening, self.expr)]
         while self.peek().kind == "op" and self.peek().text == ",":
             self.advance()
-            args.append(self.expr())
+            args.append(self.nested(opening, self.expr))
         self.expect_op(")")
         lo, hi = FUNCTIONS[name.text]
         if len(args) < lo or (hi is not None and len(args) > hi):

@@ -20,17 +20,22 @@ doubling up to CHUNK_CAP.  Each chunk's map calls share one np.errstate,
 which closes before the chunk is handed on, so the caller's error state
 holds outside it.  Each chunk's step distances come from one array call
 of the distance; the chunk is then searched for the first step below tol
-and walked a step at a time for the first revisit.  A finite orbit walks
-one step at a time, so that it makes one image lookup per step.
+and for the first revisit.  No revisit can come while the orbit is a
+monotone prefix (see _cycle_in), so each chunk's gaps are checked in one
+np.diff, and the bucket walk starts only where the prefix ends.  A finite
+orbit walks one step at a time, so that it makes one image lookup per step.
 
 verify_bound builds its report as columns: the observed distances
-d(x_n, x*) in one call, alpha^n as Python's float power row by row, and
+d(x_n, x*) in one call, alpha^n as libm's pow (math.pow) row by row, and
 the bounds, slacks, step bounds and step flags as float64 arrays, kept as
-tuples of Python floats.  The report's JSON and CSV read the columns, and
-spell a column's non-finite values only when it has some; its rows are
-built on first use.  An expression gives the same bits in scalar and
-array calls, and float64 array arithmetic rounds as Python's floats do,
-so the orbit and the audit give the values a step-by-step walk does.
+tuples of Python floats.  A NaN slack is found on the array; the least
+slack is the builtin min of the floats, the first of equal values.  The
+report's JSON and CSV read the columns, and spell a column's non-finite
+values only when it has some, which a finite sum of the column rules out;
+its rows are built on first use.  An expression gives the same bits in
+scalar and array calls, and float64 array arithmetic rounds as Python's
+floats do, so the orbit and the audit give the values a step-by-step
+walk does.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -99,7 +105,7 @@ class IterationTrace:
     def to_json(self) -> dict:
         return {
             "points": self.point_labels(),
-            "step_dists": [_json_float(d) for d in self.step_dists],
+            "step_dists": _json_column(self.step_dists),
             "stop_reason": self.stop_reason,
             "tol": _json_float(self.tol),
             "rate_estimate": _json_float(self.rate_estimate),
@@ -186,7 +192,16 @@ def _cycle_in(points: list[float], step_dists: list[float], first: dict, base: i
     of an earlier iterate (lag >= 2) while its step is at least
     CYCLE_STEP_FLOOR, or None.  Iterates share a bucket when they share the
     key round(x / CYCLE_PROXIMITY); `first` maps each key to the first
-    iterate in its bucket, and the iterates scanned are entered in it."""
+    iterate in its bucket, and the iterates scanned are entered in it.
+
+    No scan is needed on a monotone prefix: where x_0 ... x_n move the same
+    way and every gap fl(x_k - x_{k-1}) is at least CYCLE_PROXIMITY in size,
+    each earlier x_e (e <= n - 2) lies on the far side of x_{n-1} from x_n,
+    so fl(|x_n - x_e|) >= fl(|x_n - x_{n-1}|) >= CYCLE_PROXIMITY, as rounded
+    subtraction is monotone.  The argument reads the raw gaps, not the
+    distance, so it holds for any distance; a zero gap (a clamped repeat)
+    ends the prefix.  _interval_orbit enters x_0 ... x_{m-1} in order where the prefix ends
+    at x_m, the buckets this scan would have built, and scans from m."""
     for n in range(base, end):
         x = points[n]
         key = round(x / CYCLE_PROXIMITY)
@@ -204,16 +219,27 @@ def _interval_orbit(space: IntervalSpace, mapping: SelfMap, x: float, max_iter: 
                     tol: float) -> tuple[list, list[float], str]:
     """(points, step_dists, stop_reason) of an interval orbit from x, a chunk
     at a time: the first step below tol and the first revisit (_cycle_in)
-    are found in the chunk's lists, and whichever comes first ends it."""
+    are found in the chunk's lists, and whichever comes first ends it.  The
+    revisit search starts where the orbit stops being a monotone prefix,
+    found from the chunk's gaps in one np.diff (see _cycle_in)."""
     points, step_dists = [x], []
-    first = {round(x / CYCLE_PROXIMITY): 0}
+    first, sign = None, 0.0  # no buckets while the orbit is a monotone prefix
     for iterates, steps in _interval_chunks(space, mapping, x, max_iter):
         base = len(points)
         points += iterates
         step_dists += steps.tolist()
         below = np.flatnonzero(steps < tol)
         end = base + int(below[0]) if len(below) else len(points)
-        cycle = _cycle_in(points, step_dists, first, base, end)
+        if first is None and end > base:
+            gaps = np.diff(points[base - 1:end])
+            sign = sign or (1.0 if gaps[0] > 0.0 else -1.0)
+            off = np.flatnonzero(~(sign * gaps >= CYCLE_PROXIMITY))
+            if len(off):  # x_m ends the prefix: enter x_0 ... x_{m-1}, scan from m
+                base += int(off[0])
+                first = {}
+                for n in range(base):
+                    first.setdefault(round(points[n] / CYCLE_PROXIMITY), n)
+        cycle = None if first is None else _cycle_in(points, step_dists, first, base, end)
         if cycle is not None or end < len(points):
             stop = end if cycle is None else cycle
             del points[stop + 1:], step_dists[stop:]
@@ -300,10 +326,12 @@ class BoundRow(NamedTuple):
     step_ok: bool
 
 
-def _json_column(values: tuple) -> list:
+def _json_column(values) -> list:
     """A column of floats as JSON data: passed through when every value is
-    finite, else spelled value by value with _json_float."""
-    if np.all(np.isfinite(values)):
+    finite, else spelled value by value with _json_float.  A sum is finite
+    only when every value is; finite values whose sum overflows take the
+    value-by-value path, which passes them through too."""
+    if math.isfinite(sum(values)):
         return list(values)
     return [_json_float(v) for v in values]
 
@@ -389,8 +417,9 @@ def verify_bound(
     The report is certified only when the distance-continuity battery
     passes for phi; otherwise it carries an explanatory note.  The columns
     take the operations a row-by-row audit takes, in its order: alpha^n is
-    Python's float power, row by row, and the rest are float64 array
-    operations, which round as Python's float operations do.
+    libm's pow row by row (math.pow, which gives the bits of Python's
+    alpha**n), and the rest are float64 array operations, which round as
+    Python's float operations do.
     """
     c = _chain_constant(phi, alpha)
     space = trace.space
@@ -400,15 +429,17 @@ def verify_bound(
     steps = tuple(trace.step_dists[: len(points)])
     d01 = steps[0] if steps else 0.0
     observed = space.d(np.array(points), fixed_point)
-    scale = np.array([alpha**n for n in range(len(points))])
+    scale = np.fromiter(map(math.pow, repeat(alpha), range(len(points))), float, len(points))
     with np.errstate(all="ignore"):  # inf * 0 is a NaN slack, as in Python
         bounds = scale * c * d01
         slacks = bounds - observed
         step_bounds = scale[: len(steps)] * d01
-        step_flags = np.array(steps) <= step_bounds * (1.0 + 1e-12) + 1e-12
-    # the first smallest slack, or NaN once one slack is NaN
+        step_flags = np.fromiter(steps, float, len(steps)) <= step_bounds * (1.0 + 1e-12) + 1e-12
+    # NaN once one slack is NaN, else the first smallest, which keeps -0.0 and
+    # 0.0 apart as the row loop did
+    nan_slack = bool(np.isnan(slacks).any())
     slacks = slacks.tolist()
-    min_slack = math.nan if any(map(math.isnan, slacks)) else min(slacks, default=0.0)
+    min_slack = math.nan if nan_slack else min(slacks, default=0.0)
 
     battery = trifun._deviation_report(phi).passed
     note = "" if battery else (

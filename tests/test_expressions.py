@@ -16,6 +16,7 @@ from contraction_lab.expressions import (
     Expression,
     ExpressionError,
     ExpressionSyntaxError,
+    MAX_NESTING,
     Neg,
     Num,
     UnknownIdentifierError,
@@ -116,6 +117,43 @@ class TestParsing:
     def test_position_is_part_of_base_error(self):
         with pytest.raises(ExpressionError):
             parse_expression("x//2")
+
+
+class TestNesting:
+    """Parentheses, function arguments, unary minus and '^' count toward one
+    nesting limit, checked before the parser's recursion could overflow."""
+
+    @pytest.mark.parametrize("text, offset", [
+        pytest.param("(" * 200 + "x/2" + ")" * 200, MAX_NESTING, id="parentheses"),
+        pytest.param("-" * 990 + "x", MAX_NESTING, id="unary minus"),
+        pytest.param("sqrt(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+                     5 * MAX_NESTING + 4, id="arguments"),
+        pytest.param("min(x, " * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+                     7 * MAX_NESTING + 3, id="second arguments"),
+        pytest.param("x" + "^x" * (MAX_NESTING + 1), 2 * MAX_NESTING + 1, id="powers"),
+        pytest.param("-(" * (MAX_NESTING // 2) + "-x" + ")" * (MAX_NESTING // 2), MAX_NESTING,
+                     id="mixed"),
+    ])
+    def test_a_level_past_the_limit_is_an_error_at_its_token(self, text, offset):
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse_expression(text)
+        assert err.value.position == offset
+        assert str(err.value) == f"expression nests too deeply (at offset {offset})"
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("(" * MAX_NESTING + "x/2" + ")" * MAX_NESTING, id="parentheses"),
+        pytest.param("-" * MAX_NESTING + "x", id="unary minus"),
+        pytest.param("sqrt(" * MAX_NESTING + "x" + ")" * MAX_NESTING, id="arguments"),
+        pytest.param("max(0.5, " * MAX_NESTING + "x" + ")" * MAX_NESTING, id="second arguments"),
+        pytest.param("x" + "^x" * MAX_NESTING, id="powers"),
+        pytest.param("-(" * (MAX_NESTING // 2) + "x" + ")" * (MAX_NESTING // 2), id="mixed"),
+        # levels close again, so siblings do not add up
+        pytest.param(" + ".join(["(x)"] * 2 * MAX_NESTING), id="siblings"),
+    ])
+    def test_the_limit_itself_parses_and_evaluates(self, text):
+        expr = parse_expression(text)
+        walked = float(reference_eval(expr.tree, {"x": np.float64(0.75)}))
+        assert repr(expr.at(0.75)) == repr(walked)
 
 
 class TestEvaluation:

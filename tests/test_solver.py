@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import contraction_lab as cl
@@ -330,6 +330,14 @@ class TestVerifyBound:
             assert payload["rows"][0]["slack"] == "nan" and payload["d01"] == "inf"
             assert payload["min_slack"] == "nan" and not report.bounds_ok
 
+    @pytest.mark.parametrize("column", [
+        (), (0.5, -0.0, 1e-300), (1e308, 1e308), (-1e308, -1e308, 1.0), (1.0, math.inf),
+        (-math.inf, 2.0), (math.inf, -math.inf), (0.25, math.nan), [math.nan, 1e308, 1e308],
+    ])
+    def test_json_column_spells_each_value_as_json_float(self, column):
+        """Finite columns pass through, also those whose sum overflows."""
+        assert repr(solver._json_column(column)) == repr([_json_float(v) for v in column])
+
     def test_reports_compare_by_value(self):
         """The orbit 0.25, 0.75, 0.25 audited against 0 and against 0.75:
         the same min_slack, -0.25, and different rows."""
@@ -391,6 +399,39 @@ def _interval_maps(draw):
     return "1-x"
 
 
+@st.composite
+def _orbit_kinds(draw):
+    """(distance, map, x0) of an interval orbit of one kind: monotone up or
+    down to its fixed point, oscillating about it, clamped at lo or hi (also
+    under a distance with d(x, x) > 0, so that the clamped repeats cycle),
+    escaping by NaN on its way down or up, or climbing and then jumping back
+    onto an earlier iterate."""
+    kind = draw(st.sampled_from(("monotone", "oscillating", "clamped", "nan", "cycle")))
+    if kind in ("monotone", "oscillating"):
+        fixed = draw(_unit_floats(0.4, 0.6))
+        if kind == "monotone":
+            a = draw(_unit_floats(0.05, 0.99))
+        else:  # |a| * max(fixed, 1 - fixed) <= min(fixed, 1 - fixed): [0, 1] maps into itself
+            a = -draw(_unit_floats(0.05, 0.66))
+        return "abs(x-y)", f"{fixed!r} + {a!r}*(x - {fixed!r})", draw(_unit_floats())
+    if kind == "clamped":
+        step, over = draw(_unit_floats(0.01, 0.2)), draw(_unit_floats(0.0, 9e-13))
+        dist = draw(st.sampled_from(("abs(x-y)", "abs(x-y) + 1e-5")))
+        expr = draw(st.sampled_from((f"min(x + {step!r}, 1 + {over!r})",
+                                     f"max(x - {step!r}, -{over!r})")))
+        return dist, expr, draw(_unit_floats())
+    if kind == "nan":  # NaN exactly at an iterate, which no sampled point hits
+        k = draw(st.integers(2, 33))
+        spike = "(1/(x - {0!r}) - 1/(x - {0!r}))"
+        if draw(st.booleans()):
+            return "abs(x-y)", "x/2 + " + spike.format(2.0**-k), 1.0
+        return "abs(x-y)", "1 - (1 - x)/2 + " + spike.format(1.0 - 2.0**-k), 0.0
+    step, threshold = draw(_unit_floats(0.005, 0.02)), draw(_unit_floats(0.1, 0.6))
+    lag = draw(st.integers(3, max(3, int(threshold / step))))
+    return ("abs(x-y)", f"x + {step!r} - {lag * step!r}*min(1, max(0, (x - {threshold!r})*1e9))",
+            0.0)
+
+
 def _same(chunked, reference):
     """Equal bit for bit: repr spells every float exactly, -0.0 and nan too."""
     assert repr(chunked) == repr(reference)
@@ -416,6 +457,37 @@ class TestChunkedOrbitMatchesReference:
               reference_orbit(space, mapping, x0, max_iter=max_iter, tol=tol))
         assert all(type(step) is float for step in trace.step_dists)
         _audits_match(trace, phi, alpha, trace.points[-1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_orbit_kinds())
+    @example(case=("abs(x-y)", "x+0.01-0.26*min(1,max(0,(x-0.295)*1e9))", 0.0))
+    def test_orbit_kinds(self, case):
+        dist, expr, x0 = case
+        space, mapping = cl.IntervalSpace(0.0, 1.0, dist), SelfMap(expr=expr)
+        try:
+            reference = reference_orbit(space, mapping, x0)
+        except DomainEscapeError as escape:
+            with pytest.raises(DomainEscapeError) as chunked:
+                cl.picard_iterate(space, mapping, x0)
+            assert str(chunked.value) == str(escape)
+            return
+        trace = cl.picard_iterate(space, mapping, x0)
+        _same((list(trace.points), list(trace.step_dists), trace.stop_reason), reference)
+
+    @pytest.mark.parametrize("threshold, lag, points", [
+        (0.295, 26, 32),  # the revisit lands in the second chunk
+        (0.155, 5, 18),  # on the first iterate of the second chunk
+        (0.475, 5, 50),  # on the first iterate of the third chunk
+    ])
+    def test_a_jump_back_after_a_climb_is_a_cycle(self, threshold, lag, points):
+        """The orbit from 0 climbs by 0.01 past `threshold`, then falls
+        `lag` steps back onto an earlier iterate: the first gap that breaks
+        the monotone prefix is the revisit itself."""
+        mapping = SelfMap(expr=f"x+0.01-{lag / 100!r}*min(1,max(0,(x-{threshold!r})*1e9))")
+        trace = cl.picard_iterate(unit_interval(), mapping, 0.0)
+        assert trace.stop_reason == "cycle_detected" and len(trace.points) == points
+        _same((list(trace.points), list(trace.step_dists), trace.stop_reason),
+              reference_orbit(unit_interval(), mapping, 0.0))
 
     @pytest.mark.parametrize("period", [3, 40])
     @pytest.mark.parametrize("offset", [0.0, 7e-13, -7e-13, 2e-12])
