@@ -22,7 +22,7 @@ holds outside it.  Each chunk's step distances come from one array call
 of the distance; the chunk is then searched for the first step below tol
 and for the first revisit.  No revisit can come while the orbit is a
 monotone prefix (see _cycle_in), so each chunk's gaps are checked in one
-np.diff, and the bucket walk starts only where the prefix ends.  A finite
+np.diff, and the bucket walk runs only once the prefix ends.  A finite
 orbit walks one step at a time, so that it makes one image lookup per step.
 
 verify_bound builds its report as columns: the observed distances
@@ -200,8 +200,9 @@ def _cycle_in(points: list[float], step_dists: list[float], first: dict, base: i
     so fl(|x_n - x_e|) >= fl(|x_n - x_{n-1}|) >= CYCLE_PROXIMITY, as rounded
     subtraction is monotone.  The argument reads the raw gaps, not the
     distance, so it holds for any distance; a zero gap (a clamped repeat)
-    ends the prefix.  _interval_orbit enters x_0 ... x_{m-1} in order where the prefix ends
-    at x_m, the buckets this scan would have built, and scans from m."""
+    ends the prefix.  Once a chunk ends the prefix, _interval_orbit scans
+    the orbit from x_1: the scan cannot fire before that point, and builds
+    the buckets it reads after it."""
     for n in range(base, end):
         x = points[n]
         key = round(x / CYCLE_PROXIMITY)
@@ -220,8 +221,8 @@ def _interval_orbit(space: IntervalSpace, mapping: SelfMap, x: float, max_iter: 
     """(points, step_dists, stop_reason) of an interval orbit from x, a chunk
     at a time: the first step below tol and the first revisit (_cycle_in)
     are found in the chunk's lists, and whichever comes first ends it.  The
-    revisit search starts where the orbit stops being a monotone prefix,
-    found from the chunk's gaps in one np.diff (see _cycle_in)."""
+    revisit search starts once the chunk's gaps, checked in one np.diff,
+    show the orbit is no longer a monotone prefix (see _cycle_in)."""
     points, step_dists = [x], []
     first, sign = None, 0.0  # no buckets while the orbit is a monotone prefix
     for iterates, steps in _interval_chunks(space, mapping, x, max_iter):
@@ -233,12 +234,8 @@ def _interval_orbit(space: IntervalSpace, mapping: SelfMap, x: float, max_iter: 
         if first is None and end > base:
             gaps = np.diff(points[base - 1:end])
             sign = sign or (1.0 if gaps[0] > 0.0 else -1.0)
-            off = np.flatnonzero(~(sign * gaps >= CYCLE_PROXIMITY))
-            if len(off):  # x_m ends the prefix: enter x_0 ... x_{m-1}, scan from m
-                base += int(off[0])
-                first = {}
-                for n in range(base):
-                    first.setdefault(round(points[n] / CYCLE_PROXIMITY), n)
+            if not np.all(sign * gaps >= CYCLE_PROXIMITY):  # the prefix ends: walk from x_1
+                first, base = {round(points[0] / CYCLE_PROXIMITY): 0}, 1
         cycle = None if first is None else _cycle_in(points, step_dists, first, base, end)
         if cycle is not None or end < len(points):
             stop = end if cycle is None else cycle

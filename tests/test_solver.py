@@ -489,6 +489,21 @@ class TestChunkedOrbitMatchesReference:
         _same((list(trace.points), list(trace.step_dists), trace.stop_reason),
               reference_orbit(unit_interval(), mapping, 0.0))
 
+    def test_a_turn_on_a_chunk_boundary_ends_the_prefix(self):
+        """The orbit climbs through the whole first chunk, turns down on the
+        first iterate of the second and falls to within 7e-13 of x_15: the
+        scan sees that revisit only if the climb's direction is carried
+        across the chunks."""
+        climb = [0.25 + 0.01 * k for k in range(17)]
+        path = [*climb, climb[16] - 0.005, climb[15] + 7e-13, 0.1]
+        table = dict(zip(path, [*path[1:], 0.1]))
+        mapping = SelfMap(expr=" + ".join(f"{image!r}*max(0, 1 - abs(x - {point!r})/1e-13)"
+                                         for point, image in table.items()))
+        trace = cl.picard_iterate(unit_interval(), mapping, climb[0])
+        assert trace.stop_reason == "cycle_detected" and len(trace.points) == 19
+        _same((list(trace.points), list(trace.step_dists), trace.stop_reason),
+              reference_orbit(unit_interval(), mapping, climb[0]))
+
     @pytest.mark.parametrize("period", [3, 40])
     @pytest.mark.parametrize("offset", [0.0, 7e-13, -7e-13, 2e-12])
     @pytest.mark.parametrize("tail", [False, True])
