@@ -1,27 +1,27 @@
 """Parsing and evaluation of the small arithmetic language used for custom
 triangle functions, distance formulas and interval self-maps.
 
-Grammar ('^' is right-associative and binds a unary base):
+Grammar, parsed by precedence climbing:
 
-    expr   := term (("+" | "-") term)*
-    term   := factor (("*" | "/") factor)*
-    factor := unary ("^" factor)?
-    unary  := "-" unary | atom
-    atom   := number | ident | ident "(" expr ("," expr)* ")" | "(" expr ")"
+    expr  := unary (binop unary)*
+    unary := "-" unary | atom
+    atom  := number | ident | ident "(" expr ("," expr)* ")" | "(" expr ")"
 
+where binop is + - (loosest), * / or ^ (tightest); + - * / fold left and
+'^' groups right, with a unary base ("-x^2" is (-x)^2).
 Numbers are decimal with an optional exponent.  Identifiers are limited to
-the variables x, y, u, v and the functions abs, min, max, sqrt.  Nesting
-(parentheses, function arguments, unary minus and '^' together) may go
-MAX_NESTING levels deep; a deeper level is a syntax error at its token.
-Parsing emits the tree as straight-line Python (`_emit`): numbers are
+the variables x, y, u, v and the functions abs, min, max, sqrt.  Only
+nesting counts toward MAX_NESTING: parentheses, function arguments, unary
+minus and '^' together may go that many levels deep, and a deeper level is
+a syntax error at its token.  A chain of + - * / of any length parses, in
+a loop.  The parser writes straight-line Python as it reduces: numbers are
 np.float64, + - * Python operators, and / ^ abs sqrt min max the numpy
-ufuncs.  The
-numbers are parameters of a generated factory, never text, which is
-compiled once per operator skeleton (`_skeleton`), so expressions that
-differ only in their numbers share compiled code.  Calling an Expression
-converts each keyword binding to C-ordered float64 and evaluates in
-double precision throughout.  Replies echo an expression's source text;
-no tree is printed.
+ufuncs.  The numbers are parameters of a generated factory, never text,
+which is compiled once per operator skeleton (`_skeleton`), so expressions
+that differ only in their numbers share compiled code.  Calling an
+Expression converts each keyword binding to C-ordered float64 and
+evaluates in double precision throughout.  Replies echo an expression's
+source text; no tree is printed.
 Division by zero and fractional powers of negatives produce inf/nan rather
 than raising; callers that need finite non-negative values check the result.
 
@@ -34,7 +34,7 @@ call gives at the same point.
 
 A keyword call converts its bindings and enters np.errstate on every call.
 Expression.at is the entry for a caller that evaluates one float at a time,
-such as a Picard orbit: the emitter's second function, which binds x as
+such as a Picard orbit: the generated second function, which binds x as
 np.float64 and runs the same operations with no dict of bindings, so '^'
 is still the np.power ufunc and the value has the keyword call's bits.
 It leaves the error state to its caller, who enters np.errstate once
@@ -57,9 +57,10 @@ VARIABLES = ("x", "y", "u", "v")
 FUNCTIONS = {"abs": (1, 1), "sqrt": (1, 1), "min": (2, None), "max": (2, None)}
 
 # Levels of parentheses, function arguments, unary minus and '^', counted
-# together.  The parser recurses at each level, up to seven frames a level
-# for function arguments, so this many stay well inside Python's default
-# recursion limit of 1,000 frames, also under a test runner's own frames.
+# together.  The parser recurses at each level, up to five frames a level
+# for function arguments (call, nested, binary, unary, atom), so this many
+# stay well inside Python's default recursion limit of 1,000 frames, also
+# under a test runner's own frames.
 MAX_NESTING = 100
 
 
@@ -142,12 +143,32 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
+# binary operator -> (precedence, least precedence of its right operand, code):
+# + - * / fold left; '^' groups right, so its right operand is a nesting level
+_BINARY = {"+": (1, 2, "{} + {}"), "-": (1, 2, "{} - {}"), "*": (2, 3, "{} * {}"),
+           "/": (2, 3, "_divide({}, {})"), "^": (3, 3, "_pow({}, {})")}
+_FUNCS = {"abs": "_abs", "sqrt": "_sqrt", "min": "_minimum", "max": "_maximum"}
+
+# What a parse step returns: its node, its text in the generated code and
+# whether it reads a variable.
+_Step = tuple[Node, str, bool]
+
+
 class _Parser:
+    """Precedence climbing that writes the generated code as it reduces:
+    constants, statements (one local per operation) and each variable's
+    first read are appended depth first, left operand first, the order a
+    tree walk evaluates in, so a missing variable is named in that order.
+    Chains of + - * / are folded in a loop; only nesting recurses."""
+
     def __init__(self, tokens: list[Token], allowed_vars: frozenset[str]):
         self.tokens = tokens
         self.index = 0
         self.allowed_vars = allowed_vars
         self.depth = 0
+        self.constants: list = []
+        self.body: list = []  # statements, with a variable's first read as its Var node
+        self.read: list[str] = []
 
     def peek(self) -> Token:
         return self.tokens[self.index]
@@ -163,56 +184,76 @@ class _Parser:
             raise ExpressionSyntaxError(f"expected {text!r}", token.pos)
         return self.advance()
 
-    def nested(self, token: Token, parse: Callable[[], Node]) -> Node:
-        """parse() one nesting level below `token`, which is named when the
-        levels pass MAX_NESTING."""
+    def nested(self, token: Token, parse: Callable[..., _Step], *args) -> _Step:
+        """parse(*args) one nesting level below `token`, which is named when
+        the levels pass MAX_NESTING."""
         if self.depth == MAX_NESTING:
             raise ExpressionSyntaxError("expression nests too deeply", token.pos)
         self.depth += 1
-        node = parse()
+        step = parse(*args)
         self.depth -= 1
-        return node
+        return step
 
-    def parse(self) -> Node:
-        node = self.expr()
+    def assign(self, expression: str) -> str:
+        local = f"t{len(self.body)}"
+        self.body.append(f"{local} = {expression}")
+        return local
+
+    def parse(self) -> tuple[Node, str]:
+        """The tree, and the source of a factory that returns the keyword
+        entry call(env) with the float entry at(x) as its attribute call.at;
+        the factory takes the constants in order as c0, c1, ..."""
+        tree, result, _ = self.binary()
         tail = self.peek()
         if tail.kind != "end":
             raise ExpressionSyntaxError(f"unexpected {tail.text!r}", tail.pos)
-        return node
+        params = ", ".join(f"c{k}" for k in range(len(self.constants)))
+        return tree, "\n".join([f"def _factory({params}):",
+                                 *self.function("call(env)", _ENV_READS, result),
+                                 *self.function("at(x)", _FLOAT_READS, f"float({result})"),
+                                 "    call.at = at",
+                                 "    return call\n"])
 
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
+    def function(self, head: str, reads: dict, value: str) -> list[str]:
+        lines = [f"v_{line.name} = {reads[line.name]}" if isinstance(line, Var) else line
+                 for line in self.body]
+        return [f"    def {head}:", *(f"        {line}" for line in lines),
+                f"        return {value}"]
 
-    def term(self) -> Node:
-        node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.factor())
-        return node
+    def binary(self, floor: int = 1) -> _Step:
+        """A unary operand, then operators of precedence `floor` or above
+        with their right operands.  A power whose exponent reads a variable
+        goes through _power."""
+        node, text, reads = self.unary()
+        while (token := self.peek()).kind == "op" and token.text in _BINARY:
+            precedence, right_floor, form = _BINARY[token.text]
+            if precedence < floor:
+                break
+            self.advance()
+            right, right_text, right_reads = (
+                self.nested(token, self.binary, right_floor) if right_floor == precedence
+                else self.binary(right_floor))
+            if token.text == "^" and right_reads:
+                form = "_power({}, {})"
+            node = BinOp(token.text, node, right)
+            text, reads = self.assign(form.format(text, right_text)), reads or right_reads
+        return node, text, reads
 
-    def factor(self) -> Node:
-        base = self.unary()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            return BinOp("^", base, self.nested(self.advance(), self.factor))
-        return base
-
-    def unary(self) -> Node:
+    def unary(self) -> _Step:
         token = self.peek()
         if token.kind == "op" and token.text == "-":
-            return Neg(self.nested(self.advance(), self.unary))
+            node, text, reads = self.nested(self.advance(), self.unary)
+            return Neg(node), self.assign(f"-{text}"), reads
         return self.atom()
 
-    def atom(self) -> Node:
+    def atom(self) -> _Step:
         token = self.advance()
         if token.kind == "num":
             value = float(token.text)
             if not np.isfinite(value):
                 raise ExpressionSyntaxError("numeric literal overflows", token.pos)
-            return Num(value)
+            self.constants.append(np.float64(value))
+            return Num(value), f"c{len(self.constants) - 1}", False
         if token.kind == "ident":
             if self.peek().kind == "op" and self.peek().text == "(":
                 return self.call(token)
@@ -230,21 +271,26 @@ class _Parser:
                     f"variable {token.text!r} not allowed here (allowed: {allowed})",
                     token.pos,
                 )
-            return Var(token.text)
+            if token.text not in self.read:
+                self.read.append(token.text)
+                self.body.append(Var(token.text))
+            return Var(token.text), f"v_{token.text}", True
         if token.kind == "op" and token.text == "(":
-            node = self.nested(token, self.expr)
+            step = self.nested(token, self.binary)
             self.expect_op(")")
-            return node
+            return step
         raise ExpressionSyntaxError("expected a value", token.pos)
 
-    def call(self, name: Token) -> Node:
+    def call(self, name: Token) -> _Step:
+        """A function call; n-ary min and max fold left once all their
+        arguments are parsed."""
         if name.text not in FUNCTIONS:
             raise UnknownIdentifierError(f"unknown function {name.text!r}", name.pos)
         opening = self.expect_op("(")
-        args = [self.nested(opening, self.expr)]
+        args = [self.nested(opening, self.binary)]
         while self.peek().kind == "op" and self.peek().text == ",":
             self.advance()
-            args.append(self.nested(opening, self.expr))
+            args.append(self.nested(opening, self.binary))
         self.expect_op(")")
         lo, hi = FUNCTIONS[name.text]
         if len(args) < lo or (hi is not None and len(args) > hi):
@@ -252,7 +298,12 @@ class _Parser:
             raise ExpressionSyntaxError(
                 f"{name.text} expects {wanted} argument(s), got {len(args)}", name.pos
             )
-        return Call(name.text, tuple(args))
+        func = _FUNCS[name.text]
+        text = self.assign(f"{func}({args[0][1]})") if len(args) == 1 else args[0][1]
+        for _, arg, _ in args[1:]:
+            text = self.assign(f"{func}({text}, {arg})")
+        return (Call(name.text, tuple(node for node, _, _ in args)), text,
+                any(reads for _, _, reads in args))
 
 
 def _power(base, exponent):
@@ -271,8 +322,8 @@ def _unbound(name: str):
     raise ValueError(f"no value supplied for variable {name!r}")
 
 
-# The emitter's whole vocabulary.  Generated code names only these globals,
-# its parameters env and x, and the locals c<k> (constants), v_<name>
+# The generated code's whole vocabulary.  It names only these globals, its
+# parameters env and x, and the locals c<k> (constants), v_<name>
 # (variables) and t<k> (operation results).
 _NAMESPACE = {"_f64": np.float64, "_divide": np.divide, "_pow": np.power, "_power": _power,
               "_abs": np.abs, "_sqrt": np.sqrt, "_minimum": np.minimum,
@@ -281,74 +332,13 @@ _NAMESPACE = {"_f64": np.float64, "_divide": np.divide, "_pow": np.power, "_powe
 # variable -> its read into v_<name> in call(env), and in at(x)
 _ENV_READS = {name: f"env[k_{name}]" for name in VARIABLES}
 _FLOAT_READS = {name: "_f64(x)" if name == "x" else f"_unbound(k_{name})" for name in VARIABLES}
-_INFIX = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_divide({}, {})",
-          "^": "_pow({}, {})"}
-_FUNCS = {"abs": "_abs", "sqrt": "_sqrt", "min": "_minimum", "max": "_maximum"}
-
-
-def _emit(tree: Node) -> tuple[str, list, frozenset[str]]:
-    """The source of a factory for the tree, the constants it takes and the
-    variables the tree reads.  The factory returns the keyword entry
-    call(env), with the float entry at(x) as its attribute call.at: two
-    straight-line functions with one local per operation, applied depth
-    first, left operand first.  A variable is read at its first use, so a
-    missing one is named in evaluation order; n-ary min and max fold left
-    once all their arguments are evaluated, and a power whose exponent
-    reads a variable goes through _power."""
-    constants: list = []
-    body: list = []  # statements, with a variable's first read as its Var node
-    read: list[str] = []
-
-    def assign(expression: str) -> str:
-        local = f"t{len(body)}"
-        body.append(f"{local} = {expression}")
-        return local
-
-    def operand(node: Node) -> tuple[str, bool]:  # its text, and whether it reads a variable
-        if isinstance(node, Num):
-            constants.append(np.float64(node.value))
-            return f"c{len(constants) - 1}", False
-        if isinstance(node, Var):
-            if node.name not in read:
-                read.append(node.name)
-                body.append(node)
-            return f"v_{node.name}", True
-        if isinstance(node, Neg):
-            text, reads = operand(node.operand)
-            return assign(f"-{text}"), reads
-        if isinstance(node, BinOp):
-            (left, lreads), (right, rreads) = operand(node.left), operand(node.right)
-            form = "_power({}, {})" if node.op == "^" and rreads else _INFIX[node.op]
-            return assign(form.format(left, right)), lreads or rreads
-        args = [operand(arg) for arg in node.args]
-        func = _FUNCS[node.func]
-        text = assign(f"{func}({args[0][0]})") if len(args) == 1 else args[0][0]
-        for arg, _ in args[1:]:
-            text = assign(f"{func}({text}, {arg})")
-        return text, any(reads for _, reads in args)
-
-    result, _ = operand(tree)
-
-    def function(head: str, reads: dict, value: str) -> list[str]:
-        lines = [f"v_{line.name} = {reads[line.name]}" if isinstance(line, Var) else line
-                 for line in body]
-        return [f"    def {head}:", *(f"        {line}" for line in lines),
-                f"        return {value}"]
-
-    params = ", ".join(f"c{k}" for k in range(len(constants)))
-    source = "\n".join([f"def _factory({params}):",
-                         *function("call(env)", _ENV_READS, result),
-                         *function("at(x)", _FLOAT_READS, f"float({result})"),
-                         "    call.at = at",
-                         "    return call\n"])
-    return source, constants, frozenset(read)
 
 
 @functools.lru_cache(maxsize=256)
 def _skeleton(source: str) -> Callable:
-    """The factory that `_emit`'s source defines, compiled once per
-    operator skeleton.  The source holds only the emitter's vocabulary,
-    never an expression's text or numbers."""
+    """The factory that the parser's source defines, compiled once per
+    operator skeleton.  The source holds only the generated code's
+    vocabulary, never an expression's text or numbers."""
     namespace = dict(_NAMESPACE)
     exec(compile(source, "<expression>", "exec"), namespace)
     return namespace["_factory"]
@@ -393,6 +383,6 @@ class Expression:
 def parse_expression(text: str, allowed: Iterable[str] | None = None) -> Expression:
     """Parse ``text``; ``allowed`` restricts which variables may appear."""
     allowed_vars = frozenset(VARIABLES if allowed is None else allowed)
-    tree = _Parser(_tokenize(text), allowed_vars).parse()
-    source, constants, variables = _emit(tree)
-    return Expression(text, tree, variables, _skeleton(source)(*constants))
+    parser = _Parser(_tokenize(text), allowed_vars)
+    tree, source = parser.parse()
+    return Expression(text, tree, frozenset(parser.read), _skeleton(source)(*parser.constants))

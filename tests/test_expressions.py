@@ -1,7 +1,11 @@
 import dataclasses
+import functools
+import inspect
 import io
+import json
 import math
 import re
+import sys
 import tokenize
 import warnings
 
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contraction_lab.cli import run_command
 from contraction_lab.expressions import (
     BinOp,
     Call,
@@ -20,10 +25,12 @@ from contraction_lab.expressions import (
     Neg,
     Num,
     UnknownIdentifierError,
+    VARIABLES,
     Var,
     _NAMESPACE,
-    _emit,
+    _Parser,
     _skeleton,
+    _tokenize,
     parse_expression,
 )
 
@@ -119,9 +126,22 @@ class TestParsing:
             parse_expression("x//2")
 
 
+_AT_THE_LIMIT = [
+    pytest.param("(" * MAX_NESTING + "x/2" + ")" * MAX_NESTING, id="parentheses"),
+    pytest.param("-" * MAX_NESTING + "x", id="unary minus"),
+    pytest.param("sqrt(" * MAX_NESTING + "x" + ")" * MAX_NESTING, id="arguments"),
+    pytest.param("max(0.5, " * MAX_NESTING + "x" + ")" * MAX_NESTING, id="second arguments"),
+    pytest.param("x" + "^x" * MAX_NESTING, id="powers"),
+    pytest.param("-(" * (MAX_NESTING // 2) + "x" + ")" * (MAX_NESTING // 2), id="mixed"),
+    # levels close again, so siblings do not add up
+    pytest.param(" + ".join(["(x)"] * 2 * MAX_NESTING), id="siblings"),
+]
+
+
 class TestNesting:
     """Parentheses, function arguments, unary minus and '^' count toward one
-    nesting limit, checked before the parser's recursion could overflow."""
+    nesting limit, checked before the parser's recursion could overflow;
+    chains of + - * / do not nest."""
 
     @pytest.mark.parametrize("text, offset", [
         pytest.param("(" * 200 + "x/2" + ")" * 200, MAX_NESTING, id="parentheses"),
@@ -140,20 +160,40 @@ class TestNesting:
         assert err.value.position == offset
         assert str(err.value) == f"expression nests too deeply (at offset {offset})"
 
-    @pytest.mark.parametrize("text", [
-        pytest.param("(" * MAX_NESTING + "x/2" + ")" * MAX_NESTING, id="parentheses"),
-        pytest.param("-" * MAX_NESTING + "x", id="unary minus"),
-        pytest.param("sqrt(" * MAX_NESTING + "x" + ")" * MAX_NESTING, id="arguments"),
-        pytest.param("max(0.5, " * MAX_NESTING + "x" + ")" * MAX_NESTING, id="second arguments"),
-        pytest.param("x" + "^x" * MAX_NESTING, id="powers"),
-        pytest.param("-(" * (MAX_NESTING // 2) + "x" + ")" * (MAX_NESTING // 2), id="mixed"),
-        # levels close again, so siblings do not add up
-        pytest.param(" + ".join(["(x)"] * 2 * MAX_NESTING), id="siblings"),
-    ])
+    @pytest.mark.parametrize("text", _AT_THE_LIMIT)
     def test_the_limit_itself_parses_and_evaluates(self, text):
         expr = parse_expression(text)
         walked = float(reference_eval(expr.tree, {"x": np.float64(0.75)}))
         assert repr(expr.at(0.75)) == repr(walked)
+
+    @pytest.mark.parametrize("text", _AT_THE_LIMIT)
+    def test_the_limit_parses_within_five_frames_a_level(self, text):
+        # the figure in MAX_NESTING's comment, plus a fixed margin for the
+        # frames around the parser's recursion
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 5 * MAX_NESTING + 25)
+        try:
+            parse_expression(text)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_a_flat_sum_of_10000_terms_is_the_left_fold_of_its_terms(self, tmp_path):
+        # a chain of + - * / is folded in a loop, at any length; the tree is
+        # too deep for a recursive walk or comparison, so the oracle is the
+        # fold of the terms
+        divisors = [20000.0 + k for k in range(10_000)]
+        text = "+".join(f"x/{divisor!r}" for divisor in divisors)
+        expr = parse_expression(text)
+        for x in (0.75, 3.0):
+            terms = [np.divide(np.float64(x), np.float64(divisor)) for divisor in divisors]
+            folded = float(functools.reduce(lambda a, b: a + b, terms))
+            assert repr(expr.at(x)) == repr(folded)
+            assert repr(expr(x=x)) == repr(folded)
+        interval = tmp_path / "unit.json"
+        interval.write_text('{"lo": 0, "hi": 1, "dist": "abs(x-y)"}')
+        reply = run_command(["iterate", "--space", str(interval), "--x0", "1",
+                             "--map", json.dumps({"expr": text})])
+        assert reply.status == "ok", reply.payload
 
 
 class TestEvaluation:
@@ -298,12 +338,9 @@ class TestArrayCalls:
         assert type(parse_expression("1")()) is float
 
 
-def _entries(tree):
-    """The generated call and at of a tree, as parse_expression builds them,
-    for trees too deep to print and parse again."""
-    source, constants, _ = _emit(tree)
-    call = _skeleton(source)(*constants)
-    return call, call.at
+def _source(text):
+    """The factory source the parser writes for ``text``."""
+    return _Parser(_tokenize(text), frozenset(VARIABLES)).parse()[1]
 
 
 def _outcome(evaluate):
@@ -347,9 +384,11 @@ class TestEmitter:
         self._check(tree, expr.compiled, expr.at)
 
     @settings(max_examples=25, deadline=None)
-    @given(tree=deep_trees(("x", "y"), 300))
-    def test_entries_of_trees_300_deep_match_a_tree_walk(self, tree):
-        self._check(tree, *_entries(tree))
+    @given(tree=deep_trees(("x", "y"), MAX_NESTING // 2))
+    def test_entries_of_trees_at_the_nesting_limit_match_a_tree_walk(self, tree):
+        # each step of a deep tree prints at most two nesting levels
+        expr = parse_expression(unparse(tree))
+        self._check(tree, expr.compiled, expr.at)
 
     def test_variable_exponents_and_unary_minus_chains(self):
         for text in ("x^y", "2^x", "x^(y-1)", "(-x)^-y", "x^y^0.5", "--x", "-(-(-x))^2",
@@ -404,7 +443,7 @@ class TestSkeletonCache:
         after = _skeleton.cache_info()
         assert (after.hits, after.misses, after.currsize) == (
             before.hits + 1, before.misses, before.currsize)
-        assert _emit(first.tree)[0] == _emit(second.tree)[0]
+        assert _source(first.source) == _source(second.source)
         for expr in (first, second):
             TestEmitter._check(expr.tree, expr.compiled, expr.at)
         assert first.at(0.5) != second.at(0.5)
@@ -413,7 +452,7 @@ class TestSkeletonCache:
     @settings(max_examples=200, deadline=None)
     @given(tree=expression_trees(("x", "y", "u", "v")))
     def test_generated_source_holds_only_the_emitters_vocabulary(self, tree):
-        source = _emit(parse_expression(unparse(tree)).tree)[0]
+        source = _source(unparse(tree))
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
         assert not [token for token in tokens if token.type in (tokenize.NUMBER, tokenize.STRING)]
         vocabulary = set(_NAMESPACE) | {"def", "return", "float", "_factory", "call", "env",
