@@ -217,9 +217,8 @@ class SelfMap:
             raise StructuralError("interval spaces need an expression map")
         (xs,) = _interval_points(space, 1, 1000, DEFAULT_SEED)
         images = self(xs)
-        if not np.all(np.isfinite(images)) or not space.contains(images):
-            k = int(np.argwhere(~np.isfinite(images) | (images < space.lo - 1e-12)
-                                | (images > space.hi + 1e-12))[0][0])
+        if not space.contains(images):  # a NaN or infinity is outside too
+            k = next(k for k, image in enumerate(images) if not space.contains(image))
             raise StructuralError(
                 f"map leaves the interval at sampled x={float(xs[k]):g}: "
                 f"T(x)={float(images[k]):g}"

@@ -21,7 +21,7 @@ which is compiled once per operator skeleton (`_skeleton`), so expressions
 that differ only in their numbers share compiled code.  Calling an
 Expression converts each keyword binding to C-ordered float64 and
 evaluates in double precision throughout.  Replies echo an expression's
-source text; no tree is printed.
+source text; no tree is built.
 Division by zero and fractional powers of negatives produce inf/nan rather
 than raising; callers that need finite non-negative values check the result.
 
@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -78,37 +78,6 @@ class ExpressionSyntaxError(ExpressionError):
 
 class UnknownIdentifierError(ExpressionError):
     """Identifier outside the allowed variables and functions."""
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple["Node", ...]
-
-
-Node = Union[Num, Var, Neg, BinOp, Call]
 
 
 @dataclass(frozen=True)
@@ -149,9 +118,9 @@ _BINARY = {"+": (1, 2, "{} + {}"), "-": (1, 2, "{} - {}"), "*": (2, 3, "{} * {}"
            "/": (2, 3, "_divide({}, {})"), "^": (3, 3, "_pow({}, {})")}
 _FUNCS = {"abs": "_abs", "sqrt": "_sqrt", "min": "_minimum", "max": "_maximum"}
 
-# What a parse step returns: its node, its text in the generated code and
-# whether it reads a variable.
-_Step = tuple[Node, str, bool]
+# What a parse step returns: its text in the generated code and whether it
+# reads a variable.
+_Step = tuple[str, bool]
 
 
 class _Parser:
@@ -167,7 +136,9 @@ class _Parser:
         self.allowed_vars = allowed_vars
         self.depth = 0
         self.constants: list = []
-        self.body: list = []  # statements, with a variable's first read as its Var node
+        # statements; a variable's first read is "v_<name> = {<name>}", which
+        # each entry formats with its own read table
+        self.body: list[str] = []
         self.read: list[str] = []
 
     def peek(self) -> Token:
@@ -199,51 +170,45 @@ class _Parser:
         self.body.append(f"{local} = {expression}")
         return local
 
-    def parse(self) -> tuple[Node, str]:
-        """The tree, and the source of a factory that returns the keyword
-        entry call(env) with the float entry at(x) as its attribute call.at;
-        the factory takes the constants in order as c0, c1, ..."""
-        tree, result, _ = self.binary()
+    def parse(self) -> str:
+        """The source of a factory that returns the keyword entry call(env)
+        with the float entry at(x) as its attribute call.at; the factory
+        takes the constants in order as c0, c1, ..."""
+        result, _ = self.binary()
         tail = self.peek()
         if tail.kind != "end":
             raise ExpressionSyntaxError(f"unexpected {tail.text!r}", tail.pos)
         params = ", ".join(f"c{k}" for k in range(len(self.constants)))
-        return tree, "\n".join([f"def _factory({params}):",
-                                 *self.function("call(env)", _ENV_READS, result),
-                                 *self.function("at(x)", _FLOAT_READS, f"float({result})"),
-                                 "    call.at = at",
-                                 "    return call\n"])
-
-    def function(self, head: str, reads: dict, value: str) -> list[str]:
-        lines = [f"v_{line.name} = {reads[line.name]}" if isinstance(line, Var) else line
-                 for line in self.body]
-        return [f"    def {head}:", *(f"        {line}" for line in lines),
-                f"        return {value}"]
+        body = "".join(f"        {line}\n" for line in self.body)
+        return (f"def _factory({params}):\n"
+                f"    def call(env):\n{body.format_map(_ENV_READS)}        return {result}\n"
+                f"    def at(x):\n{body.format_map(_FLOAT_READS)}        return float({result})\n"
+                "    call.at = at\n"
+                "    return call\n")
 
     def binary(self, floor: int = 1) -> _Step:
         """A unary operand, then operators of precedence `floor` or above
         with their right operands.  A power whose exponent reads a variable
         goes through _power."""
-        node, text, reads = self.unary()
+        text, reads = self.unary()
         while (token := self.peek()).kind == "op" and token.text in _BINARY:
             precedence, right_floor, form = _BINARY[token.text]
             if precedence < floor:
                 break
             self.advance()
-            right, right_text, right_reads = (
+            right, right_reads = (
                 self.nested(token, self.binary, right_floor) if right_floor == precedence
                 else self.binary(right_floor))
             if token.text == "^" and right_reads:
                 form = "_power({}, {})"
-            node = BinOp(token.text, node, right)
-            text, reads = self.assign(form.format(text, right_text)), reads or right_reads
-        return node, text, reads
+            text, reads = self.assign(form.format(text, right)), reads or right_reads
+        return text, reads
 
     def unary(self) -> _Step:
         token = self.peek()
         if token.kind == "op" and token.text == "-":
-            node, text, reads = self.nested(self.advance(), self.unary)
-            return Neg(node), self.assign(f"-{text}"), reads
+            text, reads = self.nested(self.advance(), self.unary)
+            return self.assign(f"-{text}"), reads
         return self.atom()
 
     def atom(self) -> _Step:
@@ -253,7 +218,7 @@ class _Parser:
             if not np.isfinite(value):
                 raise ExpressionSyntaxError("numeric literal overflows", token.pos)
             self.constants.append(np.float64(value))
-            return Num(value), f"c{len(self.constants) - 1}", False
+            return f"c{len(self.constants) - 1}", False
         if token.kind == "ident":
             if self.peek().kind == "op" and self.peek().text == "(":
                 return self.call(token)
@@ -273,8 +238,8 @@ class _Parser:
                 )
             if token.text not in self.read:
                 self.read.append(token.text)
-                self.body.append(Var(token.text))
-            return Var(token.text), f"v_{token.text}", True
+                self.body.append(f"v_{token.text} = {{{token.text}}}")
+            return f"v_{token.text}", True
         if token.kind == "op" and token.text == "(":
             step = self.nested(token, self.binary)
             self.expect_op(")")
@@ -299,11 +264,10 @@ class _Parser:
                 f"{name.text} expects {wanted} argument(s), got {len(args)}", name.pos
             )
         func = _FUNCS[name.text]
-        text = self.assign(f"{func}({args[0][1]})") if len(args) == 1 else args[0][1]
-        for _, arg, _ in args[1:]:
+        text = self.assign(f"{func}({args[0][0]})") if len(args) == 1 else args[0][0]
+        for arg, _ in args[1:]:
             text = self.assign(f"{func}({text}, {arg})")
-        return (Call(name.text, tuple(node for node, _, _ in args)), text,
-                any(reads for _, _, reads in args))
+        return text, any(reads for _, reads in args)
 
 
 def _power(base, exponent):
@@ -346,12 +310,11 @@ def _skeleton(source: str) -> Callable:
 
 @dataclass(frozen=True)
 class Expression:
-    """A parsed expression: source text, tree, the variables it reads and
-    its generated function, which evaluates the tree on a dict of float64
-    bindings."""
+    """A parsed expression: source text, the variables it reads and its
+    generated function, which evaluates it on a dict of float64 bindings;
+    no tree is built."""
 
     source: str
-    tree: Node
     variables: frozenset[str]
     compiled: Callable[[dict], object] = field(repr=False, compare=False)
 
@@ -384,5 +347,5 @@ def parse_expression(text: str, allowed: Iterable[str] | None = None) -> Express
     """Parse ``text``; ``allowed`` restricts which variables may appear."""
     allowed_vars = frozenset(VARIABLES if allowed is None else allowed)
     parser = _Parser(_tokenize(text), allowed_vars)
-    tree, source = parser.parse()
-    return Expression(text, tree, frozenset(parser.read), _skeleton(source)(*parser.constants))
+    source = parser.parse()
+    return Expression(text, frozenset(parser.read), _skeleton(source)(*parser.constants))

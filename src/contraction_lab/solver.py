@@ -51,7 +51,7 @@ import numpy as np
 from . import trifun
 from .contraction import SelfMap
 from .space import FiniteSemimetricSpace, IntervalSpace, Space
-from .trifun import TriangleFunctionSpec, _json_float
+from .trifun import INEQ_ABS_TOL, TriangleFunctionSpec, _json_float
 
 MAX_ITER_DEFAULT = 100_000
 STEP_TOL_DEFAULT = 1e-10
@@ -162,7 +162,7 @@ def _interval_chunks(space: IntervalSpace, mapping: SelfMap, x: float, max_iter:
     its chunk; the DomainEscapeError naming it comes after the chunk, so a
     caller that stops inside it never sees it."""
     lo, hi = space.lo, space.hi
-    low, high = lo - 1e-12, hi + 1e-12
+    low, high = lo - INEQ_ABS_TOL, hi + INEQ_ABS_TOL
     at = mapping.at  # the expression's generated float entry itself
     done, size = 0, CHUNK_FIRST
     while done < max_iter:
@@ -170,7 +170,7 @@ def _interval_chunks(space: IntervalSpace, mapping: SelfMap, x: float, max_iter:
         with np.errstate(all="ignore"):
             for _ in range(min(size, max_iter - done)):
                 x = at(x)
-                if not lo <= x <= hi:  # clamp the 1e-12 slack; NaN escapes
+                if not lo <= x <= hi:  # clamp contains' slack; NaN escapes
                     if not low <= x <= high:
                         escape, x = x, chunk[-1]
                         break
@@ -431,7 +431,7 @@ def verify_bound(
         bounds = scale * c * d01
         slacks = bounds - observed
         step_bounds = scale[: len(steps)] * d01
-        step_flags = np.fromiter(steps, float, len(steps)) <= step_bounds * (1.0 + 1e-12) + 1e-12
+        step_flags = ~trifun.violates(np.fromiter(steps, float, len(steps)), step_bounds)
     # NaN once one slack is NaN, else the first smallest, which keeps -0.0 and
     # 0.0 apart as the row loop did
     nan_slack = bool(np.isnan(slacks).any())

@@ -202,7 +202,6 @@ def validate_semimetric(space: Space, seed: int = DEFAULT_SEED) -> SpaceReport:
 
 def _validate_finite(space: FiniteSemimetricSpace) -> SpaceReport:
     D, labels = space.dist, space.labels
-    off = D + np.eye(space.size)  # lift the diagonal out of the way
     checks = (
         _check("nonnegative", D < -INEQ_ABS_TOL,
                lambda i, j: (labels[i], labels[j], float(D[i, j]))),
@@ -211,7 +210,8 @@ def _validate_finite(space: FiniteSemimetricSpace) -> SpaceReport:
                lambda i, j: (labels[i], labels[j], float(D[i, j]), float(D[j, i]))),
         _check("identity_zero_self", np.abs(np.diag(D)) > INEQ_ABS_TOL,
                lambda i: (labels[i], float(D[i, i]))),
-        _check("identity_distinct_positive", off <= INEQ_ABS_TOL,
+        _check("identity_distinct_positive",
+               (D <= INEQ_ABS_TOL) & ~np.eye(space.size, dtype=bool),
                lambda i, j: (labels[i], labels[j], float(D[i, j])),
                "distinct points at zero distance"),
     )

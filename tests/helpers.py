@@ -9,13 +9,14 @@ freeze expected values.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 from hypothesis import strategies as st
 
 import contraction_lab as cl
 from contraction_lab import solver
-from contraction_lab.expressions import BinOp, Call, Neg, Node, Num, Var
 from contraction_lab.search import (SIZE_RANGE, Finding, SearchResult, _draw_images, _labels,
                                     _semimetric)
 from contraction_lab.space import INEQ_ABS_TOL, INEQ_REL_TOL
@@ -359,6 +360,37 @@ def bianchini_bound_instances(beta: float, count: int, seed: int) -> list[tuple]
 # expression trees and their text
 
 
+@dataclass(frozen=True)
+class Num:
+    value: float
+
+
+@dataclass(frozen=True)
+class Var:
+    name: str
+
+
+@dataclass(frozen=True)
+class Neg:
+    operand: "Node"
+
+
+@dataclass(frozen=True)
+class BinOp:
+    op: str
+    left: "Node"
+    right: "Node"
+
+
+@dataclass(frozen=True)
+class Call:
+    func: str
+    args: tuple["Node", ...]
+
+
+Node = Union[Num, Var, Neg, BinOp, Call]
+
+
 # Grammar slots, loosest to tightest.  A node prints bare in a slot when its
 # own rank is at least the slot's; otherwise it gets wrapped in parentheses.
 _RANK_EXPR, _RANK_TERM, _RANK_FACTOR, _RANK_UNARY, _RANK_ATOM = range(5)
@@ -379,7 +411,7 @@ def _rank(node: Node) -> int:
 
 
 def unparse(node: Node, slot: int = _RANK_EXPR) -> str:
-    """Render a tree back to text that reparses to an identical tree."""
+    """Render a tree as text with the fewest parentheses the grammar needs."""
     if _rank(node) < slot:
         return "(" + unparse(node, _RANK_EXPR) + ")"
     if isinstance(node, Num):
@@ -396,6 +428,19 @@ def unparse(node: Node, slot: int = _RANK_EXPR) -> str:
     if node.op in "*/":
         return unparse(node.left, _RANK_TERM) + node.op + unparse(node.right, _RANK_FACTOR)
     return unparse(node.left, _RANK_EXPR) + node.op + unparse(node.right, _RANK_TERM)
+
+
+def parenthesised(node: Node) -> str:
+    """Render a tree as text with every operation in parentheses."""
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Neg):
+        return f"(-{parenthesised(node.operand)})"
+    if isinstance(node, Call):
+        return f"{node.func}({', '.join(parenthesised(a) for a in node.args)})"
+    return f"({parenthesised(node.left)}{node.op}{parenthesised(node.right)})"
 
 
 def _reads_a_variable(node: Node) -> bool:

@@ -16,17 +16,12 @@ from hypothesis import strategies as st
 
 from contraction_lab.cli import run_command
 from contraction_lab.expressions import (
-    BinOp,
-    Call,
     Expression,
     ExpressionError,
     ExpressionSyntaxError,
     MAX_NESTING,
-    Neg,
-    Num,
     UnknownIdentifierError,
     VARIABLES,
-    Var,
     _NAMESPACE,
     _Parser,
     _skeleton,
@@ -34,19 +29,66 @@ from contraction_lab.expressions import (
     parse_expression,
 )
 
-from helpers import deep_trees, expression_trees, reference_eval, unparse
+from helpers import (BinOp, Call, Neg, Num, Var, deep_trees, expression_trees, parenthesised,
+                     reference_eval, unparse)
+
+
+def _generated(text):
+    """The factory source the parser writes for ``text`` and the bits of
+    the constants it passes to the factory, in order."""
+    parser = _Parser(_tokenize(text), frozenset(VARIABLES))
+    return parser.parse(), [float(constant).hex() for constant in parser.constants]
+
+
+def _source(text):
+    """The factory source the parser writes for ``text``."""
+    return _generated(text)[0]
 
 
 class TestParsing:
     def test_abs_difference_tree(self):
         expr = parse_expression("abs(x-y)")
-        assert expr.tree == Call("abs", (BinOp("-", Var("x"), Var("y")),))
+        assert _source(expr.source) == (
+            "def _factory():\n"
+            "    def call(env):\n"
+            "        v_x = env[k_x]\n"
+            "        v_y = env[k_y]\n"
+            "        t2 = v_x - v_y\n"
+            "        t3 = _abs(t2)\n"
+            "        return t3\n"
+            "    def at(x):\n"
+            "        v_x = _f64(x)\n"
+            "        v_y = _unbound(k_y)\n"
+            "        t2 = v_x - v_y\n"
+            "        t3 = _abs(t2)\n"
+            "        return float(t3)\n"
+            "    call.at = at\n"
+            "    return call\n")
         assert expr.variables == frozenset({"x", "y"})
 
     def test_power_composition_tree(self):
-        expr = parse_expression("(u^0.5+v^0.5)^2")
-        inner = BinOp("+", BinOp("^", Var("u"), Num(0.5)), BinOp("^", Var("v"), Num(0.5)))
-        assert expr.tree == BinOp("^", inner, Num(2.0))
+        # (u^0.5 + v^0.5)^2: each operand before its operation, left first
+        assert _generated("(u^0.5+v^0.5)^2") == (
+            "def _factory(c0, c1, c2):\n"
+            "    def call(env):\n"
+            "        v_u = env[k_u]\n"
+            "        t1 = _pow(v_u, c0)\n"
+            "        v_v = env[k_v]\n"
+            "        t3 = _pow(v_v, c1)\n"
+            "        t4 = t1 + t3\n"
+            "        t5 = _pow(t4, c2)\n"
+            "        return t5\n"
+            "    def at(x):\n"
+            "        v_u = _unbound(k_u)\n"
+            "        t1 = _pow(v_u, c0)\n"
+            "        v_v = _unbound(k_v)\n"
+            "        t3 = _pow(v_v, c1)\n"
+            "        t4 = t1 + t3\n"
+            "        t5 = _pow(t4, c2)\n"
+            "        return float(t5)\n"
+            "    call.at = at\n"
+            "    return call\n",
+            [(0.5).hex(), (0.5).hex(), (2.0).hex()])
 
     def test_double_slash_is_syntax_error_at_offset_2(self):
         with pytest.raises(ExpressionSyntaxError) as err:
@@ -126,15 +168,29 @@ class TestParsing:
             parse_expression("x//2")
 
 
+def _wrapped(wrap, times):
+    """The variable x wrapped `times` times by `wrap`."""
+    return functools.reduce(lambda node, _: wrap(node), range(times), Var("x"))
+
+
+# each text at the nesting limit with its tree
 _AT_THE_LIMIT = [
-    pytest.param("(" * MAX_NESTING + "x/2" + ")" * MAX_NESTING, id="parentheses"),
-    pytest.param("-" * MAX_NESTING + "x", id="unary minus"),
-    pytest.param("sqrt(" * MAX_NESTING + "x" + ")" * MAX_NESTING, id="arguments"),
-    pytest.param("max(0.5, " * MAX_NESTING + "x" + ")" * MAX_NESTING, id="second arguments"),
-    pytest.param("x" + "^x" * MAX_NESTING, id="powers"),
-    pytest.param("-(" * (MAX_NESTING // 2) + "x" + ")" * (MAX_NESTING // 2), id="mixed"),
+    pytest.param("(" * MAX_NESTING + "x/2" + ")" * MAX_NESTING, BinOp("/", Var("x"), Num(2.0)),
+                 id="parentheses"),
+    pytest.param("-" * MAX_NESTING + "x", _wrapped(Neg, MAX_NESTING), id="unary minus"),
+    pytest.param("sqrt(" * MAX_NESTING + "x" + ")" * MAX_NESTING,
+                 _wrapped(lambda node: Call("sqrt", (node,)), MAX_NESTING), id="arguments"),
+    pytest.param("max(0.5, " * MAX_NESTING + "x" + ")" * MAX_NESTING,
+                 _wrapped(lambda node: Call("max", (Num(0.5), node)), MAX_NESTING),
+                 id="second arguments"),
+    pytest.param("x" + "^x" * MAX_NESTING,
+                 _wrapped(lambda node: BinOp("^", Var("x"), node), MAX_NESTING), id="powers"),
+    pytest.param("-(" * (MAX_NESTING // 2) + "x" + ")" * (MAX_NESTING // 2),
+                 _wrapped(Neg, MAX_NESTING // 2), id="mixed"),
     # levels close again, so siblings do not add up
-    pytest.param(" + ".join(["(x)"] * 2 * MAX_NESTING), id="siblings"),
+    pytest.param(" + ".join(["(x)"] * 2 * MAX_NESTING),
+                 functools.reduce(lambda left, right: BinOp("+", left, right),
+                                  [Var("x")] * 2 * MAX_NESTING), id="siblings"),
 ]
 
 
@@ -160,14 +216,15 @@ class TestNesting:
         assert err.value.position == offset
         assert str(err.value) == f"expression nests too deeply (at offset {offset})"
 
-    @pytest.mark.parametrize("text", _AT_THE_LIMIT)
-    def test_the_limit_itself_parses_and_evaluates(self, text):
+    @pytest.mark.parametrize("text, tree", _AT_THE_LIMIT)
+    def test_the_limit_itself_parses_and_evaluates(self, text, tree):
         expr = parse_expression(text)
-        walked = float(reference_eval(expr.tree, {"x": np.float64(0.75)}))
+        assert _source(text) == _source(unparse(tree))
+        walked = float(reference_eval(tree, {"x": np.float64(0.75)}))
         assert repr(expr.at(0.75)) == repr(walked)
 
-    @pytest.mark.parametrize("text", _AT_THE_LIMIT)
-    def test_the_limit_parses_within_five_frames_a_level(self, text):
+    @pytest.mark.parametrize("text, tree", _AT_THE_LIMIT)
+    def test_the_limit_parses_within_five_frames_a_level(self, text, tree):
         # the figure in MAX_NESTING's comment, plus a fixed margin for the
         # frames around the parser's recursion
         limit = sys.getrecursionlimit()
@@ -178,12 +235,14 @@ class TestNesting:
             sys.setrecursionlimit(limit)
 
     def test_a_flat_sum_of_10000_terms_is_the_left_fold_of_its_terms(self, tmp_path):
-        # a chain of + - * / is folded in a loop, at any length; the tree is
-        # too deep for a recursive walk or comparison, so the oracle is the
-        # fold of the terms
+        # a chain of + - * / is folded in a loop, at any length, and the
+        # parsed expression prints, compares and hashes by its fields
         divisors = [20000.0 + k for k in range(10_000)]
         text = "+".join(f"x/{divisor!r}" for divisor in divisors)
         expr = parse_expression(text)
+        copy = Expression(text, frozenset({"x"}), expr.compiled)
+        assert repr(expr) == f"Expression(source={text!r}, variables=frozenset({{'x'}}))"
+        assert expr == copy and hash(expr) == hash(copy)
         for x in (0.75, 3.0):
             terms = [np.divide(np.float64(x), np.float64(divisor)) for divisor in divisors]
             folded = float(functools.reduce(lambda a, b: a + b, terms))
@@ -231,31 +290,39 @@ class TestEvaluation:
         assert all(expr(x=2.3, y=1.7) == first for _ in range(5))
 
 
+_x, _y, _u, _v = (Var(name) for name in "xyuv")
+
+
 class TestRoundTrip:
+    """The text with the fewest parentheses and the fully parenthesised
+    text of one tree give the same generated code and constants, which
+    pins precedence and associativity."""
+
     def test_canonical_text_reparses_identically(self):
-        for source in (
-            "abs(x-y)",
-            "(u^0.5+v^0.5)^2",
-            "-x + y*-2",
-            "min(u, v, u*v)",
-            "1/(1-x)",
-            "2^3^2",
-            "-(x+y)",
-            "x-(y-1)",
-            "x/(y/2)",
+        for source, tree in (
+            ("abs(x-y)", Call("abs", (BinOp("-", _x, _y),))),
+            ("(u^0.5+v^0.5)^2", BinOp("^", BinOp("+", BinOp("^", _u, Num(0.5)),
+                                                 BinOp("^", _v, Num(0.5))), Num(2.0))),
+            ("-x + y*-2", BinOp("+", Neg(_x), BinOp("*", _y, Neg(Num(2.0))))),
+            ("min(u, v, u*v)", Call("min", (_u, _v, BinOp("*", _u, _v)))),
+            ("1/(1-x)", BinOp("/", Num(1.0), BinOp("-", Num(1.0), _x))),
+            ("2^3^2", BinOp("^", Num(2.0), BinOp("^", Num(3.0), Num(2.0)))),
+            ("-(x+y)", Neg(BinOp("+", _x, _y))),
+            ("x-(y-1)", BinOp("-", _x, BinOp("-", _y, Num(1.0)))),
+            ("x-y-1", BinOp("-", BinOp("-", _x, _y), Num(1.0))),
+            ("x/(y/2)", BinOp("/", _x, BinOp("/", _y, Num(2.0)))),
+            ("x/y/2", BinOp("/", BinOp("/", _x, _y), Num(2.0))),
+            ("-x^2", BinOp("^", Neg(_x), Num(2.0))),
         ):
-            expr = parse_expression(source)
-            again = parse_expression(unparse(expr.tree))
-            assert again.tree == expr.tree, source
-            assert unparse(again.tree) == unparse(expr.tree), source
+            assert _generated(source) == _generated(unparse(tree)), source
+            assert _generated(source) == _generated(parenthesised(tree)), source
 
 
 class TestRoundTripProperty:
     @settings(max_examples=200, deadline=None)
     @given(tree=expression_trees(("x", "y", "u", "v")))
     def test_print_parse_identity(self, tree):
-        text = unparse(tree)
-        assert parse_expression(text).tree == tree
+        assert _generated(unparse(tree)) == _generated(parenthesised(tree))
 
 
 # Bindings for the array-against-scalar property: zero, negatives, values
@@ -338,11 +405,6 @@ class TestArrayCalls:
         assert type(parse_expression("1")()) is float
 
 
-def _source(text):
-    """The factory source the parser writes for ``text``."""
-    return _Parser(_tokenize(text), frozenset(VARIABLES)).parse()[1]
-
-
 def _outcome(evaluate):
     """A value, or the kind of error that evaluation raised: a missing
     variable (KeyError or ValueError) by the variable it names."""
@@ -391,10 +453,21 @@ class TestEmitter:
         self._check(tree, expr.compiled, expr.at)
 
     def test_variable_exponents_and_unary_minus_chains(self):
-        for text in ("x^y", "2^x", "x^(y-1)", "(-x)^-y", "x^y^0.5", "--x", "-(-(-x))^2",
-                     "-x^--y", "min(x, y, 0.5, -x)", "max(x, 1, y, x^y)"):
+        for text, tree in (
+            ("x^y", BinOp("^", _x, _y)),
+            ("2^x", BinOp("^", Num(2.0), _x)),
+            ("x^(y-1)", BinOp("^", _x, BinOp("-", _y, Num(1.0)))),
+            ("(-x)^-y", BinOp("^", Neg(_x), Neg(_y))),
+            ("x^y^0.5", BinOp("^", _x, BinOp("^", _y, Num(0.5)))),
+            ("--x", Neg(Neg(_x))),
+            ("-(-(-x))^2", BinOp("^", Neg(Neg(Neg(_x))), Num(2.0))),
+            ("-x^--y", BinOp("^", Neg(_x), Neg(Neg(_y)))),
+            ("min(x, y, 0.5, -x)", Call("min", (_x, _y, Num(0.5), Neg(_x)))),
+            ("max(x, 1, y, x^y)", Call("max", (_x, Num(1.0), _y, BinOp("^", _x, _y)))),
+        ):
             expr = parse_expression(text)
-            self._check(expr.tree, expr.compiled, expr.at)
+            assert _source(text) == _source(unparse(tree)), text
+            self._check(tree, expr.compiled, expr.at)
 
     @settings(max_examples=200, deadline=None)
     @given(tree=expression_trees(("x", "y", "u", "v")),
@@ -421,10 +494,10 @@ class TestEmitter:
 
 
     def test_float_entry_follows_the_keyword_entry(self):
-        # the constructor takes the four fields it always took, and a copy
-        # with another keyword entry evaluates with that entry's float entry
+        # the constructor takes the three fields, and a copy with another
+        # keyword entry evaluates with that entry's float entry
         first, second = parse_expression("x/2"), parse_expression("x/4")
-        rebuilt = Expression(first.source, first.tree, first.variables, first.compiled)
+        rebuilt = Expression(first.source, first.variables, first.compiled)
         assert rebuilt == first and rebuilt.at(1.0) == 0.5
         assert dataclasses.replace(first, compiled=second.compiled).at(1.0) == 0.25
 
@@ -437,6 +510,10 @@ class TestEmitter:
 
 class TestSkeletonCache:
     def test_maps_that_differ_only_in_numbers_share_one_entry(self):
+        def tree(a, b, c, d, e):  # a*sqrt(x^2+b) - min(x, c, d)/e
+            return BinOp("-", BinOp("*", Num(a), Call("sqrt", (BinOp("+", BinOp(
+                "^", _x, Num(2.0)), Num(b)),))), BinOp("/", Call("min", (_x, Num(c), Num(d))), Num(e)))
+
         first = parse_expression("0.25*sqrt(x^2+0.5)-min(x, 0.125, 3)/7e-3")
         before = _skeleton.cache_info()
         second = parse_expression("0.75*sqrt(x^2+1.5)-min(x, 0.375, 9)/2e-2")
@@ -444,8 +521,9 @@ class TestSkeletonCache:
         assert (after.hits, after.misses, after.currsize) == (
             before.hits + 1, before.misses, before.currsize)
         assert _source(first.source) == _source(second.source)
-        for expr in (first, second):
-            TestEmitter._check(expr.tree, expr.compiled, expr.at)
+        for expr, constants in ((first, (0.25, 0.5, 0.125, 3.0, 7e-3)),
+                                (second, (0.75, 1.5, 0.375, 9.0, 2e-2))):
+            TestEmitter._check(tree(*constants), expr.compiled, expr.at)
         assert first.at(0.5) != second.at(0.5)
         assert first(x=np.array([0.5, 1.0])).tolist() != second(x=np.array([0.5, 1.0])).tolist()
 

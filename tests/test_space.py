@@ -147,6 +147,14 @@ class TestValidateSemimetric:
             "identity_distinct_positive"
         ]
 
+    @pytest.mark.parametrize("diagonal", [-2.0, -0.5])
+    def test_negative_diagonal_fails_only_the_checks_on_the_diagonal(self, diagonal):
+        # distinct positive looks at x != y only, whatever sits on the diagonal
+        space = cl.FiniteSemimetricSpace(("a", "b"), np.array([[diagonal, 1.0], [1.0, 0.0]]))
+        failed = {c.name: c.witness for c in cl.validate_semimetric(space).checks if not c.passed}
+        assert failed == {"nonnegative": ("a", "a", diagonal),
+                          "identity_zero_self": ("a", diagonal)}
+
     def test_negative_entries_fail(self):
         space = cl.FiniteSemimetricSpace(("a", "b"), np.array([[0.0, -1.0], [-1.0, 0.0]]))
         names = [c.name for c in cl.validate_semimetric(space).checks if not c.passed]
