@@ -11,6 +11,12 @@ One table, `_COMMANDS`, gives each command its help text, the inputs it
 reads in order, whether it prints CSV and its handler; `_INPUTS` reads each
 input, and the `from_json` readers hold every document to one field rule.
 
+A process, the CLI or a script calling `run_command`, decodes a finite
+space file's text once while that text is unchanged: the decoded space is
+held, keyed by the SHA-256 of the text and with its matrix read-only, in a
+least-recently-used cache of at most SPACE_CACHE_BYTES of matrices.  Only
+decoded finite spaces are held, never replies.
+
 Setting CONTRACTION_LAB_SEED in the environment overrides --seed.
 """
 
@@ -19,9 +25,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 import sys
+import threading
 from typing import Callable
 
 from . import solver, trifun
@@ -45,6 +53,10 @@ from .trifun import TriangleFunctionSpec, _json_float
 ENV_SEED = "CONTRACTION_LAB_SEED"
 EXIT_CODES = {"ok": 0, "violation": 1, "not-applicable": 1, "error": 2}
 MAX_LISTED_VIOLATIONS = 5
+# bytes of distance matrices the decoded-space cache holds, each space
+# weighing at least SPACE_MIN_BYTES
+SPACE_CACHE_BYTES = 32 * 2**20
+SPACE_MIN_BYTES = 4096
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,6 +94,54 @@ def _read_json(flag: str, text: str, inline: bool = True):
         raise ValueError(f"{flag} is not valid JSON: {exc}") from None
 
 
+class _SpaceCache:
+    """Decoded finite spaces by the SHA-256 of their file's text, least
+    recently used first, under one lock: at most SPACE_CACHE_BYTES of
+    distance matrices, a larger one never held."""
+
+    def __init__(self):
+        self.spaces: dict[bytes, FiniteSemimetricSpace] = {}
+        self.held = 0  # bytes, by each space's weight
+        self.lock = threading.Lock()
+
+    def get(self, key: bytes) -> FiniteSemimetricSpace | None:
+        with self.lock:
+            space = self.spaces.pop(key, None)
+            if space is not None:  # now the most recently used
+                self.spaces[key] = space
+            return space
+
+    def put(self, key: bytes, space: FiniteSemimetricSpace) -> None:
+        weight = max(space.dist.nbytes, SPACE_MIN_BYTES)
+        with self.lock:
+            if key in self.spaces or weight > SPACE_CACHE_BYTES:
+                return
+            while self.held + weight > SPACE_CACHE_BYTES:
+                oldest = self.spaces.pop(next(iter(self.spaces)))
+                self.held -= max(oldest.dist.nbytes, SPACE_MIN_BYTES)
+            self.spaces[key] = space
+            self.held += weight
+
+
+_spaces = _SpaceCache()
+
+
+def _read_space(path: str):
+    """The space in the file at `path`.  A finite space is decoded once
+    while the file's text is unchanged, and held with a read-only matrix;
+    an interval space, quick to decode, is decoded on every read."""
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    key = hashlib.sha256(text.encode("utf-8")).digest()
+    space = _spaces.get(key)
+    if space is None:
+        space = space_from_json(_read_json("--space", text))
+        if isinstance(space, FiniteSemimetricSpace):
+            space.dist.flags.writeable = False
+            _spaces.put(key, space)
+    return space
+
+
 def _parse_x0(space, text: str):
     if isinstance(space, FiniteSemimetricSpace):
         if text in space.labels:
@@ -102,7 +162,7 @@ _JSON_OPENERS = ("{", "[", '"')
 
 # flag -> reader of its value, given the inputs read before it
 _INPUTS = {
-    "space": lambda text, read: space_from_json(_read_json("--space", text, inline=False)),
+    "space": lambda text, read: _read_space(text),
     "map": lambda text, read: SelfMap.from_json(
         _read_json("--map", text, inline=text.lstrip().startswith(_JSON_OPENERS))),
     "phi": lambda text, read: TriangleFunctionSpec.from_json(_read_json("--phi", text)),

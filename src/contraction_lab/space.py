@@ -25,9 +25,9 @@ survives the minimum, so a pair that passes against a lower bound on its
 least right-hand side passes for every z: only a block with a pair that
 fails this screen is tested along z.  Power phi splits into operands d^q
 and their combination, and the pass raises each distance to q once, not
-once per block.  The triangle check keeps the exact violation count and
-builds only the first violations a caller asks for (`triangle_report`'s
-`listed`).
+once per block, and only when a block first evaluates phi.  The triangle
+check keeps the exact violation count and builds only the first
+violations a caller asks for (`triangle_report`'s `listed`).
 """
 
 from __future__ import annotations
@@ -331,15 +331,23 @@ def triple_pass(
     D, labels, n = space.dist, space.labels, space.size
     Dt = np.ascontiguousarray(D.T)  # sums are exact in any layout; contiguous ones are faster
     count, violations, best, floor = 0, [], 0.0, None
+    operands = []
+
+    def phi_block(xs, ys):
+        # phi(d(x,z), d(z,y)) = combine(rows[x, z], cols[z, y]) over the views
+        # _finite_triples reads, each operand mapped once per pass, by the
+        # first block that evaluates phi
+        if not operands:
+            operands[:] = D, np.swapaxes(D, -1, -2)
+            if kind.operand is not None:
+                operands[:] = [kind.operand(phi, view) for view in operands]
+        rows, cols = operands
+        return (kind.combine or kind.formula)(phi, rows[xs, None, :], cols[None, ys, :])
+
     with np.errstate(all="ignore"):
         if phi is not None:
             kind = trifun._KINDS[phi.kind]
             floor = kind.sum_floor(phi, bool(np.any(D < 0.0)))
-            # phi(d(x,z), d(z,y)) = combine(rows[x, z], cols[z, y]), over the
-            # views _finite_triples reads, each operand mapped once per pass
-            rows, cols, combine = D, np.swapaxes(D, -1, -2), kind.combine or kind.formula
-            if kind.operand is not None:
-                rows, cols = kind.operand(phi, rows), kind.operand(phi, cols)
         for xs, ys in _triple_blocks(n):
             lhs = D[xs, ys]
             if minimal_b or floor is not None:
@@ -354,13 +362,13 @@ def triple_pass(
                 continue
             if floor is None:  # screen by the least phi over z instead
                 sums = None  # free the block's sums before phi is evaluated on it
-                rhs = combine(phi, rows[xs, None, :], cols[None, ys, :])
+                rhs = phi_block(xs, ys)
                 suspects = violates(lhs, np.min(rhs, axis=2))
             if not suspects.any():
                 continue
             if floor is not None:
                 rhs = (np.moveaxis(kind.of_sum(phi, sums), 0, -1) if kind.of_sum is not None
-                       else combine(phi, rows[xs, None, :], cols[None, ys, :]))
+                       else phi_block(xs, ys))
             bad = violates(lhs[..., None], rhs)
             hits = int(np.count_nonzero(bad))
             count += hits

@@ -1,7 +1,10 @@
+import concurrent.futures
 import hashlib
 import itertools
 import json
 import math
+import os
+import sys
 
 import jsonschema
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from contraction_lab import trifun
 from contraction_lab.cli import MAX_LISTED_VIOLATIONS, main, run_command
 from contraction_lab.contraction import TAG_CONSTANTS, TAGS
+from contraction_lab.space import FiniteSemimetricSpace, space_from_json
 from contraction_lab.schemas import (
     KIND_SCHEMA,
     MAP_SCHEMA,
@@ -877,3 +881,177 @@ class TestPlainReplies:
         assert (bounds["d01"], bounds["min_slack"]) == ("inf", "nan")
         assert bounds["rows"][0] == {"n": 0, "x_n": 0.0, "step_dist": "inf", "bound": "inf",
                                      "observed": "inf", "slack": "nan"}
+
+
+def _write_space(path, space) -> str:
+    path.write_text(json.dumps(space.to_json()), encoding="utf-8")
+    return str(path)
+
+
+def _text_key(path) -> bytes:
+    with open(path, encoding="utf-8") as handle:
+        return hashlib.sha256(handle.read().encode("utf-8")).digest()
+
+
+class TestSpaceCache:
+    """A finite space file is decoded once while its text is unchanged."""
+
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        """An empty cache, and the spaces `space_from_json` decodes."""
+        import contraction_lab.cli as cli
+
+        monkeypatch.setattr(cli, "_spaces", cli._SpaceCache())
+        decoded = []
+
+        def counted(obj):
+            decoded.append(obj)
+            return space_from_json(obj)
+
+        monkeypatch.setattr(cli, "space_from_json", counted)
+        return cli, decoded
+
+    @staticmethod
+    def validate(path, phi=ADDITIVE):
+        return run_command(["validate", "--space", path, "--phi", phi]).to_json()
+
+    def test_a_file_read_twice_is_decoded_once(self, cache, tmp_path):
+        cli, decoded = cache
+        path = _write_space(tmp_path / "semi.json", random_semimetric(np.random.default_rng(1), 12))
+        first = self.validate(path)
+        assert len(decoded) == 1
+        assert self.validate(path) == first and len(decoded) == 1
+        classify = ["classify", "--space", path, "--map", '{"images": [0' + ", 0" * 11 + "]}",
+                    "--phi", ADDITIVE, "--kind", PARTIAL_33]
+        assert run_command(classify).status != "error" and len(decoded) == 1
+        assert list(cli._spaces.spaces) == [_text_key(path)]
+
+    def test_the_key_is_the_text_not_the_path_or_stat(self, cache, tmp_path):
+        cli, decoded = cache
+        path = tmp_path / "line.json"
+        path.write_text('{"labels": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}')
+        before = os.stat(path)
+        assert self.validate(str(path))["status"] == "ok"
+        # the same length, and the modification time put back: only the text differs
+        path.write_text('{"labels": ["a", "b", "c"], "dist": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]}')
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        reply = self.validate(str(path))
+        assert reply["status"] == "violation" and len(decoded) == 2
+        assert reply["payload"]["triangle"]["violation_count"] == 2
+        cli._spaces.spaces.clear()
+        assert self.validate(str(path)) == reply
+
+    @pytest.mark.parametrize("bad, error", [
+        ('{"labels": ["a", "b"], "dist": [[0, 1], [1, 0]]', "ValueError: --space is not valid JSON"),
+        ('{"labels": ["a", "b"], "dist": [[0, 1]]}', "StructuralError: distance matrix must be"),
+    ])
+    def test_a_bad_file_errs_alike_every_time_and_is_not_held(self, cache, tmp_path, bad, error):
+        cli, decoded = cache
+        path = tmp_path / "bad.json"
+        path.write_text(bad)
+        first = self.validate(str(path))
+        assert first["status"] == "error" and first["payload"]["error"].startswith(error)
+        for _ in range(2):
+            assert self.validate(str(path)) == first
+        assert cli._spaces.spaces == {} and cli._spaces.held == 0
+        path.write_text('{"labels": ["a", "b"], "dist": [[0, 1], [1, 0]]}')
+        assert self.validate(str(path))["status"] == "ok"
+        assert list(cli._spaces.spaces) == [_text_key(path)]
+
+    def test_a_held_matrix_is_read_only(self, cache, tmp_path, line_file):
+        cli, decoded = cache
+        space = cli._INPUTS["space"](line_file, {})
+        assert cli._INPUTS["space"](line_file, {}) is space and len(decoded) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            space.dist[0, 1] = 5.0
+        assert self.validate(line_file)["status"] == "ok"
+
+    def test_interval_spaces_are_not_held(self, cache, unit_file):
+        cli, decoded = cache
+        first = self.validate(unit_file)
+        assert self.validate(unit_file) == first and first["status"] == "ok"
+        assert len(decoded) == 2 and cli._spaces.spaces == {}
+
+    def test_spaces_leave_least_recently_used_first_within_the_budget(
+            self, cache, monkeypatch, tmp_path):
+        cli, decoded = cache
+        rng = np.random.default_rng(5)
+        paths = [_write_space(tmp_path / f"m{k}.json", random_metric(rng, 20)) for k in range(4)]
+        # 20 x 20 float64 is 3,200 bytes, held as SPACE_MIN_BYTES: three fit
+        monkeypatch.setattr(cli, "SPACE_CACHE_BYTES", 3 * cli.SPACE_MIN_BYTES)
+
+        def held():
+            assert cli._spaces.held <= cli.SPACE_CACHE_BYTES
+            assert cli._spaces.held == cli.SPACE_MIN_BYTES * len(cli._spaces.spaces)
+            return [paths.index(p) for p in paths if _text_key(p) in cli._spaces.spaces]
+
+        for path in paths[:3]:
+            self.validate(path)
+        assert held() == [0, 1, 2] and len(decoded) == 3
+        self.validate(paths[0])  # a hit: now the most recently used
+        self.validate(paths[3])
+        assert held() == [0, 2, 3] and len(decoded) == 4
+        assert [k for k in cli._spaces.spaces] == [_text_key(paths[i]) for i in (2, 0, 3)]
+        self.validate(paths[1])
+        assert held() == [0, 1, 3] and len(decoded) == 5
+        # 40 x 40 float64 is 12,800 bytes, more than the whole budget
+        large = _write_space(tmp_path / "large.json", random_metric(rng, 40))
+        for _ in range(2):
+            assert self.validate(large)["status"] == "ok"
+        assert held() == [0, 1, 3] and len(decoded) == 7
+
+    def test_concurrent_reads_match_the_serial_replies(self, cache, monkeypatch, tmp_path):
+        cli, decoded = cache
+        rng = np.random.default_rng(9)
+        paths = [_write_space(tmp_path / "semi.json", random_semimetric(rng, 30)),
+                 _write_space(tmp_path / "metric.json", random_metric(rng, 30)),
+                 _write_space(tmp_path / "other.json", random_semimetric(rng, 30))]
+        argvs = [["validate", "--space", path, "--phi", phi]
+                 for path in paths for phi in (ADDITIVE, '{"kind":"power","q":0.5}')]
+        # room for one 30-point space: every miss evicts the space another thread read
+        monkeypatch.setattr(cli, "SPACE_CACHE_BYTES", 30 * 30 * 8)
+        serial = [run_command(argv).to_json() for argv in argvs]
+        assert len(decoded) == 3
+
+        def client(start):
+            order = [(start + 5 * i) % len(argvs) for i in range(50)]
+            return [(k, run_command(argvs[k]).to_json()) for k in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the cache's updates too
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(client, start) for start in range(4)]
+                replies = [reply for future in futures for reply in future.result(timeout=120)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(replies) == 200
+        for k, reply in replies:
+            assert reply == serial[k], argvs[k]
+        assert len(decoded) > 3 + len(paths)  # spaces were evicted and decoded again
+        # a lost update would leave the held total off the held spaces' weights
+        assert len(cli._spaces.spaces) == 1 and cli._spaces.held == cli.SPACE_CACHE_BYTES
+
+    def test_concurrent_gets_and_puts_keep_the_held_total(self, cache, monkeypatch):
+        cli, _ = cache
+        monkeypatch.setattr(cli, "SPACE_CACHE_BYTES", 2 * cli.SPACE_MIN_BYTES)
+        spaces = [FiniteSemimetricSpace(("a", "b"), [[0.0, 1.0], [1.0, 0.0]]) for _ in range(5)]
+        held = cli._SpaceCache()
+
+        def client(start):
+            for i in range(5000):
+                k = (start + i) % len(spaces)
+                if held.get(bytes([k])) is None:
+                    held.put(bytes([k]), spaces[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                for future in [pool.submit(client, start) for start in range(4)]:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(held.spaces) == 2 and held.held == cli.SPACE_CACHE_BYTES

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -502,6 +503,39 @@ class TestPowerScreen:
                 # and above violates' absolute slack phi itself is no lower
                 normal = sums >= 2.0**-94
                 assert np.all(rhs[normal] >= screen[normal]), (u, v, q)
+
+    @pytest.fixture
+    def operand_calls(self, monkeypatch):
+        calls = []
+        power = trifun._KINDS["power"]
+
+        def counted(phi, d):
+            calls.append(d.shape)
+            return power.operand(phi, d)
+
+        monkeypatch.setitem(trifun._KINDS, "power",
+                            dataclasses.replace(power, operand=counted))
+        return calls
+
+    @pytest.mark.parametrize("block", [None, 400])
+    def test_a_clean_pass_maps_no_operand(self, operand_calls, block):
+        # every block of a Euclidean space passes the screen under power 1/2
+        space = random_metric(np.random.default_rng(7), 40)
+        with _blocks(block):
+            triangle, _ = space_module.triple_pass(space, cl.power(0.5), 5)
+        assert triangle.count == 0 and operand_calls == []
+
+    @pytest.mark.parametrize("q", [0.5, 2.0])
+    @pytest.mark.parametrize("block", [None, 400])
+    def test_semimetric_reports_map_each_operand_once(self, operand_calls, block, q):
+        space = random_semimetric(np.random.default_rng(11), 40)
+        with _blocks(block):
+            count, found = _per_block(space, cl.power(q), 50)
+            operand_calls.clear()
+            triangle, _ = space_module.triple_pass(space, cl.power(q), 50)
+        assert operand_calls == [(40, 40), (40, 40)]
+        assert triangle.count == count > 0
+        assert [(v.x, v.y, v.z, _bits(v.lhs), _bits(v.rhs)) for v in triangle.violations] == found
 
     def test_no_floor_above_one_or_on_negative_operands(self):
         power = trifun._KINDS["power"]
