@@ -246,7 +246,6 @@ def _cmd_validate(args, space, phi):
 
 
 def _cmd_classify(args, space, mapping, phi, kind):
-    mapping.validate_for(space)
     certificate = verify_contraction(space, mapping, kind, listed=MAX_LISTED_VIOLATIONS)
     record = applicability(kind, phi)
     factor = step_contraction_factor(kind, phi)

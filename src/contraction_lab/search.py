@@ -16,11 +16,11 @@ Check: the buffered instances of one size are stacked into a (B, n, n)
 matrix stack and a (B, n) image table, checked against the family
 inequality in one call of the finite pair kernel in `contraction`.
 Findings: the satisfied instances of a principle that does not apply walk
-every start's Picard orbit at once, under `picard_iterate`'s finite stop
-rule; their converged orbits are audited against the a-priori bound as
-`verify_bound` audits them, in one array, and their triangle violations are
-counted over the whole stack.  Spaces, maps and findings are built for the
-findings only, and merged in instance-index order, so identical
+every start's Picard orbit at once in `solver._walk`, `picard_iterate`'s
+finite walk; their converged orbits are audited in one array by
+`verify_bound`'s `solver._bound_columns`, and their triangle violations
+are counted over the whole stack.  Spaces, maps and findings are built for
+the findings only, and merged in instance-index order, so identical
 configurations reproduce identical reports.
 """
 
@@ -52,8 +52,6 @@ BATCH_CAP = 256
 
 # The iteration cap of every finding's Picard orbits.
 MAX_ITER = 10_000
-
-_STOP_REASONS = ("converged", "cycle_detected", "max_iter")
 
 
 def _labels(size: int) -> tuple[str, ...]:
@@ -187,49 +185,16 @@ def _check_batch(config: SearchConfig, record, factor, by_size: dict[int, list])
     return satisfied, sorted(found, key=lambda finding: finding.index)
 
 
-def _walk(dist: np.ndarray, table: np.ndarray):
-    """Every start's Picard orbit on each space of a stack at once, under
-    `picard_iterate`'s finite stop rule: a step below its default tol
-    converges, else a revisit is a cycle, and MAX_ITER steps end the orbit.
-    Returns the points (B, n, K+1), with a start's orbit in its first
-    steps + 1 entries and its continuation after them, and the step counts
-    and stop reasons (indices into _STOP_REASONS), each (B, n)."""
-    b, n = table.shape
-    rows, starts = np.arange(b)[:, None], np.arange(n)
-    x = np.broadcast_to(starts, (b, n))
-    points = [x]
-    visited = np.zeros((b, n, n), dtype=bool)
-    visited[:, starts, starts] = True
-    steps = np.zeros((b, n), dtype=np.int64)
-    reasons = np.full((b, n), 2)  # indices into _STOP_REASONS
-    running = np.ones((b, n), dtype=bool)
-    # an orbit of n points stops within n steps: a new point or a stop each
-    while running.any() and len(points) <= MAX_ITER:
-        nxt = table[rows, x]
-        converged = running & (dist[rows, x, nxt] < solver.STEP_TOL_DEFAULT)
-        cycle = running & ~converged & visited[rows, starts, nxt]
-        steps += running
-        reasons[converged], reasons[cycle] = 0, 1
-        running &= ~(converged | cycle)
-        visited[rows, starts, nxt] = True
-        x = nxt
-        points.append(x)
-    return np.stack(points, axis=-1), steps, reasons
-
-
 def _bounds_held(dist: np.ndarray, points: np.ndarray, steps: np.ndarray, limits: np.ndarray,
                  converged: np.ndarray, alpha: float, c: float) -> np.ndarray:
     """Per space of a stack, whether `verify_bound` passes every converged
-    orbit (the outputs of `_walk`, with each orbit's last point in limits):
-    each of its rows n has slack alpha^n * c * d01 - d(x_n, x*) at least
-    -BOUND_SLACK_TOL, with alpha^n a Python float power and the arithmetic
-    in verify_bound's order; a NaN slack fails."""
+    orbit of `solver._walk`, each ending at its entry in limits: every row's
+    slack from `solver._bound_columns` is at least -BOUND_SLACK_TOL (NaN fails)."""
     b, n, depth = points.shape
     rows = np.arange(b)[:, None, None]
     observed = dist[rows, points, limits[..., None]]
     d01 = dist[rows, points[..., :1], points[..., 1:2]]
-    scales = np.array([alpha**k for k in range(depth)])
-    slack = scales * c * d01 - observed
+    _, _, slack = solver._bound_columns(alpha, c, d01, observed)
     audited = converged[..., None] & (np.arange(depth) <= steps[..., None])
     return np.all(~audited | (slack >= -solver.BOUND_SLACK_TOL), axis=(1, 2))
 
@@ -241,7 +206,8 @@ def _findings(phi: TriangleFunctionSpec, failed: tuple[str, ...], rate: float | 
     hypotheses are given and whose per-step factor is `rate` (None when it
     is not derivable)."""
     labels = _labels(table.shape[1])
-    points, steps, reasons = _walk(dist, table)
+    points, steps, reasons = solver._walk(dist, table, np.arange(table.shape[1]), MAX_ITER,
+                                          solver.STEP_TOL_DEFAULT)
     limits = np.take_along_axis(points, steps[..., None], axis=-1)[..., 0]
     converged = reasons == 0
     bound = ["unavailable"] * len(instances)
@@ -257,7 +223,7 @@ def _findings(phi: TriangleFunctionSpec, failed: tuple[str, ...], rate: float | 
     found = []
     for k, (index, images) in enumerate(instances):
         picard = tuple(
-            {"start": labels[start], "stop_reason": _STOP_REASONS[reason],
+            {"start": labels[start], "stop_reason": solver._STOP_REASONS[reason],
              "limit": labels[limit] if reason == 0 else None, "steps": count}
             for start, (reason, limit, count)
             in enumerate(zip(reasons[k].tolist(), limits[k].tolist(), steps[k].tolist())))

@@ -23,25 +23,27 @@ of the distance; the chunk is then searched for the first step below tol
 and for the first revisit.  No revisit can come while the orbit is a
 monotone prefix (see _cycle_in), so each chunk's gaps are checked in one
 np.diff, and the bucket walk runs only once the prefix ends.  A finite
-orbit walks one step at a time, so that it makes one image lookup per step.
+orbit goes through _walk, the search's walk of a stack of spaces from many
+starts, as one space from one start; its step distances are one gather.
 
-verify_bound builds its report as columns: the observed distances
-d(x_n, x*) in one call, alpha^n as libm's pow (math.pow) row by row, and
-the bounds, slacks, step bounds and step flags as float64 arrays, kept as
-tuples of Python floats.  A NaN slack is found on the array; the least
-slack is the builtin min of the floats, the first of equal values.  The
-report's JSON and CSV read the columns, and spell a column's non-finite
-values only when it has some, which a finite sum of the column rules out;
-its rows are built on first use.  An expression gives the same bits in
-scalar and array calls, and float64 array arithmetic rounds as Python's
-floats do, so the orbit and the audit give the values a step-by-step
-walk does.
+verify_bound builds its report as columns of float64 arrays, kept as
+tuples of Python floats: the observed distances in one call, then alpha^n,
+the bounds and the slacks from _bound_columns, which the search's audit
+calls too, and the step checks.  A NaN slack is found on the array; the
+least slack is the builtin min of the floats, the first of equal values.
+The report's JSON and CSV read the columns, and spell a column's
+non-finite values only when it has some, which a finite sum of the column
+rules out; its rows are built on first use.  An expression gives the same
+bits in scalar and array calls, and float64 array arithmetic rounds as
+Python's floats do, so the orbit and the audit give the values a
+step-by-step walk does.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
@@ -55,6 +57,7 @@ from .trifun import INEQ_ABS_TOL, TriangleFunctionSpec, _json_float
 
 MAX_ITER_DEFAULT = 100_000
 STEP_TOL_DEFAULT = 1e-10
+_STOP_REASONS = ("converged", "cycle_detected", "max_iter")
 
 # Interval cycle detection: a revisit within this proximity of an earlier
 # iterate (lag >= 2) counts as a cycle, but only while steps stay above the
@@ -134,24 +137,34 @@ def _tail_rates(step_dists: list[float]) -> tuple[float | None, float | None]:
     return max(ratios), geomean
 
 
-def _finite_orbit(space: FiniteSemimetricSpace, mapping: SelfMap, x: int, max_iter: int,
-                  tol: float) -> tuple[list, list[float], str]:
-    """(points, step_dists, stop_reason) of a finite orbit from x, one image
-    table lookup per step; an exact revisit is a cycle."""
-    images, dist = mapping.images, space.dist
-    points, step_dists, visited = [x], [], {x}
-    for _ in range(max_iter):
-        nxt = int(images[x])
-        step = float(dist[x, nxt])
-        points.append(nxt)
-        step_dists.append(step)
-        if step < tol:
-            return points, step_dists, "converged"
-        if nxt in visited:
-            return points, step_dists, "cycle_detected"
-        visited.add(nxt)
+def _walk(dist: np.ndarray, table: np.ndarray, starts, max_iter: int, tol: float):
+    """The Picard orbits from the m `starts` on each space of a stack, (B, n, n)
+    distances and (B, n) image tables, walked at once: a step below tol
+    converges, else a revisit is a cycle, and max_iter steps end the orbit.
+    Returns the points (B, m, K+1), an orbit in its first steps + 1 entries
+    and its continuation after them, the step counts (B, m) and the stop
+    reasons (B, m), indices into _STOP_REASONS."""
+    b, m = table.shape[0], len(starts)
+    rows, orbits = np.arange(b)[:, None], np.arange(m)
+    x = np.broadcast_to(starts, (b, m))
+    points = [x]
+    visited = np.zeros((b, m, table.shape[1]), dtype=bool)
+    visited[:, orbits, starts] = True
+    steps = np.zeros((b, m), dtype=np.int64)
+    reasons = np.full((b, m), 2)
+    running = np.ones((b, m), dtype=bool)
+    # an orbit of n points stops within n steps: a new point or a stop each
+    while running.any() and len(points) <= max_iter:
+        nxt = table[rows, x]
+        converged = running & (dist[rows, x, nxt] < tol)
+        cycle = running & ~converged & visited[rows, orbits, nxt]
+        steps += running
+        reasons[converged], reasons[cycle] = 0, 1
+        running &= ~(converged | cycle)
+        visited[rows, orbits, nxt] = True
         x = nxt
-    return points, step_dists, "max_iter"
+        points.append(x)
+    return np.stack(points, axis=-1), steps, reasons
 
 
 def _interval_chunks(space: IntervalSpace, mapping: SelfMap, x: float, max_iter: int):
@@ -244,6 +257,17 @@ def _interval_orbit(space: IntervalSpace, mapping: SelfMap, x: float, max_iter: 
     return points, step_dists, "max_iter"
 
 
+def _finite_index(space: FiniteSemimetricSpace, point, role: str) -> int:
+    """The index of `point`, a label or an in-range integer (not a bool), on a finite space."""
+    if isinstance(point, str):
+        return space.index_of(point)
+    if not isinstance(point, numbers.Integral) or isinstance(point, bool):
+        raise ValueError(f"{role} {point!r} is neither a label nor an index")
+    if not 0 <= point < space.size:
+        raise ValueError(f"{role} index {point!r} out of range")
+    return int(point)
+
+
 def picard_iterate(
     space: Space,
     mapping: SelfMap,
@@ -263,10 +287,12 @@ def picard_iterate(
         raise ValueError("tol must be positive")
     mapping.validate_for(space)
     if isinstance(space, FiniteSemimetricSpace):
-        x = space.index_of(x0) if isinstance(x0, str) else int(x0)
-        if not 0 <= x < space.size:
-            raise ValueError(f"start index {x0!r} out of range")
-        points, step_dists, stop_reason = _finite_orbit(space, mapping, x, max_iter, tol)
+        x = _finite_index(space, x0, "start")
+        walk, steps, reasons = _walk(space.dist[None], np.array([mapping.images]), [x],
+                                     max_iter, tol)
+        points = walk[0, 0, : steps[0, 0] + 1]
+        step_dists = space.dist[points[:-1], points[1:]].tolist()
+        points, stop_reason = points.tolist(), _STOP_REASONS[reasons[0, 0]]
     else:
         x = float(x0)
         if not space.contains(x):
@@ -401,6 +427,18 @@ class BoundReport:
         return "\n".join(lines) + "\n"
 
 
+def _bound_columns(alpha: float, c: float, d01, observed: np.ndarray):
+    """(alpha^n, bounds alpha^n * c * d01, slacks bound - observed) over the last
+    axis of `observed`, n = 0, 1, ..., d01 broadcast over its leading axes:
+    alpha^n is libm's pow row by row (math.pow, the bits of Python's alpha**n),
+    the rest float64 operations in a row-by-row audit's order, which round as
+    Python's floats do.  The caller's error state holds."""
+    depth = observed.shape[-1]
+    scale = np.fromiter(map(math.pow, repeat(alpha), range(depth)), float, depth)
+    bounds = scale * c * d01
+    return scale, bounds, bounds - observed
+
+
 def verify_bound(
     trace: IterationTrace,
     phi: TriangleFunctionSpec,
@@ -413,23 +451,20 @@ def verify_bound(
     Also audits the per-step inequality d(x_n, x_{n+1}) <= alpha^n * d01.
     The report is certified only when the distance-continuity battery
     passes for phi; otherwise it carries an explanatory note.  The columns
-    take the operations a row-by-row audit takes, in its order: alpha^n is
-    libm's pow row by row (math.pow, which gives the bits of Python's
-    alpha**n), and the rest are float64 array operations, which round as
-    Python's float operations do.
+    take the operations a row-by-row audit takes, in its order (see
+    _bound_columns).  On a finite space the fixed point is a label or an
+    index in range.
     """
     c = _chain_constant(phi, alpha)
     space = trace.space
-    if isinstance(space, FiniteSemimetricSpace) and isinstance(fixed_point, str):
-        fixed_point = space.index_of(fixed_point)
+    if isinstance(space, FiniteSemimetricSpace):
+        fixed_point = _finite_index(space, fixed_point, "fixed point")
     points = trace.points
     steps = tuple(trace.step_dists[: len(points)])
     d01 = steps[0] if steps else 0.0
     observed = space.d(np.array(points), fixed_point)
-    scale = np.fromiter(map(math.pow, repeat(alpha), range(len(points))), float, len(points))
     with np.errstate(all="ignore"):  # inf * 0 is a NaN slack, as in Python
-        bounds = scale * c * d01
-        slacks = bounds - observed
+        scale, bounds, slacks = _bound_columns(alpha, c, d01, observed)
         step_bounds = scale[: len(steps)] * d01
         step_flags = ~trifun.violates(np.fromiter(steps, float, len(steps)), step_bounds)
     # NaN once one slack is NaN, else the first smallest, which keeps -0.0 and

@@ -12,7 +12,7 @@ import pytest
 
 from contraction_lab import trifun
 from contraction_lab.cli import MAX_LISTED_VIOLATIONS, main, run_command
-from contraction_lab.contraction import TAG_CONSTANTS, TAGS
+from contraction_lab.contraction import TAG_CONSTANTS, TAGS, SelfMap
 from contraction_lab.space import FiniteSemimetricSpace, space_from_json
 from contraction_lab.schemas import (
     KIND_SCHEMA,
@@ -264,6 +264,21 @@ class TestClassify:
                      "--phi", json.dumps(phi.to_json())])
         runs = sum(calls[i:i + len(inverse)] == inverse for i in range(len(calls)))
         assert len(inverse) > trifun.BISECTION_STEPS and runs == 1
+
+    def test_map_is_validated_once_per_request(self, monkeypatch, stretched_file, unit_file):
+        calls, validate = [], SelfMap.validate_for
+
+        def counted(mapping, space):
+            calls.append(space)
+            return validate(mapping, space)
+
+        monkeypatch.setattr(SelfMap, "validate_for", counted)
+        for space, image in ((stretched_file, '{"images":[0,0,0]}'),
+                             (unit_file, '{"expr":"0.3"}')):
+            calls[:] = []
+            result = run_command(["classify", "--space", space, "--map", image,
+                                  "--kind", PARTIAL_33, "--phi", ADDITIVE])
+            assert result.status == "ok" and len(calls) == 1
 
     def test_blocked_principle_is_not_applicable(self, capsys, stretched_file):
         code, out, _ = run_main(capsys, [

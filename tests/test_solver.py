@@ -130,8 +130,11 @@ class TestPicardIterate:
             cl.picard_iterate(space, mapping, 0.5, tol=0.0)
         with pytest.raises(ValueError):
             cl.picard_iterate(space, mapping, 2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="start index 7 out of range"):
             cl.picard_iterate(stretched_space(), SelfMap(images=(0, 0, 0)), 7)
+        for start in (-1, 1.9, 1.0, True, None):  # an index is an integer in range
+            with pytest.raises(ValueError, match="start"):
+                cl.picard_iterate(stretched_space(), SelfMap(images=(0, 0, 0)), start)
         with pytest.raises(cl.StructuralError):
             cl.picard_iterate(stretched_space(), SelfMap(images=(0, 0, 0)), "w")
 
@@ -352,6 +355,16 @@ class TestVerifyBound:
         with pytest.raises(ValueError):
             cl.verify_bound(self.half_trace(), cl.additive(), 1.0, 0.0)
 
+    def test_finite_fixed_point_is_a_label_or_an_index_in_range(self):
+        trace = cl.picard_iterate(line_space(), SelfMap(images=(1, 2, 2)), "a")
+        by_label = cl.verify_bound(trace, cl.additive(), 0.5, "c")
+        assert cl.verify_bound(trace, cl.additive(), 0.5, np.int64(2)) == by_label
+        for fixed_point in (-1, 5, 0.0, 2.0, True):
+            with pytest.raises(ValueError, match="fixed point"):
+                cl.verify_bound(trace, cl.additive(), 0.5, fixed_point)
+        with pytest.raises(cl.StructuralError):
+            cl.verify_bound(trace, cl.additive(), 0.5, "w")
+
     def test_unavailable_chain_constant(self):
         with pytest.raises(BoundUnavailable):
             cl.verify_bound(self.half_trace(), cl.bscaled(2.0), 0.5, 0.0)
@@ -529,16 +542,29 @@ class TestChunkedOrbitMatchesReference:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), max_iter=st.integers(1, 10),
-           alpha=_unit_floats(0.0, 0.99))
-    def test_finite_image_tables(self, seed, max_iter, alpha):
+           tol=st.sampled_from((1e-10, 0.3, 0.6, math.inf)), alpha=_unit_floats(0.0, 0.99))
+    def test_finite_image_tables(self, seed, max_iter, tol, alpha):
         rng = np.random.default_rng(seed)
         size = int(rng.integers(3, 9))
         space, mapping = random_metric(rng, size), random_self_map(rng, size)
         for start in range(size):
-            trace = cl.picard_iterate(space, mapping, start, max_iter=max_iter)
+            trace = cl.picard_iterate(space, mapping, start, max_iter=max_iter, tol=tol)
             _same((list(trace.points), list(trace.step_dists), trace.stop_reason),
-                  reference_orbit(space, mapping, start, max_iter=max_iter))
+                  reference_orbit(space, mapping, start, max_iter=max_iter, tol=tol))
             _audits_match(trace, cl.additive(), alpha, trace.points[-1])
+
+    @pytest.mark.parametrize("max_iter, stop", [(299, "max_iter"),
+                                                (solver.MAX_ITER_DEFAULT, "cycle_detected")])
+    def test_a_long_finite_cycle(self, max_iter, stop):
+        """A cyclic permutation of 300 points from one start: 299 steps
+        reach every point, and the 300th comes back to the start."""
+        size = 300
+        space = random_metric(np.random.default_rng(300), size)
+        mapping = SelfMap(images=tuple((i + 1) % size for i in range(size)))
+        trace = cl.picard_iterate(space, mapping, 7, max_iter=max_iter)
+        assert trace.stop_reason == stop and len(trace.points) == min(max_iter, size) + 1
+        _same((list(trace.points), list(trace.step_dists), trace.stop_reason),
+              reference_orbit(space, mapping, 7, max_iter=max_iter))
 
     @pytest.mark.parametrize("center, stop", [
         (GAP_CENTER, "escape"),  # from x0 = GAP_CENTER: the first map value escapes
