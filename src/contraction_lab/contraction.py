@@ -10,19 +10,18 @@ Six inequality families classify a self-map T through d(Tx, Ty) <= rhs(x, y):
     chatterjea_bianchini   rhs = beta*max(d(x,Ty), d(y,Tx))
 
 The module verifies membership (exhaustively on finite spaces, on seeded
-samples on intervals), estimates minimal constants, derives the per-step
-Picard factor of each family, and decides whether the matching fixed-point
-principle applies for a given triangle function, with a per-hypothesis
-checklist.
+samples on intervals), derives the per-step Picard factor of each family,
+and decides whether the matching fixed-point principle applies for a given
+triangle function, with a per-hypothesis checklist.
 
 Everything that tells the families apart lives in one table, `_FAMILIES`.
 Finite and interval spaces share one pair kernel: both are reduced to flat
 vectors of the six distances above over the checked pairs, so verification
-and estimation run the same code on either kind of space.  Interval maps
-may be constant (an expression without x).  Verification counts every
-violating pair exactly but builds a witness only for the first ones a caller
-lists (`verify_contraction`'s `listed`).  The checklist's hypotheses on phi
-come from `trifun.check_hypothesis`, one lookup each: what sets the
+runs the same code on either kind of space.  Interval maps may be constant
+(an expression without x).  Verification counts every violating pair exactly
+but builds a witness only for the first ones a caller lists
+(`verify_contraction`'s `listed`).  The checklist's hypotheses on phi come
+from `trifun.check_hypothesis`, one lookup each: what sets the
 triangle-function families apart lives in trifun's own table.
 """
 
@@ -139,8 +138,6 @@ TAGS = tuple(_FAMILIES)
 
 # tag -> names of the constants it uses, in report order
 TAG_CONSTANTS = {tag: family.constants for tag, family in _FAMILIES.items()}
-
-ESTIMATE_GRID = 101
 
 
 @dataclass(frozen=True)
@@ -309,16 +306,12 @@ def _pair_components(space: Space, mapping: SelfMap, seed: int, samples: int):
     return scope, lambda k, rhs: PairWitness(*point(k), float(lhs[k]), float(rhs)), components
 
 
-def _kernel(family: _Family, components: dict):
-    first, *rest = (components[name] for name in family.kernel)
-    return np.maximum(first, *rest) if rest else first
-
-
 def _rhs(kind: ContractionKind, components: dict):
     """The family right-hand side over vector or scalar pair components."""
     family = _FAMILIES[kind.tag]
     *alpha, scale = (getattr(kind, name) for name in family.constants)
-    term = scale * _kernel(family, components)
+    first, *rest = (components[name] for name in family.kernel)
+    term = scale * (np.maximum(first, *rest) if rest else first)
     return alpha[0] * components["dxy"] + term if alpha else term
 
 
@@ -389,90 +382,6 @@ def verify_contraction(
 
 
 @dataclass(frozen=True)
-class FrontierPoint:
-    """Minimal feasible alpha at one grid value of the secondary constant."""
-
-    secondary: float
-    alpha_min: float
-
-
-@dataclass(frozen=True)
-class ConstantsEstimate:
-    """Minimal constants achieving the family inequality for a given map.
-
-    Single-constant families report beta_star (or unbounded with the witness
-    pair).  Two-constant families report the (secondary, alpha_min) frontier
-    over a grid of the secondary constant in [0, 1).
-    """
-
-    tag: str
-    scope: str
-    beta_star: float | None = None
-    unbounded: bool = False
-    witness: PairWitness | None = None
-    frontier: tuple[FrontierPoint, ...] = ()
-
-    def best_rate(self, phi: TriangleFunctionSpec) -> tuple[float, "ContractionKind | None"]:
-        """Smallest per-step factor under phi available on the estimate, as
-        `step_contraction_factor` derives it, with a kind realizing it;
-        (inf, None) when no candidate has a factor below 1."""
-        family = _FAMILIES[self.tag]
-        if len(family.constants) == 1:
-            bounded = not self.unbounded and self.beta_star is not None
-            candidates = [(self.beta_star,)] if bounded else []
-        else:
-            candidates = [(point.alpha_min, point.secondary) for point in self.frontier]
-        best, best_kind = math.inf, None
-        for values in candidates:
-            factor = _step_factor(family, phi, values)
-            if factor.derivable and factor.value < best:
-                best = factor.value
-                best_kind = ContractionKind(self.tag, **dict(zip(family.constants, values)))
-        return best, best_kind
-
-
-def estimate_min_constants(
-    space: Space,
-    mapping: SelfMap,
-    tag: str,
-    seed: int = DEFAULT_SEED,
-    samples: int = PAIR_SAMPLES,
-) -> ConstantsEstimate:
-    """Estimate the smallest constants placing the map in the family `tag`.
-
-    On finite spaces the estimate is exhaustive and tight; on intervals it
-    is a sampled lower bound (scope "sampled").
-    """
-    if tag not in TAGS:
-        raise ValueError(f"unknown contraction tag {tag!r}")
-    family = _FAMILIES[tag]
-    scope, pair_witness, components = _pair_components(space, mapping, seed, samples)
-    lhs = components["lhs"]
-    kernel = _kernel(family, components)
-    if len(family.constants) == 1:
-        positive = kernel > 0.0
-        stuck = ~positive & (lhs > 0.0)
-        if np.any(stuck):
-            return ConstantsEstimate(tag, scope, unbounded=True,
-                                     witness=pair_witness(int(np.argmax(stuck)), 0.0))
-        if not np.any(positive):
-            return ConstantsEstimate(tag, scope, beta_star=0.0)
-        ratios = np.where(positive, lhs / np.where(positive, kernel, 1.0), 0.0)
-        k = int(np.argmax(ratios))
-        return ConstantsEstimate(tag, scope, beta_star=float(ratios[k]),
-                                 witness=pair_witness(k, kernel[k]))
-
-    grid = np.arange(ESTIMATE_GRID, dtype=np.float64) / ESTIMATE_GRID
-    residual = lhs[None, :] - grid[:, None] * kernel[None, :]
-    dxy = components["dxy"]
-    positive_d = dxy > 0.0
-    needed = np.where(positive_d[None, :], residual / np.where(positive_d, dxy, 1.0), 0.0)
-    alpha_min = np.clip(np.max(needed, axis=1), 0.0, None)
-    frontier = tuple(FrontierPoint(float(g), float(a)) for g, a in zip(grid, alpha_min))
-    return ConstantsEstimate(tag, scope, frontier=frontier)
-
-
-@dataclass(frozen=True)
 class StepFactorResult:
     """Per-step Picard factor of a family, when the derivation applies."""
 
@@ -496,10 +405,7 @@ def step_contraction_factor(kind: ContractionKind, phi: TriangleFunctionSpec) ->
     generalized inverse of the unit profile at 1/beta; 0 when beta = 0.
     Factors at or above 1 are reported as not derivable.
     """
-    return _step_factor(_FAMILIES[kind.tag], phi, tuple(kind.constants().values()))
-
-
-def _step_factor(family: _Family, phi: TriangleFunctionSpec, values: tuple) -> StepFactorResult:
+    family, values = _FAMILIES[kind.tag], tuple(kind.constants().values())
     value, reason = family.factor(phi, *values)
     if value is None:
         return StepFactorResult(None, False, reason)

@@ -27,6 +27,7 @@ configurations reproduce identical reports.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +89,14 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("budget must be at least 1")
+        # integers that are not bools, kept as Python ints so replies are plain JSON
+        for name, rule, least in (("budget", "an integer >= 1", 1),
+                                  ("seed", "a non-negative integer", 0)):
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+                    or value < least):
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)

@@ -178,11 +178,6 @@ class SpaceReport:
                 "checks": [c.to_json() for c in self.checks]}
 
 
-def _interval_samples(space: IntervalSpace, count: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return space.lo + (space.hi - space.lo) * rng.random(count)
-
-
 def _interval_points(space: IntervalSpace, arity: int, samples: int, seed: int) -> np.ndarray:
     """Points of [lo, hi]^arity, one row per coordinate: every combination
     of the endpoints and the midpoint in row-major order, then `samples`
@@ -219,9 +214,8 @@ def _validate_finite(space: FiniteSemimetricSpace) -> SpaceReport:
 
 
 def _validate_interval(space: IntervalSpace, seed: int) -> SpaceReport:
-    ends = np.array([space.lo, 0.5 * (space.lo + space.hi), space.hi])
-    xs = np.concatenate([ends, _interval_samples(space, PAIR_SAMPLES, seed)])
-    ys = np.concatenate([ends[::-1], _interval_samples(space, PAIR_SAMPLES, seed + 1)])
+    (xs,), (ys,) = (_interval_points(space, 1, PAIR_SAMPLES, s) for s in (seed, seed + 1))
+    ys[[0, 2]] = ys[[2, 0]]  # the fixed pairs are (lo, hi), (mid, mid) and (hi, lo)
     dxy, dyx, dxx = space.d(xs, ys), space.d(ys, xs), space.d(xs, xs)
     with np.errstate(invalid="ignore"):  # inf - inf: equal infinities are symmetric
         gap = np.abs(dxy - dyx)

@@ -293,23 +293,41 @@ RATE_CAP = 0.95
 EPS_UP = 1e-9
 
 
+def _least_constants(tag: str, space, mapping):
+    """The least constants placing the map in the family `tag`, over all
+    ordered pairs: the largest lhs/kernel for the one-constant families
+    (None when some pair has kernel <= 0 < lhs), else the frontier of
+    (k/101, least alpha) for k = 0..100."""
+    d, t = space.dist, np.asarray(mapping.images)
+    x, y = np.divmod(np.arange(space.size ** 2), space.size)
+    lhs, dxy = d[t[x], t[y]], d[x, y]
+    kernel = {"partial": d[x, t[x]], "partial_dual": d[y, t[y]], "weak": d[x, t[y]],
+              "weak_dual": d[y, t[x]], "bianchini": np.maximum(d[x, t[x]], d[y, t[y]]),
+              "chatterjea_bianchini": np.maximum(d[x, t[y]], d[y, t[x]])}[tag]
+    if tag in ("bianchini", "chatterjea_bianchini"):
+        positive = kernel > 0.0
+        if np.any(lhs[~positive] > 0.0):
+            return None
+        return float(np.max(lhs[positive] / kernel[positive], initial=0.0))
+    grid, apart = np.arange(101) / 101, dxy > 0.0
+    needed = (lhs[apart] - grid[:, None] * kernel[apart]) / dxy[apart]
+    return list(zip(grid.tolist(), np.max(needed, axis=1, initial=0.0).tolist()))
+
+
 def _pick_kind(tag: str, space, mapping, rng) -> cl.ContractionKind | None:
-    """Constants just above the estimated frontier, under the rate cap."""
-    est = cl.estimate_min_constants(space, mapping, tag)
-    if est.unbounded:
+    """Constants just above the least ones, under the rate cap."""
+    least = _least_constants(tag, space, mapping)
+    if least is None:
         return None
     if tag in ("bianchini", "chatterjea_bianchini"):
-        beta = est.beta_star + EPS_UP
+        beta = least + EPS_UP
         if beta >= RATE_CAP:
             return None
         return cl.ContractionKind(tag, beta=beta)
 
-    points = list(est.frontier)
-    order = rng.permutation(len(points))
-    for idx in order:
-        pt = points[idx]
-        alpha = pt.alpha_min + EPS_UP
-        second = pt.secondary
+    for idx in rng.permutation(len(least)):
+        second, alpha = least[idx]
+        alpha += EPS_UP
         if tag == "partial" and alpha + second < RATE_CAP:
             return cl.ContractionKind(tag, alpha=alpha, beta=second)
         if tag == "partial_dual" and alpha + second < RATE_CAP:

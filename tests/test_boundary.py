@@ -253,7 +253,7 @@ def argvs(draw, folder):
         "--x0": (starts, ["-1", "7", "x"]),
         "--max-iter": (["40", "1", "5"], ["0", "many"]),
         "--tol": (["1e-10", "0.1", "1e400"], ["0", "-1", "nan"]),
-        "--seed": (["0", "3", "-4"], ["x"]),
+        "--seed": (["0", "3"], ["x", "-4"]),
         "--budget": (["2", "1", "3"], ["0", "-2"]),
         "--format": (["json", "csv"], ["xml"]),
     }.items():

@@ -437,6 +437,20 @@ class TestSearch:
         assert envelope["status"] == "error"
         assert "budget" in envelope["payload"]["error"]
 
+    @pytest.mark.parametrize("env", [None, "-1"])
+    def test_negative_seed_is_an_error_naming_seed(self, capsys, monkeypatch, env):
+        argv = self.ARGS[:-1] + ["-1" if env is None else "3"]
+        if env is None:
+            monkeypatch.delenv("CONTRACTION_LAB_SEED", raising=False)
+        else:
+            monkeypatch.setenv("CONTRACTION_LAB_SEED", env)
+        code, out, err = run_main(capsys, argv)
+        assert (code, out) == (2, "")
+        envelope = json.loads(err)
+        assert envelope["status"] == "error"
+        assert envelope["payload"]["error"] == (
+            "ValueError: seed must be a non-negative integer, got -1")
+
 
 # one setting per tag with a factor below 1, then one per way the step
 # factor can fail or fall back: beta = 0, a secondary constant at 1, a

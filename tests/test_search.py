@@ -90,9 +90,31 @@ class TestGenerators:
 
 
 class TestSearchConfig:
+    KIND = cl.ContractionKind("bianchini", beta=0.5)
+
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
-            SearchConfig(cl.additive(), cl.ContractionKind("bianchini", beta=0.5), budget=0)
+            SearchConfig(cl.additive(), self.KIND, budget=0)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+        ({"seed": True}, "seed must be a non-negative integer, got True"),
+        ({"budget": 2.5}, "budget must be an integer >= 1, got 2.5"),
+        ({"budget": True}, "budget must be an integer >= 1, got True"),
+        ({"budget": np.int64(0)}, f"budget must be an integer >= 1, got {np.int64(0)!r}"),
+    ])
+    def test_budget_and_seed_name_their_field(self, fields, message):
+        with pytest.raises(ValueError) as caught:
+            SearchConfig(cl.additive(), self.KIND, **{"budget": 3, **fields})
+        assert str(caught.value) == message
+
+    def test_numpy_integers_are_kept_as_int(self):
+        config = SearchConfig(cl.additive(), self.KIND, budget=np.int32(3), seed=np.int64(7))
+        assert type(config.budget) is int and type(config.seed) is int
+        reply = counterexample_search(config).to_json()
+        assert (type(reply["budget"]), type(reply["seed"])) == (int, int)
+        assert json.loads(json.dumps(reply)) == reply
 
 
 class TestCounterexampleSearch:

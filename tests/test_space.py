@@ -179,6 +179,16 @@ class TestValidateSemimetric:
     def test_interval_squared_distance_is_still_a_semimetric(self):
         assert cl.validate_semimetric(cl.IntervalSpace(0.0, 1.0, "(x-y)^2")).passed
 
+    def test_interval_witness_is_a_seeded_sample(self):
+        # distinct points sit at distance 0 only for x in [0.29, 0.31], which no
+        # fixed pair meets, so the witness pins the seeded sample stream
+        space = cl.IntervalSpace(0.0, 1.0, "abs(x-y)*max(0, abs(x-0.3)-0.01)")
+        for seed, witness in ((0, (0.2997118905373848, 0.20345524067614962, 0.0)),
+                              (1, (0.303194829291645, 0.4227846732701278, 0.0))):
+            checks = {c.name: c for c in cl.validate_semimetric(space, seed=seed).checks}
+            check = checks["identity_distinct_positive"]
+            assert not check.passed and check.witness == witness, seed
+
 
 class TestGeneralizedTriangle:
     def test_additive_violation_on_stretched_space(self):
