@@ -212,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--phi", metavar="JSON", help="triangle function JSON")
         cmd.add_argument("--kind", metavar="JSON", help="contraction kind JSON")
         cmd.add_argument("--x0", metavar="VALUE", help="start point (label, index, or number)")
-        cmd.add_argument("--max-iter", type=int, metavar="N", default=None)
-        cmd.add_argument("--tol", type=float, metavar="T", default=None)
+        cmd.add_argument("--max-iter", type=int, metavar="N", default=solver.MAX_ITER_DEFAULT)
+        cmd.add_argument("--tol", type=float, metavar="T", default=solver.STEP_TOL_DEFAULT)
         cmd.add_argument("--seed", type=int, metavar="S", default=None)
         cmd.add_argument("--budget", type=int, metavar="N", default=None)
         cmd.add_argument("--format", choices=("json", "csv"), default="json")
@@ -221,11 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _orbit(args, space, mapping, x0):
-    return solver.picard_iterate(
-        space, mapping, x0,
-        max_iter=args.max_iter if args.max_iter is not None else solver.MAX_ITER_DEFAULT,
-        tol=args.tol if args.tol is not None else solver.STEP_TOL_DEFAULT,
-    )
+    return solver.picard_iterate(space, mapping, x0, max_iter=args.max_iter, tol=args.tol)
 
 
 def _cmd_validate(args, space, phi):

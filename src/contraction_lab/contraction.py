@@ -307,22 +307,12 @@ def _pair_components(space: Space, mapping: SelfMap, seed: int, samples: int):
 
 
 def _rhs(kind: ContractionKind, components: dict):
-    """The family right-hand side over vector or scalar pair components."""
+    """The family right-hand side, elementwise over the pair components."""
     family = _FAMILIES[kind.tag]
     *alpha, scale = (getattr(kind, name) for name in family.constants)
     first, *rest = (components[name] for name in family.kernel)
     term = scale * (np.maximum(first, *rest) if rest else first)
     return alpha[0] * components["dxy"] + term if alpha else term
-
-
-def defining_rhs(kind: ContractionKind, space: Space, mapping: SelfMap, x, y) -> float:
-    """The right-hand side of the family's inequality at the pair (x, y)."""
-    if isinstance(space, FiniteSemimetricSpace):
-        x = space.index_of(x) if isinstance(x, str) else x
-        y = space.index_of(y) if isinstance(y, str) else y
-    components = _components(space.d, x, y, mapping(x), mapping(y))
-    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is nan, which violates
-        return float(_rhs(kind, components))
 
 
 @dataclass(frozen=True)

@@ -306,29 +306,6 @@ def picard_iterate(
     )
 
 
-def _chain_constant(phi: TriangleFunctionSpec, alpha: float, n: int = 0, d01: float = 0.0) -> float:
-    """C(alpha) after checking the bound's inputs in turn; raises
-    BoundUnavailable when C is infinite."""
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [0, 1)")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if d01 < 0.0:
-        raise ValueError("d01 must be non-negative")
-    c = trifun.chain_bound_constant(phi, alpha)
-    if not math.isfinite(c):
-        raise BoundUnavailable(
-            f"chain constant C({alpha:g}) is not finite for this triangle function"
-        )
-    return c
-
-
-def a_priori_bound(phi: TriangleFunctionSpec, alpha: float, n: int, d01: float) -> float:
-    """The tail bound alpha^n * C(alpha) * d01; raises when C is infinite."""
-    c = _chain_constant(phi, alpha, n, d01)
-    return alpha**n * c * d01
-
-
 def brute_force_fixed_points(space: FiniteSemimetricSpace, mapping: SelfMap) -> list[int]:
     """Exhaustive scan for T(x) = x on a finite space."""
     mapping.validate_for(space)
@@ -439,23 +416,24 @@ def _bound_columns(alpha: float, c: float, d01, observed: np.ndarray):
     return scale, bounds, bounds - observed
 
 
-def verify_bound(
-    trace: IterationTrace,
-    phi: TriangleFunctionSpec,
-    alpha: float,
-    fixed_point,
-    slack_tol: float = BOUND_SLACK_TOL,
-) -> BoundReport:
+def verify_bound(trace: IterationTrace, phi: TriangleFunctionSpec, alpha: float,
+                 fixed_point) -> BoundReport:
     """Audit d(x_n, x*) <= alpha^n * C(alpha) * d01 along a computed orbit.
 
     Also audits the per-step inequality d(x_n, x_{n+1}) <= alpha^n * d01.
-    The report is certified only when the distance-continuity battery
-    passes for phi; otherwise it carries an explanatory note.  The columns
-    take the operations a row-by-row audit takes, in its order (see
-    _bound_columns).  On a finite space the fixed point is a label or an
-    index in range.
+    The bounds hold when the least slack is at least -BOUND_SLACK_TOL
+    (1e-9); a NaN slack fails them.  The report is certified only when the
+    distance-continuity battery passes for phi; otherwise it carries an
+    explanatory note.  The columns take the operations a row-by-row audit
+    takes, in its order (see _bound_columns).  On a finite space the fixed
+    point is a label or an index in range.  An alpha outside [0, 1) raises
+    ValueError, and an infinite C(alpha) BoundUnavailable.
     """
-    c = _chain_constant(phi, alpha)
+    c = trifun.chain_bound_constant(phi, alpha)  # checks alpha first
+    if not math.isfinite(c):
+        raise BoundUnavailable(
+            f"chain constant C({alpha:g}) is not finite for this triangle function"
+        )
     space = trace.space
     if isinstance(space, FiniteSemimetricSpace):
         fixed_point = _finite_index(space, fixed_point, "fixed point")
@@ -490,7 +468,7 @@ def verify_bound(
         step_bounds=tuple(step_bounds.tolist()),
         step_flags=tuple(step_flags.tolist()),
         min_slack=min_slack,
-        bounds_ok=min_slack >= -slack_tol,  # a NaN slack fails too
+        bounds_ok=min_slack >= -BOUND_SLACK_TOL,  # a NaN slack fails too
         steps_ok=bool(np.all(step_flags)),
         certified=battery,
         note=note,

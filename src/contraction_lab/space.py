@@ -228,7 +228,8 @@ def _validate_interval(space: IntervalSpace, seed: int) -> SpaceReport:
         _check("identity_zero_self", ~(np.abs(dxx) <= INEQ_ABS_TOL),
                lambda k: (float(xs[k]), float(dxx[k]))),
         _check("identity_distinct_positive", (np.abs(xs - ys) > 1e-9) & (dxy <= INEQ_ABS_TOL),
-               lambda k: (float(xs[k]), float(ys[k]), float(dxy[k]))),
+               lambda k: (float(xs[k]), float(ys[k]), float(dxy[k])),
+               "distinct points at zero distance"),
     )
     return SpaceReport(all(c.passed for c in checks), "sampled", checks)
 

@@ -67,6 +67,8 @@ INVERSE_PROBE = 1e-12
 
 _BATTERY_WINDOW = (1000, 10001)
 _BATTERY_SEED = 20260201
+_BATTERY_TRIALS = 16
+_BATTERY_TOL = 1e-6
 _PROBE_SEED = 0
 
 
@@ -293,7 +295,8 @@ _KINDS = {
         chain_detail=lambda phi, rate: f", rate*K = {rate * phi.K:g}",
     ),
     "power": _split_kind(
-        lambda phi, d: np.power(d, phi.q),
+        # float64 even for an int q, where an int operand would wrap in int64
+        lambda phi, d: np.power(d, phi.q, dtype=np.float64),
         lambda phi, a, b: np.power(a + b, 1.0 / phi.q),
         sum_floor=_power_floor,
         param="q",
@@ -449,18 +452,14 @@ class AxiomReport:
         return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
 
 
-def check_axioms(
-    phi: TriangleFunctionSpec, u_max: float = 2.0, points: int = 17
-) -> AxiomReport:
-    """Probe the defining axioms on a [0, u_max]^2 grid.
+def check_axioms(phi: TriangleFunctionSpec) -> AxiomReport:
+    """Probe the defining axioms on the 17 x 17 grid over [0, 2]^2 (step 1/8).
 
     Checks the codomain (finite, non-negative), Phi(0,0) = 0, symmetry and
-    monotonicity in each slot.  Each failed check carries the first witness
-    in grid order.
+    monotonicity in each slot, to ABS_TOL and REL_TOL.  Each failed check
+    carries the first witness in grid order.
     """
-    if points < 2 or u_max <= 0.0:
-        raise ValueError("grid needs u_max > 0 and at least 2 points per axis")
-    axis = np.linspace(0.0, u_max, points)
+    axis = np.linspace(0.0, 2.0, 17)
     uu, vv = np.meshgrid(axis, axis, indexing="ij")
     with np.errstate(all="ignore"):
         values = _eval(phi, uu, vv)
@@ -505,21 +504,16 @@ class HomogeneityReport:
     tol: float = REL_TOL
 
 
-def check_homogeneity(
-    phi: TriangleFunctionSpec,
-    samples: tuple[tuple[float, float, float], ...] | None = None,
-    tol: float = REL_TOL,
-) -> HomogeneityReport:
-    """Check Phi(k*u, k*v) = k*Phi(u, v) on sample triples (k, u, v)."""
-    if samples is None:
-        samples = _HOMOGENEITY_SAMPLES
+def check_homogeneity(phi: TriangleFunctionSpec) -> HomogeneityReport:
+    """Check Phi(k*u, k*v) = k*Phi(u, v) on the 36 triples (k, u, v) of
+    _HOMOGENEITY_SAMPLES, to REL_TOL relative to max(1, |k*Phi(u, v)|)."""
     with np.errstate(all="ignore"):
-        for k, u, v in samples:
+        for k, u, v in _HOMOGENEITY_SAMPLES:
             scaled = float(_eval(phi, k * u, k * v))
             direct = k * float(_eval(phi, u, v))
-            if abs(scaled - direct) > tol * max(1.0, abs(direct)):
-                return HomogeneityReport(False, (k, u, v, scaled, direct), tol)
-    return HomogeneityReport(True, None, tol)
+            if abs(scaled - direct) > REL_TOL * max(1.0, abs(direct)):
+                return HomogeneityReport(False, (k, u, v, scaled, direct))
+    return HomogeneityReport(True)
 
 
 def chain_value(phi: TriangleFunctionSpec, alpha: float, p: int) -> float:
@@ -599,12 +593,13 @@ def chain_report(
         raise ValueError("alpha must lie in [0, 1)")
     values = _chain_sweep(phi, alpha, p_max)
     converged = len(values) >= 2 and abs(values[-1] - values[-2]) < CHAIN_CONVERGENCE_TOL
-    if _KINDS[phi.kind].c_alpha is None:
+    closed_form = _KINDS[phi.kind].c_alpha
+    if closed_form is not None:
+        c = closed_form(phi, alpha)
+    else:
         finite = [v for v in values if math.isfinite(v)]
         c = max(finite) if len(finite) == len(values) else math.inf
-        return ChainBoundReport(alpha, values, c, converged, certified=False)
-    c = chain_bound_constant(phi, alpha)
-    return ChainBoundReport(alpha, values, c, converged, certified=True)
+    return ChainBoundReport(alpha, values, c, converged, certified=closed_form is not None)
 
 
 def _x_battery(n: np.ndarray, rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
@@ -661,26 +656,21 @@ class LimitDeviationReport:
     origin_tail: float
 
 
-def check_limit_deviation(
-    phi: TriangleFunctionSpec, trials: int = 16, tol: float = 1e-6
-) -> LimitDeviationReport:
+def check_limit_deviation(phi: TriangleFunctionSpec) -> LimitDeviationReport:
     """Run the deviation battery |Phi(x_n, y_n) - y_n| over the tail window.
 
     The battery pairs 8 deterministic vanishing x-sequences with 8 bounded
-    y-sequences (the constant-1 sequence first), plus `trials` extra seeded
-    random pairs.  Also probes Phi along rays into the origin and reports
-    whether the values vanish there.
+    y-sequences (the constant-1 sequence first), plus _BATTERY_TRIALS = 16
+    extra seeded random pairs, and passes when every pair's deviation stays
+    below _BATTERY_TOL = 1e-6.  Also probes Phi along rays into the origin
+    and reports whether the values vanish there, to the same tolerance.
     """
-    if trials < 0:
-        raise ValueError("trials must be non-negative")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     n = np.arange(*_BATTERY_WINDOW, dtype=np.float64)
     rng = np.random.default_rng(_BATTERY_SEED)
     xs = _x_battery(n, rng)
     ys = _y_battery(n, rng)
     pairs = [(xn, xv, yn, yv) for (xn, xv) in xs for (yn, yv) in ys]
-    for i in range(trials):
+    for i in range(_BATTERY_TRIALS):
         xv = rng.random() * np.power(0.8, n)
         yv = rng.uniform(0.0, 2.0, n.size)
         pairs.append((f"rand_x{i}", xv, f"rand_y{i}", yv))
@@ -689,7 +679,7 @@ def check_limit_deviation(
     with np.errstate(all="ignore"):
         for x_name, xv, y_name, yv in pairs:
             deviation = float(np.max(np.abs(_eval(phi, xv, yv) - yv)))
-            if not deviation < tol:
+            if not deviation < _BATTERY_TOL:
                 witness = PairDeviation(x_name, y_name, deviation)
                 break
 
@@ -701,17 +691,17 @@ def check_limit_deviation(
 
     return LimitDeviationReport(
         passed=witness is None,
-        tol=tol,
+        tol=_BATTERY_TOL,
         window=_BATTERY_WINDOW,
         witness=witness,
-        origin_continuous=origin_tail < tol,
+        origin_continuous=origin_tail < _BATTERY_TOL,
         origin_tail=origin_tail,
     )
 
 
 @lru_cache(maxsize=256)
 def _deviation_report(phi: TriangleFunctionSpec) -> LimitDeviationReport:
-    """The default vanishing-deviation battery on phi, run once per phi; the
+    """The vanishing-deviation battery on phi, run once per phi; the
     continuity probes and the bound audit all read this report."""
     return check_limit_deviation(phi)
 

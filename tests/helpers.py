@@ -104,6 +104,39 @@ def triangle_oracle(triples, d, phi) -> list[tuple]:
     return found
 
 
+# The six right-hand sides written out from contraction's module docstring,
+# applied pair by pair in plain Python: an oracle that shares no code with the
+# vectorised pair kernel.
+ORACLE_RHS = {
+    "partial": lambda k, d, x, y, tx, ty: k.alpha * d(x, y) + k.beta * d(x, tx),
+    "partial_dual": lambda k, d, x, y, tx, ty: k.alpha * d(x, y) + k.beta * d(y, ty),
+    "weak": lambda k, d, x, y, tx, ty: k.alpha * d(x, y) + k.delta * d(x, ty),
+    "weak_dual": lambda k, d, x, y, tx, ty: k.alpha * d(x, y) + k.delta * d(y, tx),
+    "bianchini": lambda k, d, x, y, tx, ty: k.beta * max(d(x, tx), d(y, ty)),
+    "chatterjea_bianchini": lambda k, d, x, y, tx, ty: k.beta * max(d(x, ty), d(y, tx)),
+}
+
+
+def pair_rhs(kind: cl.ContractionKind, space, mapping: cl.SelfMap, x, y) -> float:
+    """ORACLE_RHS at the pair (x, y), labels on a finite space and numbers
+    on an interval, in Python floats: the images come from the image table
+    or from the map's expression, the distances from the matrix or from
+    space.d, and nothing goes through the contraction module."""
+    if isinstance(space, cl.FiniteSemimetricSpace):
+        x, y = space.labels.index(x), space.labels.index(y)
+        tx, ty = mapping.images[x], mapping.images[y]
+
+        def d(a, b):
+            return float(space.dist[a, b])
+    else:
+        image = cl.parse_expression(mapping.expr, allowed=("x",))
+        tx, ty = float(image(x=x)), float(image(x=y))
+
+        def d(a, b):
+            return float(space.d(a, b))
+    return ORACLE_RHS[kind.tag](kind, d, x, y, tx, ty)
+
+
 def reference_orbit(space, mapping, x0, max_iter=solver.MAX_ITER_DEFAULT,
                     tol=solver.STEP_TOL_DEFAULT) -> tuple[list, list[float], str]:
     """(points, step_dists, stop_reason) of the Picard orbit from x0 (an
@@ -146,7 +179,7 @@ def reference_orbit(space, mapping, x0, max_iter=solver.MAX_ITER_DEFAULT,
     return points, step_dists, "max_iter"
 
 
-def reference_audit(trace, phi, alpha, fixed_point, slack_tol=solver.BOUND_SLACK_TOL):
+def reference_audit(trace, phi, alpha, fixed_point):
     """(rows, min_slack, bounds_ok, steps_ok) of the bound audit, one row at
     a time with one scalar distance call per row; each row is the tuple
     (n, point, step_dist, bound, observed, slack, step_bound, step_ok)."""
@@ -165,7 +198,7 @@ def reference_audit(trace, phi, alpha, fixed_point, slack_tol=solver.BOUND_SLACK
         step_bound = None if step is None else alpha**n * d01
         step_ok = step is None or step <= step_bound * (1.0 + 1e-12) + 1e-12
         rows.append((n, labels[n], step, bound, observed, slack, step_bound, step_ok))
-    return (tuple(rows), min_slack, all(row[5] >= -slack_tol for row in rows),
+    return (tuple(rows), min_slack, all(row[5] >= -solver.BOUND_SLACK_TOL for row in rows),
             all(row[7] for row in rows))
 
 

@@ -1,11 +1,13 @@
 """The input boundary: the `from_json` readers against the JSON Schemas in
-`schemas.py`, and the command line driven with generated argv."""
+`schemas.py`, the command line driven with generated argv, and the public
+names the package exports."""
 
 import contextlib
 import copy
 import io
 import json
 import math
+import types
 import warnings
 
 import jsonschema
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import contraction_lab
 from contraction_lab import cli
 from contraction_lab.cli import EXIT_CODES, main, run_command
 from contraction_lab.contraction import TAG_CONSTANTS, ContractionKind, SelfMap
@@ -319,3 +322,12 @@ def test_valid_argvs_reach_the_numbers_of_their_phi(tmp_path, monkeypatch, comma
             argv += ["--x0", starts[start % len(starts)], "--max-iter", "40"]
     envelope = _answer(argv)
     assert envelope["status"] != "error", (argv, envelope)
+
+
+def test_all_names_exactly_the_public_names_the_package_binds():
+    """`__init__.py` states the public API twice, in its imports and in
+    `__all__`; they agree: every name it binds but modules and `_` names."""
+    bound = {name for name, value in vars(contraction_lab).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(contraction_lab.__all__) == sorted(bound)
+    assert len(set(contraction_lab.__all__)) == len(contraction_lab.__all__)

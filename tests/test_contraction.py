@@ -12,8 +12,8 @@ from contraction_lab import solver
 from contraction_lab.contraction import ContractionKind, PairWitness, SelfMap
 from contraction_lab.space import INEQ_ABS_TOL, INEQ_REL_TOL
 
-from helpers import (_least_constants, line_space, random_metric, random_self_map,
-                     random_semimetric, stretched_space, unit_interval)
+from helpers import (ORACLE_RHS, _least_constants, line_space, pair_rhs, random_metric,
+                     random_self_map, random_semimetric, stretched_space, unit_interval)
 
 ALL_TAGS = (
     "partial",
@@ -134,17 +134,17 @@ class TestDefiningRhs:
             ContractionKind("chatterjea_bianchini", beta=0.8): 0.8,
         }
         for kind, expected in cases.items():
-            assert cl.defining_rhs(kind, space, to_x, "y", "z") == pytest.approx(
+            assert pair_rhs(kind, space, to_x, "y", "z") == pytest.approx(
                 expected, rel=1e-12
             ), kind.tag
 
     def test_primal_dual_asymmetry(self):
         space = line_space()
         mapping = SelfMap(images=(0, 0, 1))
-        primal = cl.defining_rhs(
+        primal = pair_rhs(
             ContractionKind("partial", alpha=0.0, beta=1.0), space, mapping, "c", "a"
         )
-        dual = cl.defining_rhs(
+        dual = pair_rhs(
             ContractionKind("partial_dual", alpha=0.0, beta=1.0), space, mapping, "c", "a"
         )
         assert primal == space.d(2, 1)
@@ -212,8 +212,8 @@ class TestVerifyContraction:
             assert cert.witness.lhs == 0.0
         kind = ContractionKind("bianchini", beta=0.1)
         cert = cl.verify_contraction(unit_interval(), const, kind, samples=50)
-        assert cert.witness.rhs == cl.defining_rhs(kind, unit_interval(), const,
-                                                   cert.witness.x, cert.witness.y)
+        assert cert.witness.rhs == pair_rhs(kind, unit_interval(), const,
+                                            cert.witness.x, cert.witness.y)
 
     def test_huge_constant_does_not_warn(self):
         kind = ContractionKind("weak", alpha=0.1, delta=1e308)
@@ -224,7 +224,7 @@ class TestVerifyContraction:
                                          (cl.IntervalSpace(0.0, 2.0), SelfMap(expr="2-x"), 0, 0)):
                 cert = cl.verify_contraction(space, mapping, kind)
                 assert math.isfinite(cert.margin)
-                assert math.isinf(cl.defining_rhs(kind, space, mapping, x, y))
+                assert math.isinf(pair_rhs(kind, space, mapping, x, y))
 
 
 class TestStepContractionFactor:
@@ -466,18 +466,6 @@ class TestStepRateOnOrbits:
         )
         assert not cert.passed
 
-
-# The six right-hand sides written out from the module docstring, applied
-# pair by pair in plain Python: an oracle that shares no code with the
-# vectorised kernel.
-ORACLE_RHS = {
-    "partial": lambda k, d, x, y, tx, ty: k.alpha * d(x, y) + k.beta * d(x, tx),
-    "partial_dual": lambda k, d, x, y, tx, ty: k.alpha * d(x, y) + k.beta * d(y, ty),
-    "weak": lambda k, d, x, y, tx, ty: k.alpha * d(x, y) + k.delta * d(x, ty),
-    "weak_dual": lambda k, d, x, y, tx, ty: k.alpha * d(x, y) + k.delta * d(y, tx),
-    "bianchini": lambda k, d, x, y, tx, ty: k.beta * max(d(x, tx), d(y, ty)),
-    "chatterjea_bianchini": lambda k, d, x, y, tx, ty: k.beta * max(d(x, ty), d(y, tx)),
-}
 
 # the part of the right-hand side beta multiplies, for the beta-only families
 ORACLE_KERNEL = {

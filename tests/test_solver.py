@@ -15,7 +15,6 @@ from contraction_lab.trifun import _json_float
 
 from helpers import (
     bianchini_bound_instances,
-    c_alpha_oracle,
     line_space,
     random_metric,
     random_self_map,
@@ -159,63 +158,6 @@ class TestPicardIterate:
         assert lines[1] == "0,y,1.0"
         assert lines[-1] == "2,x,"  # the final point has no outgoing step
         assert len(lines) == len(trace.points) + 1
-
-
-class TestAPrioriBound:
-    def test_frozen_values(self):
-        assert cl.a_priori_bound(cl.maximum(), 0.5, 1, 0.5) == pytest.approx(0.25)
-        assert cl.a_priori_bound(cl.maximum(), 0.5, 2, 0.5) == pytest.approx(0.125)
-        assert cl.a_priori_bound(cl.additive(), 0.5, 0, 1.0) == pytest.approx(2.0)
-
-    def test_alpha_zero(self):
-        assert cl.a_priori_bound(cl.additive(), 0.0, 0, 2.0) == 2.0
-        assert cl.a_priori_bound(cl.additive(), 0.0, 5, 2.0) == 0.0
-
-    def test_matches_closed_form_constant(self):
-        grid = [
-            (cl.additive(), 0.3),
-            (cl.maximum(), 0.8),
-            (cl.power(2.0), 0.5),
-            (cl.power(0.5), 0.3),
-            (cl.bscaled(1.1), 0.45),
-        ]
-        for phi, alpha in grid:
-            for n in (0, 1, 5):
-                expected = alpha**n * c_alpha_oracle(phi, alpha) * 0.7
-                assert cl.a_priori_bound(phi, alpha, n, 0.7) == pytest.approx(
-                    expected, rel=1e-12
-                )
-
-    def test_geometric_decay(self):
-        values = [cl.a_priori_bound(cl.additive(), 0.6, n, 1.0) for n in range(30)]
-        for prev, nxt in zip(values, values[1:]):
-            assert nxt == pytest.approx(0.6 * prev, rel=1e-12)
-        assert values[-1] < 1e-5
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            cl.a_priori_bound(cl.additive(), 1.0, 1, 1.0)
-        with pytest.raises(ValueError):
-            cl.a_priori_bound(cl.additive(), -0.1, 1, 1.0)
-        with pytest.raises(ValueError):
-            cl.a_priori_bound(cl.additive(), 0.5, -1, 1.0)
-        with pytest.raises(ValueError):
-            cl.a_priori_bound(cl.additive(), 0.5, 1, -1.0)
-
-    def test_argument_errors_come_before_an_infinite_constant(self):
-        for alpha, n, d01, message in ((1.0, -1, -1.0, "alpha"), (0.9, -1, -1.0, "n must"),
-                                       (0.9, 1, -1.0, "d01 must")):
-            with pytest.raises(ValueError, match=message):
-                cl.a_priori_bound(cl.bscaled(2.0), alpha, n, d01)
-        with pytest.raises(ValueError, match="alpha"):
-            cl.verify_bound(cl.picard_iterate(cl.IntervalSpace(0.0, 1.0), SelfMap(expr="x/2"),
-                                              1.0), cl.bscaled(2.0), 1.0, 0.0)
-
-    def test_unavailable_when_chain_constant_infinite(self):
-        with pytest.raises(BoundUnavailable):
-            cl.a_priori_bound(cl.bscaled(2.0), 0.5, 1, 1.0)
-        with pytest.raises(BoundUnavailable):
-            cl.a_priori_bound(cl.custom("2*(u+v)"), 0.6, 1, 1.0)
 
 
 class TestBruteForceFixedPoints:
@@ -366,8 +308,12 @@ class TestVerifyBound:
             cl.verify_bound(trace, cl.additive(), 0.5, "w")
 
     def test_unavailable_chain_constant(self):
-        with pytest.raises(BoundUnavailable):
-            cl.verify_bound(self.half_trace(), cl.bscaled(2.0), 0.5, 0.0)
+        for phi, alpha in ((cl.bscaled(2.0), 0.5), (cl.custom("2*(u+v)"), 0.6)):
+            with pytest.raises(BoundUnavailable):
+                cl.verify_bound(self.half_trace(), phi, alpha, 0.0)
+        # an alpha outside [0, 1) is named before an infinite constant
+        with pytest.raises(ValueError, match="alpha"):
+            cl.verify_bound(self.half_trace(), cl.bscaled(2.0), 1.0, 0.0)
 
     def test_bianchini_orbits_respect_bound(self):
         beta = 0.6

@@ -143,10 +143,12 @@ class TestValidateSemimetric:
         ]
 
     def test_zero_off_diagonal_fails(self):
-        space = cl.FiniteSemimetricSpace(("a", "b"), np.zeros((2, 2)))
-        assert [c.name for c in cl.validate_semimetric(space).checks if not c.passed] == [
-            "identity_distinct_positive"
-        ]
+        # the finite and the interval check name the failure with one detail
+        for space in (cl.FiniteSemimetricSpace(("a", "b"), np.zeros((2, 2))),
+                      cl.IntervalSpace(0.0, 1.0, "x*0")):
+            failed = [c for c in cl.validate_semimetric(space).checks if not c.passed]
+            assert [c.name for c in failed] == ["identity_distinct_positive"], space
+            assert failed[0].detail == "distinct points at zero distance", space
 
     @pytest.mark.parametrize("diagonal", [-2.0, -0.5])
     def test_negative_diagonal_fails_only_the_checks_on_the_diagonal(self, diagonal):

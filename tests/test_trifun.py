@@ -80,6 +80,18 @@ class TestEvaluate:
             (1.0 + math.sqrt(2.0)) ** 2, rel=1e-12
         )
 
+    def test_int_exponent_evaluates_in_float64(self):
+        # an int q on int operands must not run np.power in int64, which wraps
+        cases = ((2**40, 2**40), (3, 5), (0, 1), (np.array([2**40, 7]), np.array([2**40, 0])))
+        for q in (1, 2, 3, 7):
+            for u, v in cases:
+                by_int = np.asarray(cl.evaluate(cl.power(q), u, v))
+                by_float = np.asarray(cl.evaluate(cl.power(float(q)), np.asarray(u, float),
+                                                  np.asarray(v, float)))
+                assert by_int.dtype == np.float64, (q, u, v)
+                assert by_int.tobytes() == by_float.tobytes(), (q, u, v)
+        assert cl.evaluate(cl.power(3), 2**40, 2**40) == 1385297844439.1567
+
     def test_custom_value(self):
         assert cl.evaluate(cl.custom("u+v+u*v"), 1.0, 2.0) == 5.0
 
