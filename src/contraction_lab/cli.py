@@ -73,15 +73,6 @@ class CommandResult:
         }
 
 
-def _parse_int(text: str) -> int:
-    """A JSON integer literal, refused when no float64 can hold it: every
-    number read is used as a float."""
-    value = int(text)
-    if abs(value) > sys.float_info.max:
-        raise ValueError(f"a {len(text.lstrip('-'))}-digit integer lies beyond the float64 range")
-    return value
-
-
 def _read_json(flag: str, text: str, inline: bool = True):
     """The JSON document `flag` gives: `text` itself when `inline`, else the
     file at path `text`."""
@@ -89,7 +80,7 @@ def _read_json(flag: str, text: str, inline: bool = True):
         with open(text, "r", encoding="utf-8") as handle:
             text = handle.read()
     try:
-        return json.loads(text, parse_int=_parse_int)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{flag} is not valid JSON: {exc}") from None
 

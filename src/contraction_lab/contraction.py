@@ -44,8 +44,8 @@ from .space import (
     _interval_points,
     violates,
 )
-from .trifun import (TriangleFunctionSpec, _INTEGERS, _NUMBER, _STRING, _json_fields,
-                     _json_float, _real)
+from .trifun import (TriangleFunctionSpec, _INTEGERS, _NUMBER, _STRING, _finite, _json_fields,
+                     _json_float)
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ class ContractionKind:
         for name in ("alpha", "beta", "delta"):
             value = getattr(self, name)
             if name in wanted:
-                if not (_real(value) and math.isfinite(value) and value >= 0.0):
+                if not (_finite(value) and value >= 0.0):
                     raise ValueError(f"{self.tag} needs finite {name} >= 0")
             elif value is not None:
                 raise ValueError(f"{self.tag} does not take {name}")
@@ -223,9 +223,7 @@ class SelfMap:
 
     def __call__(self, x):
         if self.images is not None:
-            if np.ndim(x) == 0:
-                return self.images[int(x)]
-            return np.asarray(self.images, dtype=np.int64)[np.asarray(x, dtype=np.int64)]
+            return self.images[int(x)]
         return self._fn(x=x)  # type: ignore[attr-defined]
 
     @property

@@ -44,6 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
@@ -268,6 +269,17 @@ def _finite_index(space: FiniteSemimetricSpace, point, role: str) -> int:
     return int(point)
 
 
+def _interval_point(point, role: str) -> float:
+    """`point` on an interval space as a float: a real (not a bool or a
+    string) that float64 holds, NaN and the infinities included."""
+    if trifun._real(point):
+        try:
+            return float(point)
+        except OverflowError:  # an integer beyond the float64 range
+            pass
+    raise ValueError(f"{role} {reprlib.repr(point)} is not a float64 number")
+
+
 def picard_iterate(
     space: Space,
     mapping: SelfMap,
@@ -294,7 +306,7 @@ def picard_iterate(
         step_dists = space.dist[points[:-1], points[1:]].tolist()
         points, stop_reason = points.tolist(), _STOP_REASONS[reasons[0, 0]]
     else:
-        x = float(x0)
+        x = _interval_point(x0, "start")
         if not space.contains(x):
             raise ValueError(f"start {x0!r} outside [{space.lo}, {space.hi}]")
         points, step_dists, stop_reason = _interval_orbit(space, mapping, x, max_iter, tol)
@@ -426,8 +438,9 @@ def verify_bound(trace: IterationTrace, phi: TriangleFunctionSpec, alpha: float,
     distance-continuity battery passes for phi; otherwise it carries an
     explanatory note.  The columns take the operations a row-by-row audit
     takes, in its order (see _bound_columns).  On a finite space the fixed
-    point is a label or an index in range.  An alpha outside [0, 1) raises
-    ValueError, and an infinite C(alpha) BoundUnavailable.
+    point is a label or an index in range, on an interval a float64 number.
+    An alpha outside [0, 1) raises ValueError, and an infinite C(alpha)
+    BoundUnavailable.
     """
     c = trifun.chain_bound_constant(phi, alpha)  # checks alpha first
     if not math.isfinite(c):
@@ -437,6 +450,8 @@ def verify_bound(trace: IterationTrace, phi: TriangleFunctionSpec, alpha: float,
     space = trace.space
     if isinstance(space, FiniteSemimetricSpace):
         fixed_point = _finite_index(space, fixed_point, "fixed point")
+    else:
+        fixed_point = _interval_point(fixed_point, "fixed point")
     points = trace.points
     steps = tuple(trace.step_dists[: len(points)])
     d01 = steps[0] if steps else 0.0

@@ -32,7 +32,6 @@ violations a caller asks for (`triangle_report`'s `listed`).
 
 from __future__ import annotations
 
-import math
 import reprlib
 from dataclasses import dataclass
 from typing import Union
@@ -41,8 +40,8 @@ import numpy as np
 
 from . import trifun
 from .expressions import Expression, parse_expression
-from .trifun import (INEQ_ABS_TOL, INEQ_REL_TOL, CheckItem, TriangleFunctionSpec, _MATRIX, _NUMBER,
-                     _STRING, _STRINGS, _check, _json_fields, _json_float, _real, violates)
+from .trifun import (INEQ_ABS_TOL, INEQ_REL_TOL, CheckItem, TriangleFunctionSpec, _FINITE, _MATRIX,
+                     _STRING, _STRINGS, _check, _finite, _json_fields, _json_float, violates)
 
 DEFAULT_SEED = 0
 TRIPLE_SAMPLES = 10_000
@@ -60,7 +59,7 @@ class StructuralError(ValueError):
 def _float_matrix(rows) -> np.ndarray:
     try:
         return np.asarray(rows, dtype=np.float64)
-    except ValueError as exc:  # ragged rows
+    except (ValueError, OverflowError) as exc:  # ragged rows, an integer beyond float64
         raise StructuralError(f"bad distance matrix: {exc}") from None
 
 
@@ -129,9 +128,9 @@ class IntervalSpace:
     dist_expr: str = "abs(x-y)"
 
     def __post_init__(self):
-        if not all(_real(end) and math.isfinite(end) for end in (self.lo, self.hi)):
+        if not (_finite(self.lo) and _finite(self.hi)):
             raise StructuralError(f"interval endpoints must be finite numbers, got "
-                                  f"{self.lo!r} and {self.hi!r}")
+                                  f"{reprlib.repr(self.lo)} and {reprlib.repr(self.hi)}")
         if not self.lo < self.hi:
             raise StructuralError("interval needs lo < hi")
         object.__setattr__(self, "_dist", parse_expression(self.dist_expr, allowed=("x", "y")))
@@ -153,7 +152,7 @@ class IntervalSpace:
     @classmethod
     def from_json(cls, obj: dict) -> "IntervalSpace":
         obj = _json_fields(obj, StructuralError, "interval space",
-                           {"lo": _NUMBER, "hi": _NUMBER}, {"dist": _STRING})
+                           {"lo": _FINITE, "hi": _FINITE}, {"dist": _STRING})
         return cls(float(obj["lo"]), float(obj["hi"]), obj.get("dist", "abs(x-y)"))
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import numbers
 import reprlib
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -102,6 +103,12 @@ def _real(value) -> bool:
     return _number_type(type(value))
 
 
+def _finite(value) -> bool:
+    """The number rule where a number must be finite: a real, not a bool,
+    within the float64 range, so that no integer beyond it rounds to inf."""
+    return _real(value) and abs(value) <= sys.float_info.max
+
+
 def _numbers(row) -> bool:
     """A list of numbers, checked in one C-level pass over its entry types."""
     return isinstance(row, list) and all(map(_number_type, set(map(type, row))))
@@ -109,6 +116,7 @@ def _numbers(row) -> bool:
 
 # Field rules: what a field must hold, and the test of it.
 _NUMBER = ("a number", _real)
+_FINITE = ("a finite number", _finite)
 _STRING = ("a string", lambda value: isinstance(value, str))
 _STRINGS = ("a list of strings", lambda value: isinstance(value, list)
             and set(map(type, value)) <= {str})
@@ -116,7 +124,8 @@ _MATRIX = ("a list of lists of numbers", lambda value: isinstance(value, list)
            and all(map(_numbers, value)))
 # JSON has one number type, so an integer is one without a fractional part
 _INTEGERS = ("a list of integers", lambda value: isinstance(value, list) and all(
-    type(i) is int or type(i) is float and i.is_integer() for i in value))
+    type(i) is int and abs(i) <= sys.float_info.max or type(i) is float and i.is_integer()
+    for i in value))
 
 
 def _json_fields(obj, error: type, what: str, required=None, optional=None) -> dict:
@@ -279,7 +288,7 @@ _KINDS = {
     "bscaled": _sum_kind(
         lambda phi, s: phi.K * s,
         param="K",
-        valid=lambda K: _real(K) and math.isfinite(K) and K >= 1.0,
+        valid=lambda K: _finite(K) and K >= 1.0,
         requirement="bscaled requires a finite scale K >= 1",
         sum_floor=lambda phi, signed: phi.K,
         c_alpha=lambda phi, a: phi.K / (1.0 - a * phi.K) if a * phi.K < 1.0 else math.inf,
@@ -300,7 +309,7 @@ _KINDS = {
         lambda phi, a, b: np.power(a + b, 1.0 / phi.q),
         sum_floor=_power_floor,
         param="q",
-        valid=lambda q: _real(q) and math.isfinite(q) and q > 0.0,
+        valid=lambda q: _finite(q) and q > 0.0,
         requirement="power requires a finite exponent q > 0",
         c_alpha=_power_c_alpha,
         inverse=_power_inverse,
@@ -490,11 +499,11 @@ def check_axioms(phi: TriangleFunctionSpec) -> AxiomReport:
     return AxiomReport(all(c.passed for c in checks), tuple(checks))
 
 
-_HOMOGENEITY_SAMPLES: tuple[tuple[float, float, float], ...] = tuple(
+_HOMOGENEITY_SAMPLES = np.array([  # rows k, u and v
     (k, u, v)
     for k in (0.0, 0.5, 1.0, 2.0, 3.7, 10.0)
     for (u, v) in ((0.0, 0.0), (1.0, 0.0), (0.3, 0.7), (1.0, 1.0), (2.0, 1.0), (5.0, 0.2))
-)
+]).T.copy()
 
 
 @dataclass(frozen=True)
@@ -506,27 +515,28 @@ class HomogeneityReport:
 
 def check_homogeneity(phi: TriangleFunctionSpec) -> HomogeneityReport:
     """Check Phi(k*u, k*v) = k*Phi(u, v) on the 36 triples (k, u, v) of
-    _HOMOGENEITY_SAMPLES, to REL_TOL relative to max(1, |k*Phi(u, v)|)."""
+    _HOMOGENEITY_SAMPLES, to REL_TOL relative to max(1, |k*Phi(u, v)|), each
+    side in one array evaluation; the witness is the first failing triple."""
+    k, u, v = _HOMOGENEITY_SAMPLES
     with np.errstate(all="ignore"):
-        for k, u, v in _HOMOGENEITY_SAMPLES:
-            scaled = float(_eval(phi, k * u, k * v))
-            direct = k * float(_eval(phi, u, v))
-            if abs(scaled - direct) > REL_TOL * max(1.0, abs(direct)):
-                return HomogeneityReport(False, (k, u, v, scaled, direct))
-    return HomogeneityReport(True)
+        scaled = _eval(phi, k * u, k * v)
+        direct = k * _eval(phi, u, v)
+        # a NaN on either side fails nothing, as NaN comparisons are false
+        bad = np.abs(scaled - direct) > REL_TOL * np.maximum(1.0, np.abs(direct))
+    if not bad.any():
+        return HomogeneityReport(True)
+    first = np.argmax(bad)
+    return HomogeneityReport(False, tuple(float(c[first]) for c in (k, u, v, scaled, direct)))
 
 
 def chain_value(phi: TriangleFunctionSpec, alpha: float, p: int) -> float:
-    """The nested bound Phi(1, Phi(alpha, ... Phi(alpha^(p-1), alpha^p)))."""
+    """The nested bound Phi(1, Phi(alpha, ... Phi(alpha^(p-1), alpha^p))):
+    the last value of chain_report to depth p."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
     if p < 1:
         raise ValueError("depth p must be at least 1")
-    value = alpha**p
-    with np.errstate(all="ignore"):
-        for i in range(p - 1, -1, -1):
-            value = float(_eval(phi, alpha**i, value))
-    return value
+    return chain_report(phi, alpha, p).values[-1]
 
 
 def chain_bound_constant(phi: TriangleFunctionSpec, alpha: float) -> float:
@@ -559,39 +569,27 @@ class ChainBoundReport:
     certified: bool
 
 
-def _chain_sweep(
-    phi: TriangleFunctionSpec, alpha: float, p_max: int
-) -> tuple[float, ...]:
-    """chain_value(phi, alpha, p) for p = 1..p_max in one backward sweep.
-
-    Entry p starts at alpha^p and is wrapped by Phi(alpha^i, .) for every
-    level i < p, innermost first, exactly as chain_value does for one depth:
-    p_max array evaluations instead of p_max*(p_max+1)/2 scalar ones, with
-    the same operations per entry and so the same values bit for bit.
-    """
-    values = np.array([alpha**p for p in range(1, p_max + 1)], dtype=np.float64)
-    with np.errstate(all="ignore"):
-        for i in range(p_max - 1, -1, -1):
-            values[i:] = _eval(phi, alpha**i, values[i:])
-    return tuple(values.tolist())
-
-
 def chain_report(
     phi: TriangleFunctionSpec, alpha: float, p_max: int = CHAIN_DEPTH_LIMIT
 ) -> ChainBoundReport:
     """Chain values for p = 1..p_max with the limiting constant.
 
-    The values equal chain_value at each depth; they are built in one sweep
-    over the nesting levels.  For the named families c_alpha is the closed
-    form and certified; for custom functions it is the observed supremum,
-    with `converged` recording whether successive values settled to within
-    1e-12.
+    The values come from one backward sweep: entry p starts at alpha^p and
+    is wrapped by Phi(alpha^i, .) for every level i < p, innermost first, in
+    p_max array evaluations with a per-depth scalar loop's bits.  For the
+    named families c_alpha is the closed form and certified; for custom
+    functions it is the observed supremum, with `converged` recording
+    whether successive values settled to within 1e-12.
     """
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
-    values = _chain_sweep(phi, alpha, p_max)
+    sweep = np.array([alpha**p for p in range(1, p_max + 1)], dtype=np.float64)
+    with np.errstate(all="ignore"):
+        for i in range(p_max - 1, -1, -1):
+            sweep[i:] = _eval(phi, alpha**i, sweep[i:])
+    values = tuple(sweep.tolist())
     converged = len(values) >= 2 and abs(values[-1] - values[-2]) < CHAIN_CONVERGENCE_TOL
     closed_form = _KINDS[phi.kind].c_alpha
     if closed_form is not None:
@@ -713,6 +711,12 @@ def _deviation_report(phi: TriangleFunctionSpec) -> LimitDeviationReport:
 _ZERO_SLOT_GRID = np.concatenate([np.linspace(0.0, 0.999, 1000), [1.0 - 1e-9]])
 
 
+def _sampled(bad, detail):
+    """A sampled probe's verdict: failing at the first set entry of the mask
+    `bad`, which detail(*index) spells, else passing."""
+    return (False, False, detail(*np.argwhere(bad)[0])) if bad.any() else (True, False, "sampled")
+
+
 def _sampled_homogeneity(phi: TriangleFunctionSpec, at):
     report = check_homogeneity(phi)
     return report.passed, False, "sampled" if report.passed else f"fails at {report.witness[:3]}"
@@ -735,21 +739,15 @@ def _sampled_full_continuity(phi: TriangleFunctionSpec):
         hi = _eval(phi, uu + h, vv + h)
         osc = np.abs(hi - lo)
         jump = osc > 1e-6 * np.maximum(1.0, np.abs(hi))
-    if np.any(jump):
-        i, j = np.argwhere(jump)[0]
-        return False, False, f"oscillation {osc[i, j]:g} near (u={base[i]:g}, v={base[j]:g})"
-    return True, False, "sampled"
+    return _sampled(jump, lambda i, j: f"oscillation {osc[i, j]:g} near "
+                    f"(u={base[i]:g}, v={base[j]:g})")
 
 
 def _sampled_zero_slot_bound(phi: TriangleFunctionSpec, at):
     """phi(0, v) < 1 for all 0 <= v < 1, on a grid."""
     with np.errstate(all="ignore"):
         values = _eval(phi, 0.0, _ZERO_SLOT_GRID)
-    bad = ~(values < 1.0)
-    if np.any(bad):
-        k = int(np.argwhere(bad)[0][0])
-        return False, False, f"phi(0, {_ZERO_SLOT_GRID[k]:g}) = {values[k]:g}"
-    return True, False, "sampled"
+    return _sampled(~(values < 1.0), lambda k: f"phi(0, {_ZERO_SLOT_GRID[k]:g}) = {values[k]:g}")
 
 
 def _sampled_bounded_by_sum(phi: TriangleFunctionSpec, at):
@@ -759,11 +757,8 @@ def _sampled_bounded_by_sum(phi: TriangleFunctionSpec, at):
     b = np.concatenate([np.linspace(5.0, 0.0, 40), rng.uniform(0.0, 5.0, 200)])
     with np.errstate(all="ignore"):
         values = _eval(phi, a, b)
-    bad = violates(values, a + b)
-    if np.any(bad):
-        k = int(np.argwhere(bad)[0][0])
-        return False, False, f"phi({a[k]:g}, {b[k]:g}) = {values[k]:g} > {a[k] + b[k]:g}"
-    return True, False, "sampled"
+    return _sampled(violates(values, a + b),
+                    lambda k: f"phi({a[k]:g}, {b[k]:g}) = {values[k]:g} > {a[k] + b[k]:g}")
 
 
 def _sampled_distance_continuity(phi: TriangleFunctionSpec, at):

@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import contraction_lab as cl
-from contraction_lab import solver
+from contraction_lab import solver, trifun
 from contraction_lab.search import (SIZE_RANGE, Finding, SearchResult, _draw_images, _labels,
                                     _semimetric)
 from contraction_lab.space import INEQ_ABS_TOL, INEQ_REL_TOL
@@ -43,6 +43,17 @@ def chain_oracle(phi: cl.TriangleFunctionSpec, alpha: float, p: int) -> float:
     value = alpha**p
     for i in range(p - 1, -1, -1):
         value = phi_oracle(phi, alpha**i, value)
+    return value
+
+
+def scalar_chain(phi: cl.TriangleFunctionSpec, alpha: float, p: int) -> float:
+    """The depth-p chain value by the package's own Phi entry, one scalar
+    evaluation per level, innermost first: the per-depth loop the sweep of
+    `chain_report` must match bit for bit."""
+    value = alpha**p
+    with np.errstate(all="ignore"):
+        for i in range(p - 1, -1, -1):
+            value = float(trifun._eval(phi, alpha**i, value))
     return value
 
 

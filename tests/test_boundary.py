@@ -7,6 +7,7 @@ import copy
 import io
 import json
 import math
+import sys
 import types
 import warnings
 
@@ -21,12 +22,15 @@ from contraction_lab.cli import EXIT_CODES, main, run_command
 from contraction_lab.contraction import TAG_CONSTANTS, ContractionKind, SelfMap
 from contraction_lab.expressions import parse_expression
 from contraction_lab.schemas import KIND_SCHEMA, MAP_SCHEMA, PHI_SCHEMA, RESULT_SCHEMA, SPACE_SCHEMA
-from contraction_lab.space import IntervalSpace, StructuralError, space_from_json
-from contraction_lab.trifun import TriangleFunctionSpec
+from contraction_lab.space import (FiniteSemimetricSpace, IntervalSpace, StructuralError,
+                                   space_from_json)
+from contraction_lab.trifun import TriangleFunctionSpec, bscaled, power
 
 from helpers import expression_trees, unparse
 
-NUMBERS = st.one_of(st.integers(-3, 10**6), st.floats(allow_nan=True, allow_infinity=True))
+# integers beyond the float64 range too, which JSON spells and Python reads
+NUMBERS = st.one_of(st.integers(-3, 10**6), st.sampled_from([2**1024, -(10**400)]),
+                    st.floats(allow_nan=True, allow_infinity=True))
 SMALL = st.one_of(st.integers(-1, 3), st.floats(-0.5, 3.0))
 # what a mutation puts in place of a field or an entry
 ODD = st.one_of(st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2),
@@ -117,6 +121,8 @@ def mutated(draw, docs):
 def _non_finite(value) -> bool:
     if isinstance(value, float):
         return not math.isfinite(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return abs(value) > sys.float_info.max
     if isinstance(value, list):
         return any(map(_non_finite, value))
     return isinstance(value, dict) and any(map(_non_finite, value.values()))
@@ -181,6 +187,26 @@ def test_readers_reject_exactly_what_the_schemas_reject(name):
         assert read == (accepted and not broken), (doc, accepted, broken)
 
     check()
+
+
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("make", (
+    lambda: bscaled(HUGE),
+    lambda: power(HUGE),
+    lambda: ContractionKind("partial", alpha=HUGE, beta=0.0),
+    lambda: IntervalSpace(0, HUGE),
+    lambda: IntervalSpace.from_json({"lo": 0, "hi": HUGE}),
+    lambda: FiniteSemimetricSpace(("a", "b"), [[0, HUGE], [HUGE, 0]]),
+), ids=("bscaled", "power", "kind", "interval", "interval_json", "matrix"))
+def test_integers_beyond_float64_are_refused_by_the_readers(make):
+    """An integer no float64 holds is refused where a number is read, as
+    ValueError (StructuralError for spaces), with any echoed value
+    shortened."""
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert "0" * 50 not in str(caught.value)
 
 
 def _write(path, doc) -> str:

@@ -523,7 +523,47 @@ class TestPinnedReplies:
         assert digest.hexdigest() == PINNED_COMMANDS[command]
 
 
+# error paths that only this table reaches: (argv, CONTRACTION_LAB_SEED or
+# None, the message that starts the error); "{unit}", "{ragged}" and
+# "{inf_lo}" stand for space files
+UNREACHED_ERRORS = {
+    "x0_not_a_number": (["iterate", "--space", "{unit}", "--map", '{"expr":"x/2"}',
+                         "--x0", "abc"], None, "ValueError: --x0 'abc' is not a number"),
+    "seed_not_an_integer": (["search", "--phi", ADDITIVE, "--kind", PARTIAL_33,
+                             "--budget", "1"], "1.5",
+                            "ValueError: CONTRACTION_LAB_SEED must be an integer, got '1.5'"),
+    "literal_overflows": (["classify", "--space", "{unit}", "--map", '{"expr":"x*1e999"}',
+                           "--phi", ADDITIVE, "--kind", PARTIAL_33], None,
+                          "ExpressionSyntaxError: numeric literal overflows (at offset 2)"),
+    "ragged_rows": (["validate", "--space", "{ragged}", "--phi", ADDITIVE], None,
+                    "StructuralError: bad distance matrix: "),
+    "infinite_lo": (["validate", "--space", "{inf_lo}", "--phi", ADDITIVE], None,
+                    "StructuralError: interval space lo must be a finite number, got inf"),
+}
+
+
 class TestErrorsAndUsage:
+    @pytest.mark.parametrize("case", UNREACHED_ERRORS)
+    def test_unreached_error_paths_exit_two(self, capsys, monkeypatch, tmp_path, unit_file,
+                                            case):
+        files = {"{unit}": unit_file}
+        for name, doc in (("ragged", '{"labels": ["a", "b"], "dist": [[0, 1], [1]]}'),
+                          ("inf_lo", '{"lo": 1e999, "hi": 1}')):
+            files[f"{{{name}}}"] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(doc)
+        template, seed, message = UNREACHED_ERRORS[case]
+        argv = [files.get(arg, arg) for arg in template]
+        if seed is None:
+            monkeypatch.delenv("CONTRACTION_LAB_SEED", raising=False)
+        else:
+            monkeypatch.setenv("CONTRACTION_LAB_SEED", seed)
+        code, out, err = run_main(capsys, argv)
+        assert code == 2 and out == "", argv
+        envelope = json.loads(err)
+        jsonschema.validate(envelope, RESULT_SCHEMA)
+        assert envelope["status"] == "error"
+        assert envelope["payload"]["error"].startswith(message), envelope
+
     def test_bad_phi_json_is_error(self, capsys, unit_file):
         code, out, err = run_main(capsys, ["validate", "--space", unit_file,
                                            "--phi", '{"kind":"nope"}'])
@@ -577,7 +617,8 @@ class TestErrorsAndUsage:
             path.write_text(doc)
             bad_intervals.append(('{"expr":"x/2"}', PARTIAL_33, ADDITIVE, str(path)))
         three = '{"images":[0,0,0]}'
-        # integer literals beyond the float64 range, one per place a number is read
+        # integer literals beyond the float64 range, one per place a number is
+        # read, each refused by its reader with a message naming the field
         big = "1" + "0" * 400
         huge_files = []
         for index, doc in enumerate((
@@ -589,15 +630,22 @@ class TestErrorsAndUsage:
             path = tmp_path / f"huge{index}.json"
             path.write_text(doc)
             huge_files.append(str(path))
-        huge = (
-            ('{"expr":"x/2"}', PARTIAL_33, ADDITIVE, huge_files[0]),
-            ('{"expr":"x/2"}', PARTIAL_33, ADDITIVE, huge_files[1]),
-            (three, PARTIAL_33, ADDITIVE, huge_files[2]),
-            (huge_files[3], PARTIAL_33, ADDITIVE, line_file),
-            (three, PARTIAL_33, f'{{"kind":"bscaled","K":{big}}}', line_file),
-            (three, PARTIAL_33, f'{{"kind":"power","q":{big}}}', line_file),
-            (three, f'{{"tag":"chatterjea_bianchini","beta":{big}}}', ADDITIVE, line_file),
-        )
+        huge = {
+            ('{"expr":"x/2"}', PARTIAL_33, ADDITIVE, huge_files[0]):
+                "StructuralError: interval space lo must be a finite number, got -1000",
+            ('{"expr":"x/2"}', PARTIAL_33, ADDITIVE, huge_files[1]):
+                "StructuralError: interval space hi must be a finite number, got 1000",
+            (three, PARTIAL_33, ADDITIVE, huge_files[2]):
+                "StructuralError: bad distance matrix: int too large to convert to float",
+            (huge_files[3], PARTIAL_33, ADDITIVE, line_file):
+                "StructuralError: self-map images must be a list of integers, got [1000",
+            (three, PARTIAL_33, f'{{"kind":"bscaled","K":{big}}}', line_file):
+                "ValueError: bscaled requires a finite scale K >= 1",
+            (three, PARTIAL_33, f'{{"kind":"power","q":{big}}}', line_file):
+                "ValueError: power requires a finite exponent q > 0",
+            (three, f'{{"tag":"chatterjea_bianchini","beta":{big}}}', ADDITIVE, line_file):
+                "ValueError: chatterjea_bianchini needs finite beta >= 0",
+        }
         for map_json, kind_json, phi_json, space_file in (
             (three, '{"tag":"partial","alpha":"x","beta":0.3}', ADDITIVE, line_file),
             (three, '{"tag":"partial","alpha":true,"beta":0.3}', ADDITIVE, line_file),
@@ -617,8 +665,10 @@ class TestErrorsAndUsage:
             envelope = json.loads(err)
             jsonschema.validate(envelope, RESULT_SCHEMA)
             assert envelope["status"] == "error"
-            if (map_json, kind_json, phi_json, space_file) in huge:
-                assert "beyond the float64 range" in envelope["payload"]["error"], envelope
+            message = huge.get((map_json, kind_json, phi_json, space_file))
+            if message is not None:
+                assert envelope["payload"]["error"].startswith(message), envelope
+                assert len(envelope["payload"]["error"]) < 120, envelope
 
     def test_documents_breaking_the_field_rule_exit_two(self, capsys, line_file, unit_file,
                                                         tmp_path):

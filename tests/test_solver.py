@@ -307,6 +307,26 @@ class TestVerifyBound:
         with pytest.raises(cl.StructuralError):
             cl.verify_bound(trace, cl.additive(), 0.5, "w")
 
+    # not a real, a bool, a string, or an integer no float64 holds
+    NOT_INTERVAL_POINTS = (True, "0.5", "0", None, [0.5], 10**400)
+
+    @pytest.mark.parametrize("point", NOT_INTERVAL_POINTS,
+                             ids=("true", "string", "zero_string", "none", "list", "huge_int"))
+    def test_interval_start_and_fixed_point_are_float64_numbers(self, point):
+        message = "is not a float64 number"
+        with pytest.raises(ValueError, match=f"^start .*{message}$"):
+            cl.picard_iterate(unit_interval(), SelfMap(expr="x/2"), point)
+        with pytest.raises(ValueError, match=f"^fixed point .*{message}$"):
+            cl.verify_bound(self.half_trace(), cl.additive(), 0.5, point)
+
+    def test_interval_start_outside_keeps_its_message(self):
+        for start in (math.nan, math.inf, -0.5, 2):
+            with pytest.raises(ValueError, match=r"^start .* outside \[0.0, 1.0\]$"):
+                cl.picard_iterate(unit_interval(), SelfMap(expr="x/2"), start)
+        by_float = cl.verify_bound(self.half_trace(), cl.additive(), 0.5, 0.0)
+        for fixed_point in (0, np.float64(0.0), np.int64(0)):
+            assert cl.verify_bound(self.half_trace(), cl.additive(), 0.5, fixed_point) == by_float
+
     def test_unavailable_chain_constant(self):
         for phi, alpha in ((cl.bscaled(2.0), 0.5), (cl.custom("2*(u+v)"), 0.6)):
             with pytest.raises(BoundUnavailable):

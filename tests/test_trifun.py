@@ -10,7 +10,7 @@ import contraction_lab as cl
 from contraction_lab import trifun
 from contraction_lab.trifun import TriangleFunctionSpec
 
-from helpers import c_alpha_oracle, chain_oracle, phi_oracle
+from helpers import c_alpha_oracle, chain_oracle, phi_oracle, scalar_chain
 
 NAMED = (
     cl.additive(),
@@ -177,6 +177,24 @@ class TestHomogeneity:
         k, u, v, scaled, direct = report.witness
         assert scaled != pytest.approx(direct, rel=1e-9)
 
+    @pytest.mark.parametrize("expr", ("u+v+u*v", "u*u+v", "sqrt(u)+v", "1", "u/v", "max(u,v)",
+                                      "(sqrt(u)+sqrt(v))^2", "u+v-1"))
+    def test_one_array_pass_gives_the_scalar_loops_verdict(self, monkeypatch, expr):
+        phi = cl.custom(expr)
+        expected = trifun.HomogeneityReport(True)
+        with np.errstate(all="ignore"):
+            for k, u, v in zip(*trifun._HOMOGENEITY_SAMPLES.tolist()):
+                scaled = float(trifun._eval(phi, k * u, k * v))
+                direct = k * float(trifun._eval(phi, u, v))
+                if abs(scaled - direct) > trifun.REL_TOL * max(1.0, abs(direct)):
+                    expected = trifun.HomogeneityReport(False, (k, u, v, scaled, direct))
+                    break
+        calls = []
+        raw = trifun._eval
+        monkeypatch.setattr(trifun, "_eval", lambda phi, u, v: calls.append(u) or raw(phi, u, v))
+        assert cl.check_homogeneity(phi) == expected
+        assert len(calls) == 2
+
 
 class TestChain:
     def test_additive_partial_sum(self):
@@ -273,7 +291,8 @@ class TestChainConstant:
 
     def test_report_values_equal_chain_value_exactly(self):
         # the report builds every depth in one sweep; each value must be
-        # the one chain_value computes for that depth alone, bit for bit
+        # the one a scalar loop computes for that depth alone, bit for bit,
+        # and chain_value reads the report
         cases = [(phi, alpha) for phi in NAMED for alpha in (0.0, 0.1, 0.5, 0.9)]
         cases += [
             (cl.custom("u+v"), 0.5),
@@ -281,8 +300,9 @@ class TestChainConstant:
             (cl.custom("2*(u+v)"), 0.6),
         ]
         for phi, alpha in cases:
-            expected = tuple(cl.chain_value(phi, alpha, p) for p in range(1, 65))
+            expected = tuple(scalar_chain(phi, alpha, p) for p in range(1, 65))
             assert cl.chain_report(phi, alpha).values == expected, (phi, alpha)
+            assert cl.chain_value(phi, alpha, 64) == expected[-1]
 
     def test_report_evaluates_phi_once_per_level(self, monkeypatch):
         calls = []
@@ -387,6 +407,12 @@ class TestUnitProfile:
 
     def test_bounded_profile_gives_inf(self):
         assert cl.unit_profile_inverse(cl.custom("min(u,1)+v"), 3.0) == math.inf
+
+    @pytest.mark.parametrize("tau", (-1.0, math.nan))
+    def test_tau_must_be_non_negative(self, tau):
+        for phi in (cl.additive(), cl.custom("u+v")):
+            with pytest.raises(ValueError, match="^tau must be non-negative$"):
+                cl.unit_profile_inverse(phi, tau)
 
     @settings(max_examples=150, deadline=None)
     @given(t=st.floats(min_value=0.0, max_value=50.0))
