@@ -83,6 +83,9 @@ def _read_json(flag: str, text: str, inline: bool = True):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{flag} is not valid JSON: {exc}") from None
+    except ValueError:  # Python's limit on the digits of an int it reads
+        raise ValueError(f"{flag} holds an integer literal longer than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 class _SpaceCache:

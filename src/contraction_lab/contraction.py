@@ -226,12 +226,6 @@ class SelfMap:
             return self.images[int(x)]
         return self._fn(x=x)  # type: ignore[attr-defined]
 
-    @property
-    def at(self) -> Callable[[float], float]:
-        """The float entry T(x) of an expression map, Expression.at itself:
-        one float in, one float out, under the caller's error state."""
-        return self._fn.at  # type: ignore[attr-defined]
-
 
 @dataclass(frozen=True)
 class PairWitness:

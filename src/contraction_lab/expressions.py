@@ -33,18 +33,34 @@ scalar the value is a Python float.  A scalar call gives the bits an array
 call gives at the same point.
 
 A keyword call converts its bindings and enters np.errstate on every call.
-Expression.at is the entry for a caller that evaluates one float at a time,
-such as a Picard orbit: the generated second function, which binds x as
+Expression.at is the entry for a caller that evaluates one float at a
+time: the generated second function, which binds x as
 np.float64 and runs the same operations with no dict of bindings, so '^'
 is still the np.power ufunc and the value has the keyword call's bits.
 It leaves the error state to its caller, who enters np.errstate once
 around many calls; outside one, a division by zero warns or raises as
 numpy's current settings say.
+
+A self-map, parsed with the variable x alone, gets a third generated
+function, walk(x, n, lo, hi, low, high, chunk): the loop of an interval
+orbit's chunk (see solver), which runs up to n Picard steps on Python
+floats, clamps a value outside [lo, hi] but within [low, high] onto it,
+appends each iterate to chunk and returns the first value beyond [low,
+high], or None.  Its operations give the float entry's bits: + - *, unary
+minus and abs are Python's float operations, which round as numpy's do;
+/ is Python's unless the divisor is zero and sqrt is math.sqrt unless its
+operand is negative or NaN, where Python would raise, and numpy's there;
+'^', min and max stay the numpy ufuncs, since libm's pow and numpy's
+AVX-512 power loop differ in the last bit, and Python's min and max drop a
+NaN.  Each numpy value is made a float where it is computed, so every
+local is a float.  The constants enter as float copies, by one tuple
+unpack per call.  The walk, too, runs under its caller's error state.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -117,6 +133,15 @@ def _tokenize(text: str) -> list[Token]:
 _BINARY = {"+": (1, 2, "{} + {}"), "-": (1, 2, "{} - {}"), "*": (2, 3, "{} * {}"),
            "/": (2, 3, "_divide({}, {})"), "^": (3, 3, "_pow({}, {})")}
 _FUNCS = {"abs": "_abs", "sqrt": "_sqrt", "min": "_minimum", "max": "_maximum"}
+# operation -> its code in the walk on Python floats, where it differs: the
+# float operation where it gives numpy's bits, else numpy's value made a
+# float: where Python raises (a zero divisor, the root of a negative or NaN),
+# where libm rounds differently ('^') and where Python's builtins drop NaN
+# (min, max)
+_WALK = {"/": "{0} / {1} if {1} else float(_divide({0}, {1}))",
+         "^": "float(_pow({}, {}))", "_power": "float(_power({}, {}))", "abs": "abs({})",
+         "sqrt": "_fsqrt({0}) if {0} >= 0.0 else float(_sqrt({0}))",
+         "min": "float(_minimum({}, {}))", "max": "float(_maximum({}, {}))"}
 
 # What a parse step returns: its text in the generated code and whether it
 # reads a variable.
@@ -139,6 +164,7 @@ class _Parser:
         # statements; a variable's first read is "v_<name> = {<name>}", which
         # each entry formats with its own read table
         self.body: list[str] = []
+        self.walk: list[str] = []  # the same statements on Python floats
         self.read: list[str] = []
 
     def peek(self) -> Token:
@@ -165,26 +191,55 @@ class _Parser:
         self.depth -= 1
         return step
 
-    def assign(self, expression: str) -> str:
+    def assign(self, expression: str, walk: str | None = None) -> str:
+        """A new local for `expression`, which the walk computes as `walk`
+        when that is given."""
         local = f"t{len(self.body)}"
         self.body.append(f"{local} = {expression}")
+        self.walk.append(f"{local} = {expression if walk is None else walk}")
         return local
 
     def parse(self) -> str:
         """The source of a factory that returns the keyword entry call(env)
-        with the float entry at(x) as its attribute call.at; the factory
-        takes the constants in order as c0, c1, ..."""
+        with the float entry at(x) as its attribute call.at, and for a
+        self-map (allowed variables exactly x) the walk as call.walk; the
+        factory takes the constants in order as c0, c1, ..."""
         result, _ = self.binary()
         tail = self.peek()
         if tail.kind != "end":
             raise ExpressionSyntaxError(f"unexpected {tail.text!r}", tail.pos)
         params = ", ".join(f"c{k}" for k in range(len(self.constants)))
         body = "".join(f"        {line}\n" for line in self.body)
+        walk = self.walk_source(params, result) if self.allowed_vars == {"x"} else ""
         return (f"def _factory({params}):\n"
                 f"    def call(env):\n{body.format_map(_ENV_READS)}        return {result}\n"
                 f"    def at(x):\n{body.format_map(_FLOAT_READS)}        return float({result})\n"
+                f"{walk}"
                 "    call.at = at\n"
                 "    return call\n")
+
+    def walk_source(self, params: str, result: str) -> str:
+        """The factory lines of walk(x, n, lo, hi, low, high, chunk): up to n
+        Picard steps from x on Python floats, each value outside [lo, hi]
+        clamped to it when it lies within [low, high], else returned as the
+        escape; the iterates are appended to chunk, and None is returned
+        when all n steps stay.  The constants enter as float copies, by one
+        tuple unpack per call."""
+        steps = "".join(f"            {line}\n" for line in self.walk).format(x="x")
+        return (f"    floats = tuple(map(float, [{params}]))\n"
+                "    def walk(x, n, lo, hi, low, high, chunk):\n"
+                f"        [{params}] = floats\n"
+                "        append = chunk.append\n"
+                "        for _ in range(n):\n"
+                f"{steps}"
+                f"            x = {result}\n"
+                "            if not lo <= x <= hi:\n"
+                "                if not low <= x <= high:\n"
+                "                    return x\n"
+                "                x = lo if x < lo else hi\n"
+                "            append(x)\n"
+                "        return None\n"
+                "    call.walk = walk\n")
 
     def binary(self, floor: int = 1) -> _Step:
         """A unary operand, then operators of precedence `floor` or above
@@ -199,9 +254,11 @@ class _Parser:
             right, right_reads = (
                 self.nested(token, self.binary, right_floor) if right_floor == precedence
                 else self.binary(right_floor))
-            if token.text == "^" and right_reads:
-                form = "_power({}, {})"
-            text, reads = self.assign(form.format(text, right)), reads or right_reads
+            op = token.text
+            if op == "^" and right_reads:
+                op, form = "_power", "_power({}, {})"
+            walk = _WALK.get(op, form).format(text, right)
+            text, reads = self.assign(form.format(text, right), walk), reads or right_reads
         return text, reads
 
     def unary(self) -> _Step:
@@ -239,6 +296,7 @@ class _Parser:
             if token.text not in self.read:
                 self.read.append(token.text)
                 self.body.append(f"v_{token.text} = {{{token.text}}}")
+                self.walk.append(f"v_{token.text} = {{{token.text}}}")
             return f"v_{token.text}", True
         if token.kind == "op" and token.text == "(":
             step = self.nested(token, self.binary)
@@ -263,10 +321,11 @@ class _Parser:
             raise ExpressionSyntaxError(
                 f"{name.text} expects {wanted} argument(s), got {len(args)}", name.pos
             )
-        func = _FUNCS[name.text]
-        text = self.assign(f"{func}({args[0][0]})") if len(args) == 1 else args[0][0]
+        func, walk = _FUNCS[name.text], _WALK[name.text]
+        text = (self.assign(f"{func}({args[0][0]})", walk.format(args[0][0])) if len(args) == 1
+                else args[0][0])
         for arg, _ in args[1:]:
-            text = self.assign(f"{func}({text}, {arg})")
+            text = self.assign(f"{func}({text}, {arg})", walk.format(text, arg))
         return text, any(reads for _, reads in args)
 
 
@@ -291,7 +350,7 @@ def _unbound(name: str):
 # (variables) and t<k> (operation results).
 _NAMESPACE = {"_f64": np.float64, "_divide": np.divide, "_pow": np.power, "_power": _power,
               "_abs": np.abs, "_sqrt": np.sqrt, "_minimum": np.minimum,
-              "_maximum": np.maximum, "_unbound": _unbound,
+              "_maximum": np.maximum, "_unbound": _unbound, "_fsqrt": math.sqrt,
               **{f"k_{name}": name for name in VARIABLES}}
 # variable -> its read into v_<name> in call(env), and in at(x)
 _ENV_READS = {name: f"env[k_{name}]" for name in VARIABLES}

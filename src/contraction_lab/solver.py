@@ -12,13 +12,14 @@ certificate additionally requires the distance to be continuous; that is
 established through the vanishing-deviation battery, and reports where the
 battery fails are flagged as not certified.
 
-Each map call needs the value of the one before, so the map is called once
-per iterate, through SelfMap.at, the expression's generated float entry:
-one float in, one float out, with no array or dict built.  The distances
-are not: an interval orbit collects its iterates in chunks of CHUNK_FIRST,
-doubling up to CHUNK_CAP.  Each chunk's map calls share one np.errstate,
-which closes before the chunk is handed on, so the caller's error state
-holds outside it.  Each chunk's step distances come from one array call
+Each map value needs the one before, so the map runs once per iterate,
+on Python floats with no array or dict built: an interval orbit collects
+its iterates in chunks of CHUNK_FIRST, doubling up to CHUNK_CAP, and each
+chunk is one call of the expression's generated walk (see expressions),
+which applies the map, clamps and stops at an escape in one loop, with
+the bits of iterated Expression.at.  Each chunk's map calls share one
+np.errstate, which closes before the chunk is handed on, so the caller's
+error state holds outside it.  Each chunk's step distances come from one array call
 of the distance; the chunk is then searched for the first step below tol
 and for the first revisit.  No revisit can come while the orbit is a
 monotone prefix (see _cycle_in), so each chunk's gaps are checked in one
@@ -176,20 +177,14 @@ def _interval_chunks(space: IntervalSpace, mapping: SelfMap, x: float, max_iter:
     its chunk; the DomainEscapeError naming it comes after the chunk, so a
     caller that stops inside it never sees it."""
     lo, hi = space.lo, space.hi
-    low, high = lo - INEQ_ABS_TOL, hi + INEQ_ABS_TOL
-    at = mapping.at  # the expression's generated float entry itself
+    low, high = lo - INEQ_ABS_TOL, hi + INEQ_ABS_TOL  # contains' slack, clamped
+    walk = mapping._fn.compiled.walk  # the expression's generated chunk loop
     done, size = 0, CHUNK_FIRST
     while done < max_iter:
-        chunk, escape = [x], None
+        chunk = [x]
         with np.errstate(all="ignore"):
-            for _ in range(min(size, max_iter - done)):
-                x = at(x)
-                if not lo <= x <= hi:  # clamp contains' slack; NaN escapes
-                    if not low <= x <= high:
-                        escape, x = x, chunk[-1]
-                        break
-                    x = lo if x < lo else hi
-                chunk.append(x)
+            escape = walk(x, min(size, max_iter - done), lo, hi, low, high, chunk)
+        x = chunk[-1]
         if len(chunk) > 1:
             yield chunk[1:], space.d(np.array(chunk[:-1]), np.array(chunk[1:]))
         done += len(chunk) - 1

@@ -33,6 +33,7 @@ violations a caller asks for (`triangle_report`'s `listed`).
 from __future__ import annotations
 
 import reprlib
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -57,10 +58,19 @@ class StructuralError(ValueError):
 
 
 def _float_matrix(rows) -> np.ndarray:
+    """`rows`, an array or a list of lists of numbers, as a float64 array;
+    ragged rows and an integer beyond float64 are refused."""
     try:
-        return np.asarray(rows, dtype=np.float64)
-    except (ValueError, OverflowError) as exc:  # ragged rows, an integer beyond float64
+        matrix = np.asarray(rows, dtype=np.float64)
+    except (ValueError, OverflowError) as exc:  # ragged rows, an integer far beyond float64
         raise StructuralError(f"bad distance matrix: {exc}") from None
+    # numpy rounds an integer just beyond float64 down to the largest float,
+    # so only a matrix that holds it has its rows read
+    largest = sys.float_info.max
+    if (not isinstance(rows, np.ndarray) and np.abs(matrix).max(initial=0.0) == largest
+            and any(abs(value) > largest for row in rows for value in row)):
+        raise StructuralError("bad distance matrix: int too large to convert to float")
+    return matrix
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,8 @@ from contraction_lab.trifun import TriangleFunctionSpec, bscaled, power
 from helpers import expression_trees, unparse
 
 # integers beyond the float64 range too, which JSON spells and Python reads
-NUMBERS = st.one_of(st.integers(-3, 10**6), st.sampled_from([2**1024, -(10**400)]),
+NUMBERS = st.one_of(st.integers(-3, 10**6),
+                    st.sampled_from([2**1024, -(10**400), int(sys.float_info.max) + 1]),
                     st.floats(allow_nan=True, allow_infinity=True))
 SMALL = st.one_of(st.integers(-1, 3), st.floats(-0.5, 3.0))
 # what a mutation puts in place of a field or an entry
@@ -190,6 +191,8 @@ def test_readers_reject_exactly_what_the_schemas_reject(name):
 
 
 HUGE = 10**400
+# the least integer beyond float64, which numpy rounds down to the largest float
+JUST_BEYOND = int(sys.float_info.max) + 1
 
 
 @pytest.mark.parametrize("make", (
@@ -199,7 +202,11 @@ HUGE = 10**400
     lambda: IntervalSpace(0, HUGE),
     lambda: IntervalSpace.from_json({"lo": 0, "hi": HUGE}),
     lambda: FiniteSemimetricSpace(("a", "b"), [[0, HUGE], [HUGE, 0]]),
-), ids=("bscaled", "power", "kind", "interval", "interval_json", "matrix"))
+    lambda: FiniteSemimetricSpace(("a", "b"), [[0, JUST_BEYOND], [-JUST_BEYOND, 0]]),
+    lambda: FiniteSemimetricSpace.from_json({"labels": ["a", "b"],
+                                             "dist": [[0, JUST_BEYOND], [JUST_BEYOND, 0]]}),
+), ids=("bscaled", "power", "kind", "interval", "interval_json", "matrix", "matrix_just_beyond",
+        "matrix_json_just_beyond"))
 def test_integers_beyond_float64_are_refused_by_the_readers(make):
     """An integer no float64 holds is refused where a number is read, as
     ValueError (StructuralError for spaces), with any echoed value

@@ -523,9 +523,12 @@ class TestPinnedReplies:
         assert digest.hexdigest() == PINNED_COMMANDS[command]
 
 
+# an integer literal past Python's limit on the digits of an int it reads
+LONG_INTEGER = "1" * 5000
+
 # error paths that only this table reaches: (argv, CONTRACTION_LAB_SEED or
-# None, the message that starts the error); "{unit}", "{ragged}" and
-# "{inf_lo}" stand for space files
+# None, the message that starts the error); "{unit}", "{ragged}", "{inf_lo}"
+# and "{long_hi}" stand for space files
 UNREACHED_ERRORS = {
     "x0_not_a_number": (["iterate", "--space", "{unit}", "--map", '{"expr":"x/2"}',
                          "--x0", "abc"], None, "ValueError: --x0 'abc' is not a number"),
@@ -539,6 +542,15 @@ UNREACHED_ERRORS = {
                     "StructuralError: bad distance matrix: "),
     "infinite_lo": (["validate", "--space", "{inf_lo}", "--phi", ADDITIVE], None,
                     "StructuralError: interval space lo must be a finite number, got inf"),
+    "long_integer_phi": (["search", "--phi", f'{{"kind": "bscaled", "K": {LONG_INTEGER}}}',
+                          "--kind", PARTIAL_33, "--budget", "1"], None,
+                         "ValueError: --phi holds an integer literal longer than 4300 digits"),
+    "long_integer_space": (["validate", "--space", "{long_hi}", "--phi", ADDITIVE], None,
+                           "ValueError: --space holds an integer literal longer than 4300 digits"),
+    # 1e-300/0 at x = 0.25 in the walk's float arithmetic, with no warning
+    "escape_by_inf": (["iterate", "--space", "{unit}", "--x0", "1",
+                       "--map", '{"expr": "x/2 + 1e-300/abs(x - 0.25)*1e-300"}'], None,
+                      "DomainEscapeError: iterate 3: T(0.25) = inf leaves [0.0, 1.0]"),
 }
 
 
@@ -548,7 +560,8 @@ class TestErrorsAndUsage:
                                             case):
         files = {"{unit}": unit_file}
         for name, doc in (("ragged", '{"labels": ["a", "b"], "dist": [[0, 1], [1]]}'),
-                          ("inf_lo", '{"lo": 1e999, "hi": 1}')):
+                          ("inf_lo", '{"lo": 1e999, "hi": 1}'),
+                          ("long_hi", f'{{"lo": 0, "hi": {LONG_INTEGER}}}')):
             files[f"{{{name}}}"] = str(tmp_path / f"{name}.json")
             (tmp_path / f"{name}.json").write_text(doc)
         template, seed, message = UNREACHED_ERRORS[case]

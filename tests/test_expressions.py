@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contraction_lab import solver
 from contraction_lab.cli import run_command
+from contraction_lab.contraction import SelfMap
 from contraction_lab.expressions import (
     Expression,
     ExpressionError,
@@ -28,6 +30,8 @@ from contraction_lab.expressions import (
     _tokenize,
     parse_expression,
 )
+from contraction_lab.space import IntervalSpace
+from contraction_lab.trifun import INEQ_ABS_TOL
 
 from helpers import (BinOp, Call, Neg, Num, Var, deep_trees, expression_trees, parenthesised,
                      reference_eval, unparse)
@@ -508,6 +512,94 @@ class TestEmitter:
             parse_expression(text).at(x)
 
 
+def _entry_walk(expr, x, n, lo, hi):
+    """n Picard steps of the float entry Expression.at from x, with the
+    interval orbit's clamp: the iterates, and the message of the escape
+    that ends them early, or None."""
+    low, high = lo - INEQ_ABS_TOL, hi + INEQ_ABS_TOL
+    iterates = []
+    with np.errstate(all="ignore"):
+        for _ in range(n):
+            value = expr.at(x)
+            if not lo <= value <= hi:
+                if not low <= value <= high:
+                    return iterates, (f"iterate {len(iterates) + 1}: T({x!r}) = {value!r} "
+                                      f"leaves [{lo}, {hi}]")
+                value = lo if value < lo else hi
+            iterates.append(value)
+            x = value
+    return iterates, None
+
+
+def _check_walk(text, lo, hi, x, n):
+    """The orbit's chunks, which the generated walk fills, against iterated
+    Expression.at bit for bit, with the same escape message."""
+    space, mapping = IntervalSpace(lo, hi), SelfMap(expr=text)
+    iterates, escape = [], None
+    try:
+        for chunk, _ in solver._interval_chunks(space, mapping, x, n):
+            iterates += chunk
+    except solver.DomainEscapeError as exc:
+        escape = str(exc)
+    expected, expected_escape = _entry_walk(parse_expression(text, allowed=("x",)), x, n, lo, hi)
+    assert all(type(value) is float for value in iterates)
+    assert _same_bits(iterates, expected), text
+    assert escape == expected_escape, text
+    return iterates, escape
+
+
+_WALK_INTERVALS = ((0.0, 1.0), (-1.0, 1.0), (-2.5, 3.0), (0.0, 1e200), (-1e300, 1e300))
+
+
+class TestWalk:
+    """The self-map walk on Python floats against iterated Expression.at."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=expression_trees(("x",)), interval=st.sampled_from(_WALK_INTERVALS),
+           clamp=st.booleans(), data=st.data())
+    def test_walk_equals_iterated_float_entry(self, tree, interval, clamp, data):
+        lo, hi = interval
+        text = unparse(tree)
+        if clamp:  # long orbits: the map held inside [lo, hi], NaN still escaping
+            text = f"max({lo!r}, min({hi!r}, {text}))"
+        x = data.draw(st.one_of(st.sampled_from([lo, hi, (lo + hi) / 2, 0.5]),
+                                st.floats(lo, hi)))
+        _check_walk(text, lo, hi, x, data.draw(st.integers(1, 300)))
+
+    @pytest.mark.parametrize("text, lo, x, last, escape", [
+        # a zero divisor and the root of a negative inside the orbit
+        ("max(0, min(1, 1/(x - 0.5)))", 0.0, 0.5, 1.0, None),
+        ("sqrt(x - 0.75)^0 * x/2", 0.0, 0.5, 0.0, None),
+        # NaN reaching min and max in either slot, which Python's builtins drop
+        ("min(0.5, sqrt(x - 0.75))", 0.0, 0.5, None, "iterate 1: T(0.5) = nan"),
+        ("min(sqrt(x - 0.75), 0.5)", 0.0, 0.5, None, "iterate 1: T(0.5) = nan"),
+        ("max(0.5, sqrt(x - 0.75), 0.25)", 0.0, 0.5, None, "iterate 1: T(0.5) = nan"),
+        # clamped at lo and at hi, and signed zeros on [-1, 1]
+        ("x/2 - 1e-13", 0.0, 0.5, 0.0, None),
+        ("x/2 + 0.5 + 1e-13", 0.0, 0.5, 1.0, None),
+        ("-x/2", -1.0, 1.0, 0.0, None),
+        # escapes by NaN, by +inf and -inf, and by a finite value
+        ("0/(x - 0.5)", 0.0, 0.5, None, "iterate 1: T(0.5) = nan"),
+        ("x/2 + 1e-300/abs(x - 0.25)*1e-300", 0.0, 1.0, 0.25, "iterate 3: T(0.25) = inf"),
+        ("x/2 - 1e-300/abs(x - 0.25)*1e-300", 0.0, 1.0, 0.25, "iterate 3: T(0.25) = -inf"),
+        ("x + 0.25", 0.0, 0.25, 1.0, "iterate 4: T(1.0) = 1.25 leaves [0.0, 1.0]"),
+    ])
+    def test_float_edge_cases(self, text, lo, x, last, escape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            iterates, message = _check_walk(text, lo, 1.0, x, 2000)
+        if escape is None:
+            assert message is None and len(iterates) == 2000
+        else:
+            assert message.startswith(escape), message
+        assert iterates[-1:] == ([] if last is None else [last])
+
+    def test_walk_is_generated_for_self_maps_only(self):
+        assert hasattr(parse_expression("x/2", allowed=("x",)).compiled, "walk")
+        for text, allowed in (("x/2", ("x", "y")), ("u/2", ("u", "v")), ("x/2", None)):
+            assert not hasattr(parse_expression(text, allowed=allowed).compiled, "walk")
+
+
 class TestSkeletonCache:
     def test_maps_that_differ_only_in_numbers_share_one_entry(self):
         def tree(a, b, c, d, e):  # a*sqrt(x^2+b) - min(x, c, d)/e
@@ -537,4 +629,20 @@ class TestSkeletonCache:
                                         "at", "x"}
         names = {token.string for token in tokens if token.type == tokenize.NAME}
         assert all(name in vocabulary or re.fullmatch(r"[ct]\d+|v_[xyuv]", name)
+                   for name in names), names
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree=expression_trees(("x",)))
+    def test_walk_source_holds_only_the_emitters_vocabulary(self, tree):
+        # the one number is the root's sign test, the same in every walk
+        source = _Parser(_tokenize(unparse(tree)), frozenset({"x"})).parse()
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        assert {token.string for token in tokens
+                if token.type in (tokenize.NUMBER, tokenize.STRING)} <= {"0.0"}
+        vocabulary = set(_NAMESPACE) | {
+            "def", "return", "float", "_factory", "call", "env", "at", "x", "floats", "tuple",
+            "map", "walk", "n", "lo", "hi", "low", "high", "chunk", "append", "for", "_", "in",
+            "range", "if", "else", "not", "abs", "None"}
+        names = {token.string for token in tokens if token.type == tokenize.NAME}
+        assert all(name in vocabulary or re.fullmatch(r"[ct]\d+|v_x", name)
                    for name in names), names
