@@ -45,7 +45,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import reprlib
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
@@ -55,7 +54,7 @@ import numpy as np
 from . import trifun
 from .contraction import SelfMap
 from .space import FiniteSemimetricSpace, IntervalSpace, Space
-from .trifun import INEQ_ABS_TOL, TriangleFunctionSpec, _json_float
+from .trifun import INEQ_ABS_TOL, TriangleFunctionSpec, _echo, _json_float
 
 MAX_ITER_DEFAULT = 100_000
 STEP_TOL_DEFAULT = 1e-10
@@ -272,7 +271,7 @@ def _interval_point(point, role: str) -> float:
             return float(point)
         except OverflowError:  # an integer beyond the float64 range
             pass
-    raise ValueError(f"{role} {reprlib.repr(point)} is not a float64 number")
+    raise ValueError(f"{role} {_echo(point)} is not a float64 number")
 
 
 def picard_iterate(

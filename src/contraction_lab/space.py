@@ -8,31 +8,39 @@ all ordered triples on finite spaces (degenerate z included) and over seeded
 samples plus corner/midpoint combinations on intervals.
 
 On finite spaces the triangle check and the minimal b-metric constant come
-from one O(N^3) kernel, `triple_pass`, which streams the triples in blocks
-of at most BLOCK_ELEMENTS, in (x, y, z) row-major order, so its memory
-grows as O(N^2).  Each block computes the sums d(x,z) + d(z,y) once.  Their
-minimum over z is the minimal-b denominator of each pair (x, y), and the
-family's sum floor c (`trifun._KINDS`) turns it into a screen: c times it
-bounds the pair's least right-hand side from below.  Under a triangle
-function that reads only u + v (additive, bscaled) the bound is exact,
-since rounding is monotone.  Under power phi with q <= 1 on a matrix with
-no negative entry, phi(u, v) >= u + v, and c = 1 - 2^-43/q absorbs the
-rounding of the evaluated phi (derived in `trifun._power_floor`).  Other
-families, power with q > 1 and power on a matrix with a negative entry,
-whose phi is NaN there, evaluate phi on the block and take its minimum
-instead.  The violation test is monotone in the right-hand side and a NaN
-survives the minimum, so a pair that passes against a lower bound on its
-least right-hand side passes for every z: only a block with a pair that
-fails this screen is tested along z.  Power phi splits into operands d^q
-and their combination, and the pass raises each distance to q once, not
-once per block, and only when a block first evaluates phi.  The triangle
-check keeps the exact violation count and builds only the first
-violations a caller asks for (`triangle_report`'s `listed`).
+from one O(N^3) pass, `triple_pass`, in three steps whose memory grows as
+O(N^2); without a phi (`minimal_b_constant`) it takes the first two only:
+
+1. Least sums.  `_least_sums` takes the least sum min over z of
+   d(x,z) + d(z,y) of every pair (x, y), summing the triples in blocks of
+   at most BLOCK_ELEMENTS.  On a symmetric matrix it sums only the pairs
+   with y >= x, about N^3/2 sums, and mirrors the others.
+2. Screen and ratio, once each on N^2 arrays.  The least sum is the
+   pair's minimal-b denominator (`_largest_ratio`), and the family's sum
+   floor c (`trifun._KINDS`) turns it into a screen: c times it bounds the
+   pair's least right-hand side from below.  Under a triangle function
+   that reads only u + v (additive, bscaled) the bound is exact, since
+   rounding is monotone.  Under power phi with q <= 1 on a matrix with no
+   negative entry, phi(u, v) >= u + v, and c = 1 - 2^-43/q absorbs the
+   rounding of the evaluated phi (derived in `trifun._power_floor`).  The
+   violation test is monotone in the right-hand side, so a pair that
+   passes against a lower bound on its least right-hand side passes for
+   every z.
+3. Exact count and listing.  The blocks of `_triple_blocks(n)`, in
+   (x, y, z) row-major order, are tested along z only where they hold a
+   pair that fails the screen, so the count is exact and the listing
+   keeps its order.  Other families, power with q > 1 and power on a
+   matrix with a negative entry, whose phi is NaN there, have no floor:
+   each block evaluates phi and screens by its minimum over z instead (a
+   NaN survives the minimum).  Power phi splits into operands d^q and
+   their combination, and the pass raises each distance to q once, not
+   once per block, and only when a block first evaluates phi.  The
+   triangle check builds only the first violations a caller asks for
+   (`triangle_report`'s `listed`).
 """
 
 from __future__ import annotations
 
-import reprlib
 import sys
 from dataclasses import dataclass
 from typing import Union
@@ -42,7 +50,7 @@ import numpy as np
 from . import trifun
 from .expressions import Expression, parse_expression
 from .trifun import (INEQ_ABS_TOL, INEQ_REL_TOL, CheckItem, TriangleFunctionSpec, _FINITE, _MATRIX,
-                     _STRING, _STRINGS, _check, _finite, _json_fields, _json_float, violates)
+                     _STRING, _STRINGS, _check, _echo, _finite, _json_fields, _json_float, violates)
 
 DEFAULT_SEED = 0
 TRIPLE_SAMPLES = 10_000
@@ -84,13 +92,13 @@ class FiniteSemimetricSpace:
         # the field rule of from_json: string labels, and numbers only, read
         # off an array's dtype or checked row by row in a list
         if not set(map(type, self.labels)) <= {str}:
-            raise StructuralError(f"labels must be strings, got {reprlib.repr(self.labels)}")
+            raise StructuralError(f"labels must be strings, got {_echo(self.labels)}")
         if isinstance(self.dist, np.ndarray):
             if self.dist.dtype.kind not in "iuf":
                 raise StructuralError(f"distances must be numbers, got dtype {self.dist.dtype}")
         elif not _MATRIX[1](self.dist):
             raise StructuralError(f"distance matrix must be an array or {_MATRIX[0]}, "
-                                  f"got {reprlib.repr(self.dist)}")
+                                  f"got {_echo(self.dist)}")
         matrix = _float_matrix(self.dist)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise StructuralError("distance matrix must be square")
@@ -140,7 +148,7 @@ class IntervalSpace:
     def __post_init__(self):
         if not (_finite(self.lo) and _finite(self.hi)):
             raise StructuralError(f"interval endpoints must be finite numbers, got "
-                                  f"{reprlib.repr(self.lo)} and {reprlib.repr(self.hi)}")
+                                  f"{_echo(self.lo)} and {_echo(self.hi)}")
         if not self.lo < self.hi:
             raise StructuralError("interval needs lo < hi")
         object.__setattr__(self, "_dist", parse_expression(self.dist_expr, allowed=("x", "y")))
@@ -271,17 +279,19 @@ class TriangleReport:
                 "violations": [v.to_json() for v in self.violations]}
 
 
-def _triple_blocks(n: int):
+def _triple_blocks(n: int, upper: bool = False):
     """Row-major (x, y) slices of the ordered triples (x, y, z) of an n-point
     space, each block taking every z and holding at most BLOCK_ELEMENTS
     triples: whole x rows while an x row fits, else one x row split along y
-    (a single (x, y) row of n triples when even that does not fit)."""
+    (a single (x, y) row of n triples when even that does not fit).  With
+    `upper` the columns of each block start at its first row x0, so that the
+    blocks cover every pair with y >= x once, in about half the triples."""
     if n * n <= BLOCK_ELEMENTS:
         rows, cols = BLOCK_ELEMENTS // max(n * n, 1), n
     else:
         rows, cols = 1, max(1, BLOCK_ELEMENTS // n)
     for x0 in range(0, n, rows):
-        for y0 in range(0, n, cols):
+        for y0 in range(x0 if upper else 0, n, cols):
             yield slice(x0, min(x0 + rows, n)), slice(y0, min(y0 + cols, n))
 
 
@@ -329,12 +339,12 @@ def triple_pass(
     listed: int | None = None,
     minimal_b: bool = True,
 ) -> tuple[TriangleReport | None, float | None]:
-    """The streamed pass of the module docstring: the report of
+    """The three steps of the module docstring: the report of
     `triangle_report(space, phi, listed=listed)` (None without a phi) and,
     if asked, `minimal_b_constant(space)` (None on fewer than two points)."""
     D, labels, n = space.dist, space.labels, space.size
     Dt = np.ascontiguousarray(D.T)  # sums are exact in any layout; contiguous ones are faster
-    count, violations, best, floor = 0, [], 0.0, None
+    count, violations, best, floor = 0, [], None, None
     operands = []
 
     def phi_block(xs, ys):
@@ -352,27 +362,25 @@ def triple_pass(
         if phi is not None:
             kind = trifun._KINDS[phi.kind]
             floor = kind.sum_floor(phi, bool(np.any(D < 0.0)))
-        for xs, ys in _triple_blocks(n):
+        if minimal_b or floor is not None:
+            least = _least_sums(D, Dt)
+            if floor is not None:  # before _largest_ratio writes to least
+                suspects = violates(D, least * floor)
+            if minimal_b and n >= 2:
+                best = _largest_ratio(D, Dt, least)
+        clean = floor is not None and not suspects.any()  # every pair passes the screen
+        for xs, ys in () if phi is None or clean else _triple_blocks(n):
             lhs = D[xs, ys]
-            if minimal_b or floor is not None:
-                # shaped (z, x, y), so that the minimum over z reduces whole slabs
-                sums = Dt[:, xs, None] + D[:, None, ys]
-                least = np.min(sums, axis=0)
-                if floor is not None:  # before _largest_ratio writes to least
-                    suspects = violates(lhs, least * floor)
-                if minimal_b:
-                    best = max(best, _largest_ratio(lhs, sums, least, xs, ys))
-            if phi is None:
-                continue
             if floor is None:  # screen by the least phi over z instead
-                sums = None  # free the block's sums before phi is evaluated on it
                 rhs = phi_block(xs, ys)
-                suspects = violates(lhs, np.min(rhs, axis=2))
-            if not suspects.any():
+                if not violates(lhs, np.min(rhs, axis=2)).any():
+                    continue
+            elif not suspects[xs, ys].any():
                 continue
-            if floor is not None:
-                rhs = (np.moveaxis(kind.of_sum(phi, sums), 0, -1) if kind.of_sum is not None
-                       else phi_block(xs, ys))
+            elif kind.of_sum is not None:  # rounded elementwise, alike in any layout
+                rhs = kind.of_sum(phi, D[xs, None, :] + Dt[None, ys, :])
+            else:
+                rhs = phi_block(xs, ys)
             bad = violates(lhs[..., None], rhs)
             hits = int(np.count_nonzero(bad))
             count += hits
@@ -383,19 +391,47 @@ def triple_pass(
                                       float(lhs[x, y]), float(rhs[x, y, z]))
                     for x, y, z in np.argwhere(bad)[:room].tolist())
     triangle = None if phi is None else TriangleReport(count, tuple(violations))
-    return triangle, best if minimal_b and n >= 2 else None
+    return triangle, best
 
 
-def _largest_ratio(lhs, sums, least, xs: slice, ys: slice) -> float:
-    """The largest d(x,y) / (d(x,z) + d(z,y)) of a block with x != y, from
-    its sums shaped (z, x, y) and their minimum over z, which it
-    overwrites; see `minimal_b_constant`."""
-    distinct = np.arange(xs.start, xs.stop)[:, None] != np.arange(ys.start, ys.stop)[None, :]
-    redo = distinct & (least <= 0.0)
-    if np.any(redo):  # some denominator <= 0: take the least positive one
-        below = sums[:, redo]
-        least[redo] = np.min(np.where(below > 0.0, below, np.inf), axis=0)
-    return float(np.max(np.where(distinct & (lhs > 0.0), lhs / least, 0.0)))
+def _least_sums(D: np.ndarray, Dt: np.ndarray) -> np.ndarray:
+    """The least sum min over z of d(x,z) + d(z,y) of every pair (x, y), as
+    an N^2 array summed in blocks of at most BLOCK_ELEMENTS (`Dt` is D.T).
+
+    When D == D.T elementwise only the blocks of `_triple_blocks(n, upper=True)`
+    are summed, about N^3/2 sums, and the lower triangle is mirrored from
+    the upper one.  That is exact: the sums of the pair (y, x) are those of
+    (x, y) with their terms swapped, fl(a + b) = fl(b + a), and a minimum is
+    exact.  `==` holds -0.0 equal to 0.0, so a mirrored least sum may differ
+    from the one summed in its own order in the sign of a zero; that is
+    safe, since its only readers, `violates`, `<= 0.0` and a division taken
+    only where it is > 0, do not tell the two zeros apart."""
+    n = len(D)
+    least = np.empty((n, n))
+    symmetric = np.array_equal(D, Dt)
+    for xs, ys in _triple_blocks(n, upper=symmetric):
+        # shaped (z, x, y), so that the minimum over z reduces whole slabs
+        np.min(Dt[:, xs, None] + D[:, None, ys], axis=0, out=least[xs, ys])
+    if symmetric:
+        np.copyto(least, least.T, where=np.tri(n, k=-1, dtype=bool))
+    return least
+
+
+def _largest_ratio(D: np.ndarray, Dt: np.ndarray, least: np.ndarray) -> float:
+    """The largest d(x,y) / (d(x,z) + d(z,y)) with x != y, from the least
+    sums, which it overwrites; see `minimal_b_constant`.  A pair with
+    d(x,y) > 0 whose least sum is <= 0 takes its least positive sum instead,
+    gathered for BLOCK_ELEMENTS // n such pairs at a time, so that memory
+    stays O(N^2) however many pairs need it."""
+    rx, ry = np.nonzero((least <= 0.0) & (D > 0.0))
+    step = max(1, BLOCK_ELEMENTS // len(D))
+    for k in range(0, len(rx), step):
+        xs, ys = rx[k:k + step], ry[k:k + step]
+        sums = D[xs] + Dt[ys]  # shaped (pair, z)
+        least[xs, ys] = np.min(np.where(sums > 0.0, sums, np.inf), axis=1)
+    ratio = np.divide(D, least, out=np.zeros_like(D), where=D > 0.0)
+    np.fill_diagonal(ratio, 0.0)
+    return float(ratio.max(initial=0.0))
 
 
 def minimal_b_constant(space: FiniteSemimetricSpace) -> float:
@@ -404,12 +440,12 @@ def minimal_b_constant(space: FiniteSemimetricSpace) -> float:
 
     Degenerate chains through z = x or z = y participate, so the result is
     at least 1 on any semimetric space with two or more points, with
-    equality exactly when the space is metric.  The triples are streamed
-    by `triple_pass`, with a running maximum.  Per pair the largest ratio
-    sits at the smallest positive denominator, and rounded division keeps
-    that order, so dividing once by that denominator is exact.  Triples
-    with x = y or a denominator <= 0 count as ratio 0, which pairs with
-    d(x,y) <= 0 never exceed.
+    equality exactly when the space is metric.  It reads the least sums
+    of `triple_pass`'s first step.  Per pair the largest ratio sits at the
+    smallest positive denominator, and rounded division keeps that order,
+    so dividing once by that denominator is exact.  Triples with x = y or
+    a denominator <= 0 count as ratio 0, which pairs with d(x,y) <= 0
+    never exceed.
     """
     if space.size < 2:
         raise ValueError("need at least two points")

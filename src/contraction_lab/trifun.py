@@ -93,6 +93,26 @@ def _json_float(value):
     return value
 
 
+class _Echo(reprlib.Repr):
+    """reprlib's abbreviated repr, which the package's error messages echo
+    values through, with an int beyond Python's digit limit for str()
+    spelled by its digit count instead of raising that limit's ValueError."""
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            n = abs(x)
+            digits = max(1, int((n.bit_length() - 1) * math.log10(2.0)))  # at most the count
+            while n >= 10**digits:
+                digits += 1
+            return f"<int of {digits} digits>"
+
+
+# `value` abbreviated for an error message; private to the package, like _json_float
+_echo = _Echo().repr
+
+
 def _number_type(kind: type) -> bool:
     """The package's one number rule, on a type: a real number, not a bool
     (a string is no number at all)."""
@@ -136,7 +156,7 @@ def _json_fields(obj, error: type, what: str, required=None, optional=None) -> d
     pairs.  With no rules given only the object is checked.  A breach
     raises `error`.  Private to the package, like `_json_float`."""
     if not isinstance(obj, dict):
-        raise error(f"{what} JSON must be an object, got {reprlib.repr(obj)}")
+        raise error(f"{what} JSON must be an object, got {_echo(obj)}")
     if required is None:
         return obj
     missing = [name for name in required if name not in obj]
@@ -149,7 +169,7 @@ def _json_fields(obj, error: type, what: str, required=None, optional=None) -> d
     for name, value in obj.items():
         description, test = rules[name]
         if value is None or not test(value):
-            got = "null" if value is None else reprlib.repr(value)
+            got = "null" if value is None else _echo(value)
             raise error(f"{what} {name} must be {description}, got {got}")
     return obj
 

@@ -319,6 +319,12 @@ class TestVerifyBound:
         with pytest.raises(ValueError, match=f"^fixed point .*{message}$"):
             cl.verify_bound(self.half_trace(), cl.additive(), 0.5, point)
 
+    def test_start_message_echoes_a_huge_int(self):
+        # past Python's 4,300-digit limit for str(), the int is echoed by its digit count
+        with pytest.raises(ValueError,
+                           match=r"^start <int of 5001 digits> is not a float64 number$"):
+            cl.picard_iterate(unit_interval(), SelfMap(expr="x/2"), 10**5000)
+
     def test_interval_start_outside_keeps_its_message(self):
         for start in (math.nan, math.inf, -0.5, 2):
             with pytest.raises(ValueError, match=r"^start .* outside \[0.0, 1.0\]$"):

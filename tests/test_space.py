@@ -65,6 +65,17 @@ class TestFiniteConstruction:
             with pytest.raises(cl.StructuralError):
                 cl.FiniteSemimetricSpace(labels, dist)
 
+    # an int past Python's 4,300-digit limit for str() is echoed by its digit count
+    def test_labels_message_echoes_a_huge_int(self):
+        with pytest.raises(cl.StructuralError,
+                           match=r"^labels must be strings, got \(<int of 5001 digits>,\)$"):
+            cl.FiniteSemimetricSpace((10**5000,), np.zeros((1, 1)))
+
+    def test_matrix_message_echoes_a_huge_int(self):
+        with pytest.raises(cl.StructuralError, match=r"^distance matrix must be an array or "
+                           r"a list of lists of numbers, got \(\(<int of 5001 digits>,\),\)$"):
+            cl.FiniteSemimetricSpace(("a",), ((10**5000,),))
+
     def test_accepts_number_lists_and_numeric_arrays(self):
         for dist in ([[0, 1], [1, 0]], [[0.0, 1.5], [1.5, 0.0]], np.array([[0, 1], [1, 0]])):
             space = cl.FiniteSemimetricSpace(("a", "b"), dist)
@@ -97,6 +108,11 @@ class TestIntervalConstruction:
     def test_rejects_bad_order(self):
         with pytest.raises(cl.StructuralError):
             cl.IntervalSpace(1.0, 0.0)
+
+    def test_endpoint_message_echoes_a_huge_int(self):
+        with pytest.raises(cl.StructuralError, match=r"^interval endpoints must be finite "
+                           r"numbers, got 0 and <int of 5001 digits>$"):
+            cl.IntervalSpace(0, 10**5000)
 
     def test_rejects_distance_with_uv_variables(self):
         with pytest.raises(ValueError):
@@ -447,6 +463,76 @@ def _per_block(space, phi, listed: int):
                        _bits(lhs[x, y, 0]), _bits(rhs[x, y, z]))
                       for x, y, z in np.argwhere(bad)[:listed - len(found)].tolist()]
     return count, found
+
+
+# entries on a grid of quarters, so that many sums tie, negative ones included,
+# some just beyond violates' relative slack above the grid, and some off it
+QUARTERS = st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
+ENTRIES = st.one_of(QUARTERS, QUARTERS.map(lambda v: v * (1.0 + 1e-11)), st.floats(-1.0, 4.0))
+
+
+@st.composite
+def _matrices(draw):
+    """Square matrices of up to 12 points with a zero diagonal, symmetric
+    (D == D.T elementwise) or not, each zero of either sign."""
+    n = draw(st.integers(1, 12))
+    dist = np.array(draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        dist = np.where(np.tri(n, k=-1, dtype=bool), dist.T, dist)
+    np.fill_diagonal(dist, 0.0)
+    negative = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+    dist[(dist == 0.0) & negative.reshape(n, n)] = -0.0
+    return dist
+
+
+PASS_PHIS = (cl.additive(), cl.maximum(), cl.bscaled(1.5), cl.power(0.3), cl.power(0.5),
+             cl.power(2.0), cl.custom("sqrt(u*u+v*v)"))
+
+
+class TestThreeSteps:
+    """The pass's least sums, whole-array screen and suspect blocks against
+    the old per-block evaluation, bit for bit, and the upper blocks the
+    least sums of a symmetric matrix are summed over."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dist=_matrices(), block=st.sampled_from([None, 1, 60, 400]))
+    def test_matches_the_per_block_evaluation(self, dist, block):
+        n = len(dist)
+        space = cl.FiniteSemimetricSpace(tuple(f"p{i}" for i in range(n)), dist)
+        # a zero diagonal makes the ratio through z = x exactly 1 on a positive pair
+        positive = bool(np.any((dist > 0.0) & ~np.eye(n, dtype=bool)))
+        with np.errstate(over="ignore"):  # a ratio over a subnormal sum is inf, as in the pass
+            expected_b = None if n < 2 else minimal_b_oracle(dist) if positive else 0.0
+        with _blocks(block):
+            assert space_module.triple_pass(space)[1] == expected_b
+            for phi in PASS_PHIS:
+                count, found = _per_block(space, phi, 50)
+                triangle, best = space_module.triple_pass(space, phi, 50)
+                assert best == expected_b, phi
+                for report in (triangle, cl.triangle_report(space, phi, listed=50)):
+                    assert report.count == count, phi
+                    assert [(v.x, v.y, v.z, _bits(v.lhs), _bits(v.rhs))
+                            for v in report.violations] == found, phi
+
+    @pytest.mark.parametrize("block", [None, 1, 60, 400])
+    def test_upper_blocks_cover_each_upper_pair_once(self, block):
+        with _blocks(block):
+            for n in range(1, 21):
+                self._check_upper(n)
+
+    def test_upper_blocks_split_along_y_cover_each_upper_pair_once(self):
+        assert len(list(space_module._triple_blocks(300))) > 300
+        self._check_upper(300)
+
+    @staticmethod
+    def _check_upper(n):
+        covered = np.zeros((n, n), dtype=int)
+        for xs, ys in space_module._triple_blocks(n, upper=True):
+            assert (xs.stop - xs.start) * (ys.stop - ys.start) * n <= max(
+                space_module.BLOCK_ELEMENTS, n)
+            assert ys.start >= xs.start
+            covered[xs, ys] += 1
+        assert covered.max() == 1 and np.all(covered[np.triu_indices(n)] == 1), n
 
 
 def _plane(size: int, seed: int) -> cl.FiniteSemimetricSpace:

@@ -63,6 +63,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             TriangleFunctionSpec.from_json({"kind": "additive", "K": 2.0})
 
+    def test_message_echoes_a_huge_int(self):
+        # past Python's 4,300-digit limit for str(), the int is echoed by its digit count
+        with pytest.raises(ValueError, match=r"^triangle function JSON must be an object, "
+                           r"got \[<int of 5001 digits>\]$"):
+            TriangleFunctionSpec.from_json([10**5000])
+        with pytest.raises(ValueError, match=r"kind must be a string, got <int of 4301 digits>$"):
+            TriangleFunctionSpec.from_json({"kind": -10**4300})
+
     def test_rejects_non_number_parameters(self):
         for doc in ({"kind": "bscaled", "K": "2"}, {"kind": "bscaled", "K": True},
                     {"kind": "power", "q": "0.5"}, {"kind": "power", "q": False}):
