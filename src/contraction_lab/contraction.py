@@ -44,8 +44,8 @@ from .space import (
     _interval_points,
     violates,
 )
-from .trifun import (TriangleFunctionSpec, _INTEGERS, _NUMBER, _STRING, _finite, _json_fields,
-                     _json_float)
+from .trifun import (TriangleFunctionSpec, _INTEGERS, _NUMBER, _STRING, _echo, _finite,
+                     _json_fields, _json_float)
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ class ContractionKind:
 
     def __post_init__(self):
         if self.tag not in TAGS:
-            raise ValueError(f"unknown contraction tag {self.tag!r}")
+            raise ValueError(f"unknown contraction tag {_echo(self.tag)}")
         wanted = TAG_CONSTANTS[self.tag]
         for name in ("alpha", "beta", "delta"):
             value = getattr(self, name)

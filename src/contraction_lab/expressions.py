@@ -32,29 +32,22 @@ one of them ("1" or "x" bound to arrays x and y).  When every binding is a
 scalar the value is a Python float.  A scalar call gives the bits an array
 call gives at the same point.
 
-A keyword call converts its bindings and enters np.errstate on every call.
-Expression.at is the entry for a caller that evaluates one float at a
-time: the generated second function, which binds x as
-np.float64 and runs the same operations with no dict of bindings, so '^'
-is still the np.power ufunc and the value has the keyword call's bits.
-It leaves the error state to its caller, who enters np.errstate once
-around many calls; outside one, a division by zero warns or raises as
-numpy's current settings say.
-
-A self-map, parsed with the variable x alone, gets a third generated
+A self-map, parsed with the variable x alone, also gets a second generated
 function, walk(x, n, lo, hi, low, high, chunk): the loop of an interval
 orbit's chunk (see solver), which runs up to n Picard steps on Python
 floats, clamps a value outside [lo, hi] but within [low, high] onto it,
 appends each iterate to chunk and returns the first value beyond [low,
-high], or None.  Its operations give the float entry's bits: + - *, unary
-minus and abs are Python's float operations, which round as numpy's do;
-/ is Python's unless the divisor is zero and sqrt is math.sqrt unless its
-operand is negative or NaN, where Python would raise, and numpy's there;
-'^', min and max stay the numpy ufuncs, since libm's pow and numpy's
-AVX-512 power loop differ in the last bit, and Python's min and max drop a
-NaN.  Each numpy value is made a float where it is computed, so every
-local is a float.  The constants enter as float copies, by one tuple
-unpack per call.  The walk, too, runs under its caller's error state.
+high], or None.  Its operations give the bits of the keyword call at 0-d
+bindings: + - *, unary minus and abs are Python's float operations, which
+round as numpy's do; / is Python's unless the divisor is zero and sqrt is
+math.sqrt unless its operand is negative or NaN, where Python would raise,
+and numpy's there; '^', min and max stay the numpy ufuncs, since libm's
+pow and numpy's AVX-512 power loop differ in the last bit, and Python's
+min and max drop a NaN.  Each numpy value is made a float where it is
+computed, so every local is a float.  The constants enter as float
+copies, by one tuple unpack per call.  Unlike the keyword call, which
+enters np.errstate on every call, the walk runs under its caller's error
+state.
 """
 
 from __future__ import annotations
@@ -134,10 +127,10 @@ _BINARY = {"+": (1, 2, "{} + {}"), "-": (1, 2, "{} - {}"), "*": (2, 3, "{} * {}"
            "/": (2, 3, "_divide({}, {})"), "^": (3, 3, "_pow({}, {})")}
 _FUNCS = {"abs": "_abs", "sqrt": "_sqrt", "min": "_minimum", "max": "_maximum"}
 # operation -> its code in the walk on Python floats, where it differs: the
-# float operation where it gives numpy's bits, else numpy's value made a
-# float: where Python raises (a zero divisor, the root of a negative or NaN),
-# where libm rounds differently ('^') and where Python's builtins drop NaN
-# (min, max)
+# float operation where it gives the bits of the keyword call at 0-d
+# bindings, else numpy's value made a float: where Python raises (a zero
+# divisor, the root of a negative or NaN), where libm rounds differently
+# ('^') and where Python's builtins drop NaN (min, max)
 _WALK = {"/": "{0} / {1} if {1} else float(_divide({0}, {1}))",
          "^": "float(_pow({}, {}))", "_power": "float(_power({}, {}))", "abs": "abs({})",
          "sqrt": "_fsqrt({0}) if {0} >= 0.0 else float(_sqrt({0}))",
@@ -161,9 +154,7 @@ class _Parser:
         self.allowed_vars = allowed_vars
         self.depth = 0
         self.constants: list = []
-        # statements; a variable's first read is "v_<name> = {<name>}", which
-        # each entry formats with its own read table
-        self.body: list[str] = []
+        self.body: list[str] = []  # the statements of call(env)
         self.walk: list[str] = []  # the same statements on Python floats
         self.read: list[str] = []
 
@@ -200,10 +191,10 @@ class _Parser:
         return local
 
     def parse(self) -> str:
-        """The source of a factory that returns the keyword entry call(env)
-        with the float entry at(x) as its attribute call.at, and for a
-        self-map (allowed variables exactly x) the walk as call.walk; the
-        factory takes the constants in order as c0, c1, ..."""
+        """The source of a factory that returns the keyword entry call(env),
+        with the walk as its attribute call.walk for a self-map (allowed
+        variables exactly x); the factory takes the constants in order as
+        c0, c1, ..."""
         result, _ = self.binary()
         tail = self.peek()
         if tail.kind != "end":
@@ -212,10 +203,8 @@ class _Parser:
         body = "".join(f"        {line}\n" for line in self.body)
         walk = self.walk_source(params, result) if self.allowed_vars == {"x"} else ""
         return (f"def _factory({params}):\n"
-                f"    def call(env):\n{body.format_map(_ENV_READS)}        return {result}\n"
-                f"    def at(x):\n{body.format_map(_FLOAT_READS)}        return float({result})\n"
+                f"    def call(env):\n{body}        return {result}\n"
                 f"{walk}"
-                "    call.at = at\n"
                 "    return call\n")
 
     def walk_source(self, params: str, result: str) -> str:
@@ -225,7 +214,7 @@ class _Parser:
         escape; the iterates are appended to chunk, and None is returned
         when all n steps stay.  The constants enter as float copies, by one
         tuple unpack per call."""
-        steps = "".join(f"            {line}\n" for line in self.walk).format(x="x")
+        steps = "".join(f"            {line}\n" for line in self.walk)
         return (f"    floats = tuple(map(float, [{params}]))\n"
                 "    def walk(x, n, lo, hi, low, high, chunk):\n"
                 f"        [{params}] = floats\n"
@@ -295,8 +284,8 @@ class _Parser:
                 )
             if token.text not in self.read:
                 self.read.append(token.text)
-                self.body.append(f"v_{token.text} = {{{token.text}}}")
-                self.walk.append(f"v_{token.text} = {{{token.text}}}")
+                self.body.append(f"v_{token.text} = env[k_{token.text}]")
+                self.walk.append(f"v_{token.text} = {token.text}")
             return f"v_{token.text}", True
         if token.kind == "op" and token.text == "(":
             step = self.nested(token, self.binary)
@@ -341,20 +330,12 @@ def _power(base, exponent):
     return np.power(base, exponent).reshape(shape)
 
 
-def _unbound(name: str):
-    raise ValueError(f"no value supplied for variable {name!r}")
-
-
 # The generated code's whole vocabulary.  It names only these globals, its
 # parameters env and x, and the locals c<k> (constants), v_<name>
 # (variables) and t<k> (operation results).
-_NAMESPACE = {"_f64": np.float64, "_divide": np.divide, "_pow": np.power, "_power": _power,
-              "_abs": np.abs, "_sqrt": np.sqrt, "_minimum": np.minimum,
-              "_maximum": np.maximum, "_unbound": _unbound, "_fsqrt": math.sqrt,
-              **{f"k_{name}": name for name in VARIABLES}}
-# variable -> its read into v_<name> in call(env), and in at(x)
-_ENV_READS = {name: f"env[k_{name}]" for name in VARIABLES}
-_FLOAT_READS = {name: "_f64(x)" if name == "x" else f"_unbound(k_{name})" for name in VARIABLES}
+_NAMESPACE = {"_divide": np.divide, "_pow": np.power, "_power": _power, "_abs": np.abs,
+              "_sqrt": np.sqrt, "_minimum": np.minimum, "_maximum": np.maximum,
+              "_fsqrt": math.sqrt, **{f"k_{name}": name for name in VARIABLES}}
 
 
 @functools.lru_cache(maxsize=256)
@@ -392,14 +373,6 @@ class Expression:
             if result.shape != shape:
                 result = np.full(shape, result)
         return float(result) if result.ndim == 0 else result
-
-    @property
-    def at(self) -> Callable[[float], float]:
-        """The float entry of the module docstring, generated with
-        `compiled`: the value at one float x as a float, for an expression
-        that reads at most x (another variable raises the keyword call's
-        ValueError), under the caller's error state."""
-        return self.compiled.at  # type: ignore[attr-defined]
 
 
 def parse_expression(text: str, allowed: Iterable[str] | None = None) -> Expression:

@@ -95,7 +95,7 @@ class SearchConfig:
             value = getattr(self, name)
             if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
                     or value < least):
-                raise ValueError(f"{name} must be {rule}, got {value!r}")
+                raise ValueError(f"{name} must be {rule}, got {trifun._echo(value)}")
             object.__setattr__(self, name, int(value))
 
 

@@ -17,15 +17,16 @@ on Python floats with no array or dict built: an interval orbit collects
 its iterates in chunks of CHUNK_FIRST, doubling up to CHUNK_CAP, and each
 chunk is one call of the expression's generated walk (see expressions),
 which applies the map, clamps and stops at an escape in one loop, with
-the bits of iterated Expression.at.  Each chunk's map calls share one
-np.errstate, which closes before the chunk is handed on, so the caller's
-error state holds outside it.  Each chunk's step distances come from one array call
-of the distance; the chunk is then searched for the first step below tol
-and for the first revisit.  No revisit can come while the orbit is a
-monotone prefix (see _cycle_in), so each chunk's gaps are checked in one
-np.diff, and the bucket walk runs only once the prefix ends.  A finite
-orbit goes through _walk, the search's walk of a stack of spaces from many
-starts, as one space from one start; its step distances are one gather.
+the bits of the keyword call iterated at 0-d bindings.  Each chunk's map
+calls share one np.errstate, which closes before the chunk is handed on,
+so the caller's error state holds outside it.  Each chunk's step
+distances come from one array call of the distance; the chunk is then
+searched for the first step below tol and for the first revisit.  No
+revisit can come while the orbit is a monotone prefix (see _cycle_in),
+so each chunk's gaps are checked in one np.diff, and the bucket walk runs
+only once the prefix ends.  A finite orbit goes through _walk, the
+search's walk of a stack of spaces from many starts, as one space from
+one start; its step distances are one gather.
 
 verify_bound builds its report as columns of float64 arrays, kept as
 tuples of Python floats: the observed distances in one call, then alpha^n,
@@ -257,9 +258,9 @@ def _finite_index(space: FiniteSemimetricSpace, point, role: str) -> int:
     if isinstance(point, str):
         return space.index_of(point)
     if not isinstance(point, numbers.Integral) or isinstance(point, bool):
-        raise ValueError(f"{role} {point!r} is neither a label nor an index")
+        raise ValueError(f"{role} {_echo(point)} is neither a label nor an index")
     if not 0 <= point < space.size:
-        raise ValueError(f"{role} index {point!r} out of range")
+        raise ValueError(f"{role} index {_echo(point)} out of range")
     return int(point)
 
 

@@ -124,7 +124,7 @@ class FiniteSemimetricSpace:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise StructuralError(f"unknown point label {label!r}") from None
+            raise StructuralError(f"unknown point label {_echo(label)}") from None
 
     def to_json(self) -> dict:
         return {"labels": list(self.labels), "dist": self.dist.tolist()}

@@ -360,7 +360,7 @@ class TriangleFunctionSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown triangle function kind {self.kind!r}")
+            raise ValueError(f"unknown triangle function kind {_echo(self.kind)}")
         row = _KINDS[self.kind]
         for name, label in (("K", "K"), ("q", "q"), ("expr", "an expression")):
             value = getattr(self, name)

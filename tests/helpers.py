@@ -87,9 +87,10 @@ def nest_oracle(phi: cl.TriangleFunctionSpec, alpha: float, p: int) -> float:
 
 
 def minimal_b_oracle(dist: np.ndarray) -> float:
-    """Triple loop over ordered triples with x != y."""
+    """Triple loop over ordered triples with x != y; a denominator <= 0
+    counts as ratio 0."""
     n = dist.shape[0]
-    best = 1.0
+    best = 0.0
     for i in range(n):
         for j in range(n):
             if i == j:

@@ -69,6 +69,10 @@ class TestContractionKind:
         with pytest.raises(ValueError):
             ContractionKind("banach", alpha=0.5)
 
+    def test_unknown_tag_message_echoes_a_huge_int(self):
+        with pytest.raises(ValueError, match=r"^unknown contraction tag <int of 5001 digits>$"):
+            ContractionKind(10**5000)
+
     def test_json_round_trip(self):
         for kind in (
             ContractionKind("partial", alpha=0.3, beta=0.4),

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import inspect
 import io
@@ -60,13 +59,6 @@ class TestParsing:
             "        t2 = v_x - v_y\n"
             "        t3 = _abs(t2)\n"
             "        return t3\n"
-            "    def at(x):\n"
-            "        v_x = _f64(x)\n"
-            "        v_y = _unbound(k_y)\n"
-            "        t2 = v_x - v_y\n"
-            "        t3 = _abs(t2)\n"
-            "        return float(t3)\n"
-            "    call.at = at\n"
             "    return call\n")
         assert expr.variables == frozenset({"x", "y"})
 
@@ -82,15 +74,6 @@ class TestParsing:
             "        t4 = t1 + t3\n"
             "        t5 = _pow(t4, c2)\n"
             "        return t5\n"
-            "    def at(x):\n"
-            "        v_u = _unbound(k_u)\n"
-            "        t1 = _pow(v_u, c0)\n"
-            "        v_v = _unbound(k_v)\n"
-            "        t3 = _pow(v_v, c1)\n"
-            "        t4 = t1 + t3\n"
-            "        t5 = _pow(t4, c2)\n"
-            "        return float(t5)\n"
-            "    call.at = at\n"
             "    return call\n",
             [(0.5).hex(), (0.5).hex(), (2.0).hex()])
 
@@ -225,7 +208,7 @@ class TestNesting:
         expr = parse_expression(text)
         assert _source(text) == _source(unparse(tree))
         walked = float(reference_eval(tree, {"x": np.float64(0.75)}))
-        assert repr(expr.at(0.75)) == repr(walked)
+        assert repr(expr(x=0.75)) == repr(walked)
 
     @pytest.mark.parametrize("text, tree", _AT_THE_LIMIT)
     def test_the_limit_parses_within_five_frames_a_level(self, text, tree):
@@ -250,7 +233,6 @@ class TestNesting:
         for x in (0.75, 3.0):
             terms = [np.divide(np.float64(x), np.float64(divisor)) for divisor in divisors]
             folded = float(functools.reduce(lambda a, b: a + b, terms))
-            assert repr(expr.at(x)) == repr(folded)
             assert repr(expr(x=x)) == repr(folded)
         interval = tmp_path / "unit.json"
         interval.write_text('{"lo": 0, "hi": 1, "dist": "abs(x-y)"}')
@@ -332,7 +314,7 @@ class TestRoundTripProperty:
 # Bindings for the array-against-scalar property: zero, negatives, values
 # below and above one, and large ones, so that inf and nan arise too.
 _POINTS = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-3, 7.25, 1e200])
-# The scalar entry's points: both zeros, both infinities and nan as well.
+# The scalar calls' points: both zeros, both infinities and nan as well.
 _EDGES = np.concatenate((_POINTS, [-1e200, math.inf, -math.inf, math.nan]))
 _XS, _YS = (grid.ravel() for grid in np.meshgrid(_POINTS, _POINTS[::-1], indexing="ij"))
 
@@ -368,20 +350,8 @@ class TestArrayCalls:
             warnings.simplefilter("error")
             values = expr(x=_EDGES)
             scalars = [expr(x=float(x)) for x in _EDGES]
-            with np.errstate(all="ignore"):
-                entries = [expr.at(float(x)) for x in _EDGES]
-        assert all(type(value) is float for value in entries)
-        assert _same_bits(entries, scalars)
-        assert _same_bits(entries, values)
-
-    def test_scalar_entry_runs_under_the_callers_error_state(self):
-        expr = parse_expression("1/x")
-        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-            expr.at(0.0)
-        with np.errstate(divide="ignore"):
-            assert expr.at(0.0) == math.inf and expr.at(-0.0) == -math.inf
-        with pytest.raises(ValueError, match="'y'"):
-            parse_expression("x+y").at(1.0)
+        assert all(type(value) is float for value in scalars)
+        assert _same_bits(scalars, values)
 
     def test_variable_exponent_takes_one_path(self):
         # the scalar call and both array calls give numpy's general power loop
@@ -410,16 +380,14 @@ class TestArrayCalls:
 
 
 def _outcome(evaluate):
-    """A value, or the kind of error that evaluation raised: a missing
-    variable (KeyError or ValueError) by the variable it names."""
+    """A value, or a missing variable (KeyError or ValueError) by the
+    variable it names."""
     try:
         return evaluate()
     except KeyError as exc:
         return ("missing", exc.args[0])
     except ValueError as exc:
         return ("missing", re.search(r"variable '(\w)'", str(exc)).group(1))
-    except FloatingPointError:
-        return ("floating point error",)
 
 
 def _same_outcome(a, b):
@@ -427,18 +395,18 @@ def _same_outcome(a, b):
 
 
 class TestEmitter:
-    """The generated entries against an independent tree walk, bit for bit."""
+    """The generated code against an independent tree walk, bit for bit."""
 
     @staticmethod
-    def _check(tree, call, at):
+    def _check(tree, expr):
         grid = {"x": _XS, "y": _YS}
         with np.errstate(all="ignore"):
-            assert _same_bits(call(grid), reference_eval(tree, grid))
+            assert _same_bits(expr.compiled(grid), reference_eval(tree, grid))
             for x, y in zip(_XS, _YS):
                 point = {"x": np.asarray(x), "y": np.asarray(y)}
-                assert _same_bits(call(point), reference_eval(tree, point))
+                assert _same_bits(expr.compiled(point), reference_eval(tree, point))
             for x in _EDGES:
-                value = _outcome(lambda: at(float(x)))
+                value = _outcome(lambda: expr(x=float(x)))
                 assert type(value) in (float, tuple)
                 assert _same_outcome(value, _outcome(
                     lambda: float(reference_eval(tree, {"x": np.float64(x)}))))
@@ -447,14 +415,14 @@ class TestEmitter:
     @given(tree=expression_trees(("x", "y")))
     def test_parsed_entries_match_a_tree_walk(self, tree):
         expr = parse_expression(unparse(tree))
-        self._check(tree, expr.compiled, expr.at)
+        self._check(tree, expr)
 
     @settings(max_examples=25, deadline=None)
     @given(tree=deep_trees(("x", "y"), MAX_NESTING // 2))
     def test_entries_of_trees_at_the_nesting_limit_match_a_tree_walk(self, tree):
         # each step of a deep tree prints at most two nesting levels
         expr = parse_expression(unparse(tree))
-        self._check(tree, expr.compiled, expr.at)
+        self._check(tree, expr)
 
     def test_variable_exponents_and_unary_minus_chains(self):
         for text, tree in (
@@ -471,7 +439,7 @@ class TestEmitter:
         ):
             expr = parse_expression(text)
             assert _source(text) == _source(unparse(tree)), text
-            self._check(tree, expr.compiled, expr.at)
+            self._check(tree, expr)
 
     @settings(max_examples=200, deadline=None)
     @given(tree=expression_trees(("x", "y", "u", "v")),
@@ -485,55 +453,28 @@ class TestEmitter:
         assert _same_outcome(_outcome(lambda: np.float64(expr(**env))),
                              walked if isinstance(walked, tuple) else np.float64(walked))
 
-    @settings(max_examples=200, deadline=None)
-    @given(tree=expression_trees(("x", "y")), x=st.sampled_from(list(_EDGES)))
-    def test_float_entry_raises_in_a_tree_walks_order(self, tree, x):
-        # under numpy's raise state a floating-point error that comes before
-        # the first read of y is raised instead of the missing y
-        expr = parse_expression(unparse(tree))
-        with np.errstate(all="raise"):
-            entry = _outcome(lambda: expr.at(float(x)))
-            walked = _outcome(lambda: float(reference_eval(tree, {"x": np.float64(x)})))
-        assert _same_outcome(entry, walked)
-
-
-    def test_float_entry_follows_the_keyword_entry(self):
-        # the constructor takes the three fields, and a copy with another
-        # keyword entry evaluates with that entry's float entry
-        first, second = parse_expression("x/2"), parse_expression("x/4")
-        rebuilt = Expression(first.source, first.variables, first.compiled)
-        assert rebuilt == first and rebuilt.at(1.0) == 0.5
-        assert dataclasses.replace(first, compiled=second.compiled).at(1.0) == 0.25
-
-    @pytest.mark.parametrize("text, x", [("x*x", 1e200), ("x-x", math.inf), ("x+x", 1e308)])
-    def test_float_entry_binds_x_as_float64(self, text, x):
-        # Python float arithmetic would give inf or nan here without consulting numpy
-        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-            parse_expression(text).at(x)
-
 
 def _entry_walk(expr, x, n, lo, hi):
-    """n Picard steps of the float entry Expression.at from x, with the
+    """n Picard steps of the keyword call expr(x=x) from x, with the
     interval orbit's clamp: the iterates, and the message of the escape
     that ends them early, or None."""
     low, high = lo - INEQ_ABS_TOL, hi + INEQ_ABS_TOL
     iterates = []
-    with np.errstate(all="ignore"):
-        for _ in range(n):
-            value = expr.at(x)
-            if not lo <= value <= hi:
-                if not low <= value <= high:
-                    return iterates, (f"iterate {len(iterates) + 1}: T({x!r}) = {value!r} "
-                                      f"leaves [{lo}, {hi}]")
-                value = lo if value < lo else hi
-            iterates.append(value)
-            x = value
+    for _ in range(n):
+        value = expr(x=x)
+        if not lo <= value <= hi:
+            if not low <= value <= high:
+                return iterates, (f"iterate {len(iterates) + 1}: T({x!r}) = {value!r} "
+                                  f"leaves [{lo}, {hi}]")
+            value = lo if value < lo else hi
+        iterates.append(value)
+        x = value
     return iterates, None
 
 
 def _check_walk(text, lo, hi, x, n):
-    """The orbit's chunks, which the generated walk fills, against iterated
-    Expression.at bit for bit, with the same escape message."""
+    """The orbit's chunks, which the generated walk fills, against the
+    iterated keyword call bit for bit, with the same escape message."""
     space, mapping = IntervalSpace(lo, hi), SelfMap(expr=text)
     iterates, escape = [], None
     try:
@@ -552,7 +493,8 @@ _WALK_INTERVALS = ((0.0, 1.0), (-1.0, 1.0), (-2.5, 3.0), (0.0, 1e200), (-1e300, 
 
 
 class TestWalk:
-    """The self-map walk on Python floats against iterated Expression.at."""
+    """The self-map walk on Python floats against the iterated keyword call
+    at 0-d bindings."""
 
     @settings(max_examples=300, deadline=None)
     @given(tree=expression_trees(("x",)), interval=st.sampled_from(_WALK_INTERVALS),
@@ -615,8 +557,8 @@ class TestSkeletonCache:
         assert _source(first.source) == _source(second.source)
         for expr, constants in ((first, (0.25, 0.5, 0.125, 3.0, 7e-3)),
                                 (second, (0.75, 1.5, 0.375, 9.0, 2e-2))):
-            TestEmitter._check(tree(*constants), expr.compiled, expr.at)
-        assert first.at(0.5) != second.at(0.5)
+            TestEmitter._check(tree(*constants), expr)
+        assert first(x=0.5) != second(x=0.5)
         assert first(x=np.array([0.5, 1.0])).tolist() != second(x=np.array([0.5, 1.0])).tolist()
 
     @settings(max_examples=200, deadline=None)
@@ -625,8 +567,7 @@ class TestSkeletonCache:
         source = _source(unparse(tree))
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
         assert not [token for token in tokens if token.type in (tokenize.NUMBER, tokenize.STRING)]
-        vocabulary = set(_NAMESPACE) | {"def", "return", "float", "_factory", "call", "env",
-                                        "at", "x"}
+        vocabulary = set(_NAMESPACE) | {"def", "return", "_factory", "call", "env"}
         names = {token.string for token in tokens if token.type == tokenize.NAME}
         assert all(name in vocabulary or re.fullmatch(r"[ct]\d+|v_[xyuv]", name)
                    for name in names), names
@@ -640,7 +581,7 @@ class TestSkeletonCache:
         assert {token.string for token in tokens
                 if token.type in (tokenize.NUMBER, tokenize.STRING)} <= {"0.0"}
         vocabulary = set(_NAMESPACE) | {
-            "def", "return", "float", "_factory", "call", "env", "at", "x", "floats", "tuple",
+            "def", "return", "float", "_factory", "call", "env", "x", "floats", "tuple",
             "map", "walk", "n", "lo", "hi", "low", "high", "chunk", "append", "for", "_", "in",
             "range", "if", "else", "not", "abs", "None"}
         names = {token.string for token in tokens if token.type == tokenize.NAME}

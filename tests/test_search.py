@@ -103,6 +103,7 @@ class TestSearchConfig:
         ({"budget": 2.5}, "budget must be an integer >= 1, got 2.5"),
         ({"budget": True}, "budget must be an integer >= 1, got True"),
         ({"budget": np.int64(0)}, f"budget must be an integer >= 1, got {np.int64(0)!r}"),
+        ({"budget": -10**5000}, "budget must be an integer >= 1, got <int of 5001 digits>"),
     ])
     def test_budget_and_seed_name_their_field(self, fields, message):
         with pytest.raises(ValueError) as caught:

@@ -325,6 +325,14 @@ class TestVerifyBound:
                            match=r"^start <int of 5001 digits> is not a float64 number$"):
             cl.picard_iterate(unit_interval(), SelfMap(expr="x/2"), 10**5000)
 
+    def test_finite_start_messages_echo_a_huge_int(self):
+        mapping = SelfMap(images=(0, 0, 0))
+        with pytest.raises(ValueError, match=r"^start index <int of 5001 digits> out of range$"):
+            cl.picard_iterate(stretched_space(), mapping, 10**5000)
+        with pytest.raises(ValueError, match=r"^start \[<int of 5001 digits>\] is neither "
+                           r"a label nor an index$"):
+            cl.picard_iterate(stretched_space(), mapping, [10**5000])
+
     def test_interval_start_outside_keeps_its_message(self):
         for start in (math.nan, math.inf, -0.5, 2):
             with pytest.raises(ValueError, match=r"^start .* outside \[0.0, 1.0\]$"):

@@ -76,6 +76,12 @@ class TestFiniteConstruction:
                            r"a list of lists of numbers, got \(\(<int of 5001 digits>,\),\)$"):
             cl.FiniteSemimetricSpace(("a",), ((10**5000,),))
 
+    def test_unknown_label_message_echoes_a_huge_int(self):
+        space = cl.FiniteSemimetricSpace(("a",), np.zeros((1, 1)))
+        with pytest.raises(cl.StructuralError,
+                           match=r"^unknown point label <int of 5001 digits>$"):
+            space.index_of(10**5000)
+
     def test_accepts_number_lists_and_numeric_arrays(self):
         for dist in ([[0, 1], [1, 0]], [[0.0, 1.5], [1.5, 0.0]], np.array([[0, 1], [1, 0]])):
             space = cl.FiniteSemimetricSpace(("a", "b"), dist)
@@ -499,10 +505,8 @@ class TestThreeSteps:
     def test_matches_the_per_block_evaluation(self, dist, block):
         n = len(dist)
         space = cl.FiniteSemimetricSpace(tuple(f"p{i}" for i in range(n)), dist)
-        # a zero diagonal makes the ratio through z = x exactly 1 on a positive pair
-        positive = bool(np.any((dist > 0.0) & ~np.eye(n, dtype=bool)))
         with np.errstate(over="ignore"):  # a ratio over a subnormal sum is inf, as in the pass
-            expected_b = None if n < 2 else minimal_b_oracle(dist) if positive else 0.0
+            expected_b = None if n < 2 else minimal_b_oracle(dist)
         with _blocks(block):
             assert space_module.triple_pass(space)[1] == expected_b
             for phi in PASS_PHIS:
@@ -735,6 +739,12 @@ class TestMinimalB:
     def test_multi_block_space_matches_oracle_exactly(self):
         space = random_semimetric(np.random.default_rng(7), 100)
         assert cl.minimal_b_constant(space) == minimal_b_oracle(space.dist)
+
+    def test_zero_matrix_gives_zero(self):
+        # no positive denominator, so every triple counts as ratio 0
+        dist = np.zeros((2, 2))
+        space = cl.FiniteSemimetricSpace(("a", "b"), dist)
+        assert cl.minimal_b_constant(space) == minimal_b_oracle(dist) == 0.0
 
     def test_tightness(self):
         rng = np.random.default_rng(42)

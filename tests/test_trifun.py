@@ -71,6 +71,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=r"kind must be a string, got <int of 4301 digits>$"):
             TriangleFunctionSpec.from_json({"kind": -10**4300})
 
+    def test_unknown_kind_message_echoes_a_huge_int(self):
+        with pytest.raises(ValueError,
+                           match=r"^unknown triangle function kind <int of 5001 digits>$"):
+            TriangleFunctionSpec(10**5000)
+
     def test_rejects_non_number_parameters(self):
         for doc in ({"kind": "bscaled", "K": "2"}, {"kind": "bscaled", "K": True},
                     {"kind": "power", "q": "0.5"}, {"kind": "power", "q": False}):
